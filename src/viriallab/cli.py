@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import pathlib
@@ -24,16 +23,13 @@ from . import functionals as fn
 from . import soliton as sol
 from . import virial_analysis as va
 from . import weight
-from .field import GraphField, LineField, lp_norm
+from .evolve import _fmt
+from .field import LineField, field_from_grid, lp_norm, read_snapshot, tail_mass, write_snapshot
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BADARGS = 2
 EXIT_BLOWUP = 10
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _out_path(arg: str | None, default: str) -> pathlib.Path:
@@ -44,30 +40,6 @@ def _out_path(arg: str | None, default: str) -> pathlib.Path:
 
 class ScenarioError(Exception):
     pass
-
-
-def _build_grid(grid: dict):
-    try:
-        if grid["kind"] == "line":
-            return LineField(
-                L=float(grid["L"]),
-                N=int(grid["N"]),
-                values=np.zeros(int(grid["N"])),
-                stagger=bool(grid.get("stagger", False)),
-            )
-        if grid["kind"] == "graph":
-            J, M = int(grid["J"]), int(grid["M"])
-            return GraphField(
-                J=J,
-                Ledge=float(grid["Ledge"]),
-                M=M,
-                vertex_values=np.zeros(J),
-                edge_values=np.zeros((J, M)),
-                shared_vertex=bool(grid.get("shared_vertex", True)),
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad grid spec: {exc}") from exc
-    raise ScenarioError(f"unknown grid kind {grid.get('kind')!r}")
 
 
 def _build_initial(data: dict, template, model: fn.ModelSpec):
@@ -84,15 +56,7 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
         sigma = float(data.get("sigma", 1.0))
         c = float(data.get("center", 0.0))
 
-        def prof(x):
-            return a * np.exp(-(((x - c) / sigma) ** 2))
-
-        if isinstance(template, LineField):
-            return template.with_values(prof(template.x))
-        vals = prof(template.x_full)
-        vals[-1] = 0.0
-        full = np.broadcast_to(vals, (template.J, template.M + 1)).copy()
-        return template.with_full_values(full.astype(complex))
+        return template.sampled(lambda x: a * np.exp(-(((x - c) / sigma) ** 2)))
     if kind == "ground_state":
         gs = sol.ground_state_flow(
             model, template, omega=float(data.get("omega", 1.0)),
@@ -102,11 +66,7 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
             raise ScenarioError("ground-state initial data did not converge")
         return gs.field
     if kind == "file":
-        arr = np.loadtxt(data["path"], delimiter=",", skiprows=1)
-        if isinstance(template, LineField):
-            return template.with_values(arr[:, 1] + 1j * arr[:, 2])
-        full = (arr[:, 2] + 1j * arr[:, 3]).reshape(template.J, template.M + 1)
-        return template.with_full_values(full)
+        return read_snapshot(data["path"], template)
     raise ScenarioError(f"unknown initial_data kind {kind!r}")
 
 
@@ -132,10 +92,10 @@ def _scenario_pieces(sc: dict):
     try:
         model = fn.ModelSpec.from_dict(sc["model"])
         cfg = ev.SolverConfig(**sc["solver"])
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad model/solver spec: {exc}") from exc
-    template = _build_grid(sc["grid"])
-    u0 = _build_initial(sc["initial_data"], template, model)
+        template = field_from_grid(sc["grid"])
+        u0 = _build_initial(sc["initial_data"], template, model)
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        raise ScenarioError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
 
 
@@ -227,8 +187,6 @@ def cmd_virial_report(args) -> int:
         return EXIT_BADARGS
     out = _out_path(args.out, src.name + "_virial") if args.out else src
     out.mkdir(parents=True, exist_ok=True)
-    from .field import tail_mass
-
     with open(out / "virial_report.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(
@@ -336,11 +294,7 @@ def cmd_ground_state(args) -> int:
         record["energy"] = fn.energy(gs.field, model)
     out = _out_path(args.out, "ground_state")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "profile.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "re", "im"])
-        for x, v in zip(gs.field.x, gs.field.values):
-            wr.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+    write_snapshot(gs.field, out / "profile.csv")
     with open(out / "record.json", "w") as fh:
         json.dump(record, fh, indent=2)
     return EXIT_OK if gs.converged else EXIT_FAIL

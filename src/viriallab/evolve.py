@@ -10,7 +10,6 @@ surrogate triggers (gradient growth, amplitude cap, step-size underflow).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import pathlib
@@ -20,8 +19,25 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .field import Field, GraphField, LineField, derivative, lp_norm, tail_mass
-from .functionals import ModelSpec, energy, kinetic_energy, mass, origin_index, potential_on_grid
+from .field import (
+    Field,
+    LineField,
+    field_from_grid,
+    lp_norm,
+    read_snapshot,
+    spectral_wavenumbers,
+    tail_mass,
+    write_snapshot,
+)
+from .functionals import (
+    ModelSpec,
+    energy,
+    kinetic_energy,
+    mass,
+    origin_index,
+    potential_on_grid,
+    require_geometry,
+)
 
 
 @dataclass(frozen=True)
@@ -36,16 +52,17 @@ class SolverConfig:
     dt_min: float = 1e-12
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.snapshot_stride < 1:
+        if not (self.snapshot_stride >= 1):
             raise ValueError("snapshot_stride must be >= 1")
-        if self.grad_blowup_factor <= 1.0 or self.amp_cap <= 0.0:
+        if not (self.grad_blowup_factor > 1.0 and self.amp_cap > 0.0):
             raise ValueError("grad_blowup_factor > 1 and amp_cap > 0 required")
         if not (self.phase_tol > 0.0):
             raise ValueError("phase_tol must be positive")
-        if self.T_end <= 0.0:
-            raise ValueError("T_end must be positive")
+        if not (0.0 < self.T_end < np.inf):
+            raise ValueError("T_end must be positive and finite")
 
 
 @dataclass
@@ -97,7 +114,7 @@ def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
     if not model.uses_spectral():
         raise ValueError("split-step handles only the free and inverse_power variants")
     V = potential_on_grid(model, f.x) if model.variant == "inverse_power" else 0.0
-    k = 2.0 * np.pi * np.fft.fftfreq(f.N, d=f.h)
+    k = spectral_wavenumbers(f)
     u = f.values
     nl = np.abs(u) ** 4 if model.nonlinearity_on else 0.0
     u = u * _phase_factor(nl, V, dt / 2.0)
@@ -119,32 +136,28 @@ class AssembledOperator:
     Mdiag: np.ndarray
     _lu_cache: dict = field(default_factory=dict, repr=False)
 
-    def to_vector(self, f: Field) -> np.ndarray:
+    def __post_init__(self):
+        # _unknown: coefficient index held by each node of template.values,
+        # len(Mdiag) for the eliminated Dirichlet far node of a graph edge;
+        # _node_of: the first flat node holding each coefficient
+        n = len(self.Mdiag)
+        unknown = np.full(np.shape(self.template.values), n)
         if self.kind == "line":
-            return f.values.copy()
-        if self.kind == "graph_shared":
-            return np.concatenate([[f.vertex_values[0]], f.edge_values[:, :-1].ravel()])
-        return np.concatenate(
-            [np.column_stack([f.vertex_values, f.edge_values[:, :-1]]).ravel()]
-        )
+            unknown[:] = np.arange(n)
+        elif self.kind == "graph_shared":  # one vertex unknown, then the edges
+            unknown[:, 0] = 0
+            unknown[:, 1:-1] = np.arange(1, n).reshape(len(unknown), -1)
+        else:
+            unknown[:, :-1] = np.arange(n).reshape(len(unknown), -1)
+        self._unknown = unknown
+        self._node_of = np.unique(unknown, return_index=True)[1][:n]
+
+    def to_vector(self, f: Field) -> np.ndarray:
+        return f.values.ravel()[self._node_of]
 
     def from_vector(self, vec: np.ndarray, like: Field | None = None) -> Field:
         like = like if like is not None else self.template
-        if self.kind == "line":
-            return like.with_values(vec)
-        J, M = like.J, like.M
-        full = np.zeros((J, M + 1), dtype=complex)
-        if self.kind == "graph_shared":
-            full[:, 0] = vec[0]
-            full[:, 1:M] = vec[1:].reshape(J, M - 1)
-        else:
-            block = vec.reshape(J, M)
-            full[:, :M] = block
-        return like.with_full_values(full)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Action of the operator H = M^{-1} K on a coefficient vector."""
-        return (self.K @ vec) / self.Mdiag
+        return like.with_values(np.append(vec, 0.0)[self._unknown])
 
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
         """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec, LU factors cached per dt."""
@@ -175,9 +188,10 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
     """Discrete quadratic form of the linear operator: line Laplacian with a
     gamma-weighted vertex value (delta), or the star-graph form with the
     vertex term of the named condition."""
+    if model.variant not in ("delta", "graph"):
+        raise ValueError("form assembly covers the delta and graph variants")
+    require_geometry(template, model)
     if model.variant == "delta":
-        if not isinstance(template, LineField):
-            raise ValueError("delta model needs a LineField")
         N, h = template.N, template.h
         K = sp.lil_matrix((N, N))
         K.setdiag(np.full(N, 2.0 / h))
@@ -185,13 +199,7 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
         K.setdiag(np.full(N - 1, -1.0 / h), -1)
         K[origin_index(template), origin_index(template)] += model.gamma
         return AssembledOperator("line", model, template, K.tocsc(), np.full(N, h))
-    if model.variant != "graph":
-        raise ValueError("form assembly covers the delta and graph variants")
-    if not isinstance(template, GraphField):
-        raise ValueError("graph model needs a GraphField")
     vc = model.vertex
-    if vc.kind == "general":
-        raise ValueError("general vertex matrices are not supported in form assembly")
     J, M, h = template.J, template.M, template.h
     if vc.is_continuity_type:
         n = 1 + J * (M - 1)
@@ -254,16 +262,23 @@ def _quantize_dt(dt_target: float, dt_max: float) -> float:
     return dt_max / 2.0**k
 
 
+def _trigger(cfg: SolverConfig, grad0: float, amp: float, gradn: float) -> str | None:
+    """The blow-up trigger a state with sup norm `amp` and gradient norm
+    `gradn` fires, if any."""
+    if amp > cfg.amp_cap:
+        return "amplitude_cap"
+    if grad0 > 0 and gradn > cfg.grad_blowup_factor * grad0:
+        return "gradient_growth"
+    return None
+
+
 def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger."""
-    use_split = isinstance(u0, LineField) and model.uses_spectral()
+    require_geometry(u0, model)
+    use_split = model.uses_spectral()
     H = None if use_split else assemble_hamiltonian(u0, model)
-    V = (
-        potential_on_grid(model, u0.x)
-        if use_split and model.variant == "inverse_power"
-        else 0.0
-    )
+    V = potential_on_grid(model, u0.x) if model.variant == "inverse_power" else 0.0
 
     grad0 = _grad_norm(u0, model)
     times = [0.0]
@@ -284,18 +299,14 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
             break
         try:
             u = step_splitstep(u, dt, model) if use_split else step_cn(u, dt, H)
-        except Exception as exc:  # pragma: no cover - defensive
+        except ValueError as exc:  # the field rejects non-finite values after an overflow
             verdict = BlowupVerdict("aborted", diagnostic=str(exc))
             break
         t += dt
         nstep += 1
-        amp = lp_norm(u, np.inf)
-        gradn = _grad_norm(u, model)
-        if amp > cfg.amp_cap:
-            verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger="amplitude_cap")
-            break
-        if grad0 > 0 and gradn > cfg.grad_blowup_factor * grad0:
-            verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger="gradient_growth")
+        trigger = _trigger(cfg, grad0, lp_norm(u, np.inf), _grad_norm(u, model))
+        if trigger is not None:
+            verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break
         if nstep % cfg.snapshot_stride == 0:
             times.append(t)
@@ -326,14 +337,10 @@ def detect_blowup(traj: Trajectory) -> BlowupVerdict:
     if len(traj.snapshots) == 0:
         raise ValueError("empty trajectory")
     grad0 = traj.grad_series[0]
-    cfg = traj.config
-    for t, amp_f, gradn in zip(
-        traj.times, traj.snapshots, traj.grad_series
-    ):
-        if lp_norm(amp_f, np.inf) > cfg.amp_cap:
-            return BlowupVerdict("blowup_detected", t_detect=float(t), trigger="amplitude_cap")
-        if grad0 > 0 and gradn > cfg.grad_blowup_factor * grad0:
-            return BlowupVerdict("blowup_detected", t_detect=float(t), trigger="gradient_growth")
+    for t, snap, gradn in zip(traj.times, traj.snapshots, traj.grad_series):
+        trigger = _trigger(traj.config, grad0, lp_norm(snap, np.inf), gradn)
+        if trigger is not None:
+            return BlowupVerdict("blowup_detected", t_detect=float(t), trigger=trigger)
     if traj.verdict.trigger == "dt_underflow":
         return traj.verdict
     return BlowupVerdict("completed")
@@ -343,68 +350,26 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _grid_dict(f: Field) -> dict:
-    if isinstance(f, LineField):
-        return {"kind": "line", "L": f.L, "N": f.N, "stagger": f.stagger}
-    return {
-        "kind": "graph",
-        "J": f.J,
-        "Ledge": f.Ledge,
-        "M": f.M,
-        "shared_vertex": f.shared_vertex,
-    }
-
-
-def _field_from_grid_dict(d: dict) -> Field:
-    if d["kind"] == "line":
-        return LineField(L=d["L"], N=d["N"], values=np.zeros(d["N"]), stagger=d["stagger"])
-    return GraphField(
-        J=d["J"],
-        Ledge=d["Ledge"],
-        M=d["M"],
-        vertex_values=np.zeros(d["J"]),
-        edge_values=np.zeros((d["J"], d["M"])),
-        shared_vertex=d["shared_vertex"],
-    )
-
-
 def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
     """Write series.csv, snapshots/NNNN.csv and summary.json."""
     out = pathlib.Path(outdir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    with open(out / "series.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        head = ["t", "mass", "energy", "grad_norm"]
-        if R is not None:
-            head.append(f"tail_mass@{_fmt(R)}")
-        wr.writerow(head)
-        for i, t in enumerate(traj.times):
-            row = [
-                _fmt(t),
-                _fmt(traj.mass_series[i]),
-                _fmt(traj.energy_series[i]),
-                _fmt(traj.grad_series[i]),
-            ]
-            if R is not None:
-                row.append(_fmt(tail_mass(traj.snapshots[i], R)))
-            wr.writerow(row)
+    head = ["t", "mass", "energy", "grad_norm"]
+    cols = [traj.times, traj.mass_series, traj.energy_series, traj.grad_series]
+    if R is not None:
+        head.append(f"tail_mass@{_fmt(R)}")
+        cols.append([tail_mass(s, R) for s in traj.snapshots])
+    np.savetxt(
+        out / "series.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
+        newline="\r\n", header=",".join(head), comments="",
+    )
     for i, snap in enumerate(traj.snapshots):
-        with open(out / "snapshots" / f"{i:04d}.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            if isinstance(snap, LineField):
-                wr.writerow(["x", "re", "im"])
-                for x, v in zip(snap.x, snap.values):
-                    wr.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
-            else:
-                wr.writerow(["edge", "x", "re", "im"])
-                for j in range(snap.J):
-                    for x, v in zip(snap.x_full, snap.full_values[j]):
-                        wr.writerow([str(j), _fmt(x), _fmt(v.real), _fmt(v.imag)])
+        write_snapshot(snap, out / "snapshots" / f"{i:04d}.csv")
     mdrift = float(np.max(np.abs(traj.mass_series - traj.mass_series[0]))) / max(
         traj.mass_series[0], 1e-300
     )
     summary = {
-        "grid": _grid_dict(traj.snapshots[0]),
+        "grid": traj.snapshots[0].grid_spec(),
         "model": traj.model.to_dict(),
         "config": dataclasses.asdict(traj.config),
         "verdict": dataclasses.asdict(traj.verdict),
@@ -422,36 +387,19 @@ def load_trajectory(indir) -> Trajectory:
         summary = json.load(fh)
     model = ModelSpec.from_dict(summary["model"])
     cfg = SolverConfig(**summary["config"])
-    template = _field_from_grid_dict(summary["grid"])
-    times, masses, energies, grads = [], [], [], []
-    with open(src / "series.csv", newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            times.append(float(row[0]))
-            masses.append(float(row[1]))
-            energies.append(float(row[2]))
-            grads.append(float(row[3]))
-    snapshots = []
-    for i in range(summary["n_snapshots"]):
-        data = np.loadtxt(src / "snapshots" / f"{i:04d}.csv", delimiter=",", skiprows=1)
-        if isinstance(template, LineField):
-            snapshots.append(template.with_values(data[:, 1] + 1j * data[:, 2]))
-        else:
-            full = (data[:, 2] + 1j * data[:, 3]).reshape(template.J, template.M + 1)
-            snapshots.append(template.with_full_values(full))
-    v = summary["verdict"]
-    verdict = BlowupVerdict(
-        status=v["status"],
-        t_detect=v.get("t_detect"),
-        trigger=v.get("trigger"),
-        diagnostic=v.get("diagnostic"),
-    )
+    template = field_from_grid(summary["grid"])
+    series = np.loadtxt(src / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+    snapshots = [
+        read_snapshot(src / "snapshots" / f"{i:04d}.csv", template)
+        for i in range(summary["n_snapshots"])
+    ]
     return Trajectory(
-        times=np.array(times),
+        times=series[:, 0],
         snapshots=snapshots,
-        mass_series=np.array(masses),
-        energy_series=np.array(energies),
-        grad_series=np.array(grads),
-        verdict=verdict,
+        mass_series=series[:, 1],
+        energy_series=series[:, 2],
+        grad_series=series[:, 3],
+        verdict=BlowupVerdict(**summary["verdict"]),
         model=model,
         config=cfg,
     )

@@ -6,6 +6,13 @@ inverse-power potentials finite).  Graph problems live on J half-line edges
 truncated at Ledge with a homogeneous Dirichlet far end; the vertex value at
 x = 0 is stored per edge and shared (equal) for continuity-type vertex
 conditions.
+
+Both classes expose the same seam: node coordinates `x`, samples `values`,
+quadrature weights `quad_weights` (all on the nodes of one edge for graphs,
+so `x` and `quad_weights` of shape (M+1,) broadcast against `values` of
+shape (J, M+1)), `with_values` and `sampled`.  `GraphField.values` is a
+derived, read-only array assembled from the stored `vertex_values` and
+`edge_values`; write through `with_values`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ class LineField:
             raise ValueError(f"values shape {self.values.shape} != ({self.N},)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite field values")
-        if self.L <= 0 or self.N < 2:
+        if not (self.L > 0) or self.N < 2:
             raise ValueError("need L > 0 and N >= 2")
 
     @property
@@ -52,13 +59,16 @@ class LineField:
     def copy(self) -> "LineField":
         return replace(self, values=self.values.copy())
 
+    def sampled(self, f) -> "LineField":
+        """The samples f(x) on this grid."""
+        return self.with_values(f(self.x))
+
+    def grid_spec(self) -> dict:
+        return {"kind": "line", "L": self.L, "N": self.N, "stagger": self.stagger}
+
     @classmethod
     def from_function(cls, f, L: float, N: int, stagger: bool = False) -> "LineField":
-        g = cls(L=L, N=N, values=np.zeros(N, dtype=complex), stagger=stagger)
-        vals = np.asarray(f(g.x), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sampled function produced non-finite values")
-        return g.with_values(vals)
+        return cls(L=L, N=N, values=np.zeros(N), stagger=stagger).sampled(f)
 
 
 @dataclass
@@ -81,7 +91,7 @@ class GraphField:
     def __post_init__(self):
         self.vertex_values = np.asarray(self.vertex_values, dtype=complex)
         self.edge_values = np.asarray(self.edge_values, dtype=complex)
-        if self.J < 1 or self.M < 3 or self.Ledge <= 0:
+        if self.J < 1 or self.M < 3 or not (self.Ledge > 0):
             raise ValueError("need J >= 1, M >= 3, Ledge > 0")
         if self.vertex_values.shape != (self.J,):
             raise ValueError("vertex_values must have shape (J,)")
@@ -99,65 +109,111 @@ class GraphField:
         return self.Ledge / self.M
 
     @property
-    def x_full(self) -> np.ndarray:
-        """Node coordinates 0..Ledge including vertex and far end."""
+    def x(self) -> np.ndarray:
+        """Node coordinates 0..Ledge of one edge, vertex and far end included."""
         return np.arange(self.M + 1) * self.h
 
     @property
-    def full_values(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """(J, M+1) array: vertex value prepended to each edge."""
         return np.concatenate([self.vertex_values[:, None], self.edge_values], axis=1)
 
     @property
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights on the full nodes of one edge."""
+        """Trapezoid weights on the nodes of one edge."""
         wq = np.full(self.M + 1, self.h)
         wq[0] = wq[-1] = self.h / 2.0
         return wq
 
-    def with_full_values(self, vals: np.ndarray) -> "GraphField":
-        vals = np.asarray(vals, dtype=complex)
-        return replace(self, vertex_values=vals[:, 0].copy(), edge_values=vals[:, 1:].copy())
+    def with_values(self, values: np.ndarray) -> "GraphField":
+        values = np.asarray(values, dtype=complex)
+        return replace(self, vertex_values=values[:, 0].copy(), edge_values=values[:, 1:].copy())
 
     def copy(self) -> "GraphField":
         return replace(
             self, vertex_values=self.vertex_values.copy(), edge_values=self.edge_values.copy()
         )
 
+    def sampled(self, f) -> "GraphField":
+        """The samples f(x) on every edge, with the Dirichlet zero at the far node."""
+        prof = np.asarray(f(self.x), dtype=complex)
+        if not np.all(np.isfinite(prof)):
+            raise ValueError("sampled function produced non-finite values")
+        prof = np.broadcast_to(prof, (self.J, self.M + 1)).copy()
+        prof[:, -1] = 0.0
+        return self.with_values(prof)
+
+    def grid_spec(self) -> dict:
+        return {
+            "kind": "graph",
+            "J": self.J,
+            "Ledge": self.Ledge,
+            "M": self.M,
+            "shared_vertex": self.shared_vertex,
+        }
+
     @classmethod
     def from_function(
         cls, f, J: int, Ledge: float, M: int, shared_vertex: bool = True
     ) -> "GraphField":
-        x = np.arange(M + 1) * (Ledge / M)
-        prof = np.asarray(f(x), dtype=complex)
-        if not np.all(np.isfinite(prof)):
-            raise ValueError("sampled function produced non-finite values")
-        prof = np.broadcast_to(prof, (J, M + 1)).copy()
-        prof[:, -1] = 0.0
-        return cls(
-            J=J,
-            Ledge=Ledge,
-            M=M,
-            vertex_values=prof[:, 0],
-            edge_values=prof[:, 1:],
-            shared_vertex=shared_vertex,
-        )
+        spec = {"kind": "graph", "J": J, "Ledge": Ledge, "M": M, "shared_vertex": shared_vertex}
+        return field_from_grid(spec).sampled(f)
 
 
 Field = LineField | GraphField
+
+
+def field_from_grid(spec: dict) -> Field:
+    """Zero field on the grid described by `spec` (the inverse of
+    `grid_spec`); KeyError, TypeError or ValueError on a bad spec."""
+    if spec["kind"] == "line":
+        N = int(spec["N"])
+        return LineField(
+            L=float(spec["L"]), N=N, values=np.zeros(N), stagger=bool(spec.get("stagger", False))
+        )
+    if spec["kind"] == "graph":
+        J, M = int(spec["J"]), int(spec["M"])
+        return GraphField(
+            J=J,
+            Ledge=float(spec["Ledge"]),
+            M=M,
+            vertex_values=np.zeros(J),
+            edge_values=np.zeros((J, M)),
+            shared_vertex=bool(spec.get("shared_vertex", True)),
+        )
+    raise ValueError(f"unknown grid kind {spec['kind']!r}")
+
+
+def write_snapshot(f: Field, path) -> None:
+    """CSV of the samples, one row per node: columns x,re,im on a line and
+    edge,x,re,im on a graph, numbers at full double precision."""
+    vals = f.values
+    cols = [np.broadcast_to(f.x, vals.shape).ravel(), vals.real.ravel(), vals.imag.ravel()]
+    head = "x,re,im"
+    if vals.ndim == 2:
+        cols.insert(0, np.repeat(np.arange(vals.shape[0]), vals.shape[1]))
+        head = "edge," + head
+    np.savetxt(
+        path, np.column_stack(cols), fmt="%.17g", delimiter=",", newline="\r\n",
+        header=head, comments="",
+    )
+
+
+def read_snapshot(path, template: Field) -> Field:
+    """Field on the grid of `template` from a `write_snapshot` file (the
+    last two columns are re, im)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    vals = data[:, -2] + 1j * data[:, -1]
+    return template.with_values(vals.reshape(np.shape(template.values)))
 
 
 def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm; graphs sum p-th powers over edges."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if isinstance(f, LineField):
-        if np.isinf(p):
-            return float(np.max(np.abs(f.values), initial=0.0))
-        return float(np.sum(f.quad_weights * np.abs(f.values) ** p) ** (1.0 / p))
     if np.isinf(p):
-        return float(np.max(np.abs(f.full_values), initial=0.0))
-    return float(np.sum(f.quad_weights * np.abs(f.full_values) ** p) ** (1.0 / p))
+        return float(np.max(np.abs(f.values), initial=0.0))
+    return float(np.sum(f.quad_weights * np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def _is_pow2(n: int) -> bool:
@@ -169,30 +225,20 @@ def spectral_wavenumbers(f: LineField) -> np.ndarray:
 
 
 def derivative(f: Field, method: str = "auto") -> Field:
-    """Spatial derivative: Fourier multiplier on the line, second-order
-    finite differences on graphs (and on the line with method="fd")."""
-    if isinstance(f, LineField):
-        if method == "auto":
-            method = "spectral" if _is_pow2(f.N) else "fd"
-        if method == "spectral":
-            if not _is_pow2(f.N):
-                raise ValueError("spectral derivative needs N a power of two")
-            k = spectral_wavenumbers(f)
-            ik = 1j * k
-            if f.N % 2 == 0:
-                ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
+    """Spatial derivative: Fourier multiplier on the line ("auto" picks it
+    when N is a power of two), second-order finite differences on graphs
+    and on the line with method="fd"."""
+    if isinstance(f, LineField) and method in ("auto", "spectral"):
+        if _is_pow2(f.N):
+            ik = 1j * spectral_wavenumbers(f)
+            ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
             return f.with_values(np.fft.ifft(ik * np.fft.fft(f.values)))
-        return f.with_values(np.gradient(f.values, f.h, edge_order=2))
-    vals = f.full_values
-    if vals.shape[1] < 3:
-        raise ValueError("graph derivative needs at least 3 nodes per edge")
-    dvals = np.gradient(vals, f.h, axis=1, edge_order=2)
-    return replace(
-        f,
-        vertex_values=dvals[:, 0],
-        edge_values=dvals[:, 1:],
-        shared_vertex=False,
-    )
+        if method == "spectral":
+            raise ValueError("spectral derivative needs N a power of two")
+    dvals = np.gradient(f.values, f.h, axis=-1, edge_order=2)
+    if isinstance(f, GraphField):
+        f = replace(f, shared_vertex=False)  # one-sided slopes differ per edge
+    return f.with_values(dvals)
 
 
 def _tail_fraction(lo: np.ndarray, hi: np.ndarray, R: float, symmetric: bool) -> np.ndarray:
@@ -216,10 +262,9 @@ def tail_quad_weights(f: Field, R: float) -> np.ndarray:
     """
     if R < 0:
         raise ValueError(f"R must be nonnegative, got {R}")
+    x, h = f.x, f.h
     if isinstance(f, LineField):
-        x, h = f.x, f.h
         return _tail_fraction(x - h / 2.0, x + h / 2.0, R, symmetric=True)
-    x, h = f.x_full, f.h
     lo = np.clip(x - h / 2.0, 0.0, f.Ledge)
     hi = np.clip(x + h / 2.0, 0.0, f.Ledge)
     return _tail_fraction(lo, hi, R, symmetric=False)
@@ -228,6 +273,4 @@ def tail_quad_weights(f: Field, R: float) -> np.ndarray:
 def tail_mass(f: Field, R: float) -> float:
     """L^2 norm of the field restricted to the region beyond R."""
     wt = tail_quad_weights(f, R)
-    if isinstance(f, LineField):
-        return float(np.sqrt(np.sum(wt * np.abs(f.values) ** 2)))
-    return float(np.sqrt(np.sum(wt * np.abs(f.full_values) ** 2)))
+    return float(np.sqrt(np.sum(wt * np.abs(f.values) ** 2)))

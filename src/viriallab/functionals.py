@@ -21,50 +21,32 @@ from .field import (
     LineField,
     derivative,
     lp_norm,
+    tail_mass,
     tail_quad_weights,
 )
 
 
 @dataclass(frozen=True)
 class VertexCondition:
-    """Vertex coupling of a star-graph Laplacian.
+    """Vertex coupling of a star-graph Laplacian; each kind expands to its
+    (A, B) matrices on demand."""
 
-    Named kinds expand to their (A, B) matrices on demand; "general" carries
-    explicit matrices and is validated (maximal rank of (A,B), self-adjoint
-    A B*), but the vertex energy P is defined only for the named kinds.
-    """
-
-    kind: str  # kirchhoff | dirac_delta | delta_prime | general
+    kind: str  # kirchhoff | dirac_delta | delta_prime
     gamma: float = 0.0
-    A: np.ndarray | None = None
-    B: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("kirchhoff", "dirac_delta", "delta_prime", "general"):
+        if self.kind not in ("kirchhoff", "dirac_delta", "delta_prime"):
             raise ValueError(f"unknown vertex condition kind {self.kind!r}")
+        if not np.isfinite(self.gamma):
+            raise ValueError("vertex gamma must be finite")
         if self.kind == "delta_prime" and self.gamma == 0.0:
             raise ValueError("delta_prime requires gamma != 0")
-        if self.kind == "general":
-            if self.A is None or self.B is None:
-                raise ValueError("general vertex condition requires matrices A and B")
-            A = np.asarray(self.A, dtype=complex)
-            B = np.asarray(self.B, dtype=complex)
-            J = A.shape[0]
-            if A.shape != (J, J) or B.shape != (J, J):
-                raise ValueError("A and B must be square with equal size")
-            if np.linalg.matrix_rank(np.hstack([A, B])) != J:
-                raise ValueError("(A, B) must have maximal rank")
-            AB = A @ B.conj().T
-            if np.max(np.abs(AB - AB.conj().T)) > 1e-10 * (1.0 + np.max(np.abs(AB))):
-                raise ValueError("A B* must be self-adjoint")
 
     @property
     def is_continuity_type(self) -> bool:
         return self.kind in ("kirchhoff", "dirac_delta")
 
     def to_dict(self) -> dict:
-        if self.kind == "general":
-            raise ValueError("general vertex conditions are not serializable")
         return {"kind": self.kind, "gamma": self.gamma}
 
     @classmethod
@@ -73,8 +55,6 @@ class VertexCondition:
 
     def matrices(self, J: int) -> tuple[np.ndarray, np.ndarray]:
         """The (A, B) pair encoding the condition A f(0) + B f'(0) = 0."""
-        if self.kind == "general":
-            return np.asarray(self.A, dtype=complex), np.asarray(self.B, dtype=complex)
         chain = np.zeros((J, J))
         for i in range(J - 1):
             chain[i, i] = 1.0
@@ -106,6 +86,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in ("free", "inverse_power", "delta", "graph"):
             raise ValueError(f"unknown model variant {self.variant!r}")
+        if not (np.isfinite(self.gamma) and np.isfinite(self.mu)):
+            raise ValueError("gamma and mu must be finite")
         if self.variant == "inverse_power":
             if not (self.gamma > 0):
                 raise ValueError("inverse_power requires gamma > 0")
@@ -167,6 +149,14 @@ def potential_on_grid(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     return model.gamma / ax**model.mu
 
 
+def require_geometry(f: Field, model: ModelSpec) -> None:
+    """Reject a field whose geometry does not match the model: the graph
+    variant needs a GraphField, the line variants a LineField."""
+    if isinstance(f, GraphField) != (model.variant == "graph"):
+        need = "GraphField" if model.variant == "graph" else "LineField"
+        raise ValueError(f"{model.variant} model needs a {need}")
+
+
 def origin_index(f: LineField) -> int:
     """Index of the node at x = 0 (required for the delta potential)."""
     i = int(np.argmin(np.abs(f.x)))
@@ -180,9 +170,7 @@ def mass(f: Field) -> float:
 
 
 def _grad_field(f: Field, model: ModelSpec) -> Field:
-    if isinstance(f, LineField):
-        return derivative(f, "spectral" if model.uses_spectral() else "fd")
-    return derivative(f)
+    return derivative(f, "spectral" if model.uses_spectral() else "fd")
 
 
 def kinetic_energy(f: Field, model: ModelSpec) -> float:
@@ -200,22 +188,17 @@ def kinetic_energy(f: Field, model: ModelSpec) -> float:
         diff = np.diff(v)
         form = (np.sum(np.abs(diff) ** 2) + np.abs(v[0]) ** 2 + np.abs(v[-1]) ** 2) / f.h
         return 0.5 * float(form)
-    vals = f.full_values
-    form = np.sum(np.abs(np.diff(vals, axis=1)) ** 2) / f.h
+    form = np.sum(np.abs(np.diff(f.values, axis=1)) ** 2) / f.h
     return 0.5 * float(form)
 
 
 def p_functional(f: GraphField, vc: VertexCondition) -> float:
     """Vertex energy P: 0 (Kirchhoff), gamma |f1(0)|^2 (delta),
     |sum_j f_j(0)|^2 / gamma (delta')."""
-    if vc.kind == "general":
-        raise ValueError("P is defined only for the named vertex conditions")
     if vc.kind == "kirchhoff":
         return 0.0
     if vc.kind == "dirac_delta":
         return float(vc.gamma * np.abs(f.vertex_values[0]) ** 2)
-    if vc.gamma == 0.0:
-        raise ValueError("delta_prime requires gamma != 0")
     return float(np.abs(np.sum(f.vertex_values)) ** 2 / vc.gamma)
 
 
@@ -223,18 +206,13 @@ def potential_energy(f: Field, model: ModelSpec) -> float:
     """The potential/vertex part of the energy (zero for the free model)."""
     if model.variant == "free":
         return 0.0
+    require_geometry(f, model)
     if model.variant == "inverse_power":
-        if not isinstance(f, LineField):
-            raise ValueError("inverse_power is a line model")
         V = potential_on_grid(model, f.x)
         return 0.5 * float(np.sum(f.quad_weights * V * np.abs(f.values) ** 2))
     if model.variant == "delta":
-        if not isinstance(f, LineField):
-            raise ValueError("delta is a line model")
         i0 = origin_index(f)
         return 0.5 * model.gamma * float(np.abs(f.values[i0]) ** 2)
-    if not isinstance(f, GraphField):
-        raise ValueError("graph model needs a GraphField")
     return 0.5 * p_functional(f, model.vertex)
 
 
@@ -250,10 +228,7 @@ def virial_I(f: Field, R: float) -> float:
     """Weighted variance int chi_R(x) |u|^2."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    if isinstance(f, LineField):
-        return float(np.sum(f.quad_weights * weight.chi_R(f.x, R, 0) * np.abs(f.values) ** 2))
-    wchi = weight.chi_R(f.x_full, R, 0)
-    return float(np.sum(f.quad_weights * wchi * np.abs(f.full_values) ** 2))
+    return float(np.sum(f.quad_weights * weight.chi_R(f.x, R, 0) * np.abs(f.values) ** 2))
 
 
 def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
@@ -262,11 +237,7 @@ def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
         raise ValueError(f"R must be positive, got {R}")
     model = model or ModelSpec.free()
     du = _grad_field(f, model)
-    if isinstance(f, LineField):
-        integrand = weight.chi_R(f.x, R, 1) * np.conj(f.values) * du.values
-        return 2.0 * float(np.imag(np.sum(f.quad_weights * integrand)))
-    wp = weight.chi_R(f.x_full, R, 1)
-    integrand = wp * np.conj(f.full_values) * du.full_values
+    integrand = weight.chi_R(f.x, R, 1) * np.conj(f.values) * du.values
     return 2.0 * float(np.imag(np.sum(f.quad_weights * integrand)))
 
 
@@ -297,10 +268,7 @@ def virial_rhs(f: Field, R: float, model: ModelSpec) -> float:
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     du = _grad_field(f, model)
-    if isinstance(f, LineField):
-        x, wq, u, dux = f.x, f.quad_weights, f.values, du.values
-    else:
-        x, wq, u, dux = f.x_full, f.quad_weights, f.full_values, du.full_values
+    x, wq, u, dux = f.x, f.quad_weights, f.values, du.values
     w2 = weight.chi_R(x, R, 2)
     w4 = weight.chi_R(x, R, 4)
     val = 4.0 * np.sum(wq * w2 * np.abs(dux) ** 2)
@@ -377,7 +345,7 @@ def ogawa_tsutsumi_bound(
 
     df = derivative(f, "spectral").values
     dg2 = derivative(g.with_values(gv**2 + 0j), "spectral").values.real
-    f_tail = float(np.sqrt(np.sum(wt * np.abs(f.values) ** 2)))
+    f_tail = tail_mass(f, R)
     t1 = float(np.sqrt(np.sum(wt * np.abs(gv**2 * df) ** 2)))
     t2 = float(np.sqrt(np.sum(wt * np.abs(f.values * dg2) ** 2)))
     rhs = f_tail * (2.0 * t1 + t2)

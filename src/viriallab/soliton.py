@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .evolve import assemble_hamiltonian
-from .field import Field, GraphField, LineField, lp_norm
-from .functionals import ModelSpec, potential_on_grid
+from .field import Field, LineField, spectral_wavenumbers
+from .functionals import ModelSpec, potential_on_grid, require_geometry
 
 
 def exact_Q(omega: float, x) -> np.ndarray:
@@ -34,12 +34,7 @@ def scaled_data(lam: float, omega: float, template: Field, center: float = 0.0) 
     gives negative free energy."""
     if lam <= 0 or omega <= 0:
         raise ValueError("need lambda > 0 and omega > 0")
-    if isinstance(template, LineField):
-        return template.with_values(lam * exact_Q(omega, template.x - center))
-    vals = lam * exact_Q(omega, template.x_full - center)
-    full = np.broadcast_to(vals, (template.J, template.M + 1)).copy()
-    full[:, -1] = 0.0
-    return template.with_full_values(full.astype(complex))
+    return template.sampled(lambda x: lam * exact_Q(omega, x - center))
 
 
 @dataclass
@@ -54,13 +49,33 @@ class GroundState:
 _WARMUP_SWEEPS = 200
 
 
+def _damped_newton(u, newton_step, residual_of, tol, it, max_iter):
+    """Newton iterations it+1 .. max_iter from u, each step halved until the
+    residual drops; stops at tol or when no halving helps (the achievable
+    floor).  Returns (u, residual, iterations, converged)."""
+    res = residual_of(u)
+    for it in range(it + 1, max_iter + 1):
+        if res < tol:
+            return u, res, it - 1, True
+        step = newton_step(u)
+        t = 1.0
+        rnew = residual_of(u - step)
+        while (not np.isfinite(rnew) or rnew >= res) and t > 1e-8:
+            t *= 0.5
+            rnew = residual_of(u - t * step)
+        if not np.isfinite(rnew) or rnew >= res:
+            break
+        u, res = u - t * step, rnew
+    return u, float(res), it, bool(res < tol)
+
+
 def _flow_line_spectral(template, V, omega, tol, max_iter, tau):
     """Line variants: a short normalized flow (Laplacian implicit in Fourier
     space) to reach the basin, then damped approximate-Newton steps with a
     finite-difference Jacobian; the residual is always measured with the
     spectral operator.  The plain flow alone stalls on the near-neutral
     dilation mode of the mass-critical nonlinearity."""
-    k2 = (2.0 * np.pi * np.fft.fftfreq(template.N, d=template.h)) ** 2
+    k2 = spectral_wavenumbers(template) ** 2
     h = template.h
     u = exact_Q(omega, template.x)
     denom = 1.0 + tau * (k2 + omega)
@@ -92,29 +107,20 @@ def _flow_line_spectral(template, V, omega, tol, max_iter, tau):
         [np.full(N, 2.0 / h**2), np.full(N - 1, -1.0 / h**2), np.full(N - 1, -1.0 / h**2)],
         [0, 1, -1],
     )
-    res = residual_of(u)
-    for it in range(it + 1, max_iter + 1):
-        if res < tol:
-            return template.with_values(u), res, it - 1, True
-        J = (lap + sp.diags(V + omega - 5.0 * u**4)).tocsc()
-        step = splu(J).solve(residual_vec(u))
-        t = 1.0
-        rnew = residual_of(u - step)
-        while (not np.isfinite(rnew) or rnew >= res) and t > 1e-8:
-            t *= 0.5
-            rnew = residual_of(u - t * step)
-        if not np.isfinite(rnew) or rnew >= res:
-            break  # stalled at the achievable floor
-        u, res = u - t * step, rnew
-    return template.with_values(u), float(res), it, bool(res < tol)
+
+    def newton_step(u):
+        return splu((lap + sp.diags(V + omega - 5.0 * u**4)).tocsc()).solve(residual_vec(u))
+
+    u, res, it, ok = _damped_newton(u, newton_step, residual_of, tol, it, max_iter)
+    return template.with_values(u), res, it, ok
 
 
 def _offset_guess(model, template, omega):
     """Closed-form standing wave with the soliton peak offset from the
     vertex: phi = Q-profile(|x| + a), where a solves the derivative-jump
     condition deg * sqrt(omega) * tanh(2 sqrt(omega) a) = -gamma (deg = the
-    number of edges meeting the vertex).  Returns None outside its range or
-    for conditions without this form."""
+    number of edges meeting the vertex), sampled on the template.  Returns
+    None outside its range or for conditions without this form."""
     if model.variant == "delta":
         deg, gamma = 2, model.gamma
     elif model.vertex.kind == "kirchhoff":
@@ -127,12 +133,7 @@ def _offset_guess(model, template, omega):
     if abs(arg) >= 1.0:
         return None
     a = np.arctanh(arg) / (2.0 * np.sqrt(omega))
-    if model.variant == "delta":
-        return exact_Q(omega, np.abs(template.x) + a)
-    vals = exact_Q(omega, template.x_full + a)
-    vals[-1] = 0.0
-    full = np.broadcast_to(vals, (template.J, template.M + 1)).copy()
-    return full
+    return template.sampled(lambda x: exact_Q(omega, np.abs(x) + a))
 
 
 def _flow_assembled(model, template, omega, tol, max_iter, tau):
@@ -144,13 +145,7 @@ def _flow_assembled(model, template, omega, tol, max_iter, tau):
     A = (sp.diags(Md) + tau * (K + omega * sp.diags(Md))).tocsc()
     lu = splu(A)
     guess = _offset_guess(model, template, omega)
-    if guess is None:
-        u = H.to_vector(scaled_data(1.0, omega, template)).real
-    elif model.variant == "delta":
-        u = guess
-    else:
-        g = template.with_full_values(guess.astype(complex))
-        u = H.to_vector(g).real
+    u = H.to_vector(guess if guess is not None else scaled_data(1.0, omega, template)).real
 
     def residual_vec(u):
         return (K @ u) / Md + omega * u - u**5
@@ -172,21 +167,11 @@ def _flow_assembled(model, template, omega, tol, max_iter, tau):
             if residual_of(u) < tol:
                 return H.from_vector(u.astype(complex)), residual_of(u), it, True
 
-    res = residual_of(u)
-    for it in range(it + 1, max_iter + 1):
-        if res < tol:
-            return H.from_vector(u.astype(complex)), res, it - 1, True
-        J = (K + sp.diags(Md * (omega - 5.0 * u**4))).tocsc()
-        step = splu(J).solve(Md * residual_vec(u))
-        t = 1.0
-        rnew = residual_of(u - step)
-        while (not np.isfinite(rnew) or rnew >= res) and t > 1e-8:
-            t *= 0.5
-            rnew = residual_of(u - t * step)
-        if not np.isfinite(rnew) or rnew >= res:
-            break  # stalled at the achievable floor
-        u, res = u - t * step, rnew
-    return H.from_vector(u.astype(complex)), float(res), it, bool(res < tol)
+    def newton_step(u):
+        return splu((K + sp.diags(Md * (omega - 5.0 * u**4))).tocsc()).solve(Md * residual_vec(u))
+
+    u, res, it, ok = _damped_newton(u, newton_step, residual_of, tol, it, max_iter)
+    return H.from_vector(u.astype(complex)), res, it, ok
 
 
 def ground_state_flow(
@@ -200,9 +185,8 @@ def ground_state_flow(
     """Standing-wave profile of the given variant at frequency omega."""
     if omega <= 0 or tol <= 0:
         raise ValueError("need omega > 0 and tol > 0")
+    require_geometry(template, model)
     if model.variant in ("free", "inverse_power"):
-        if not isinstance(template, LineField):
-            raise ValueError("line variants need a LineField template")
         V = potential_on_grid(model, template.x)
         f, res, it, ok = _flow_line_spectral(template, V, omega, tol, max_iter, tau)
     else:

@@ -129,7 +129,7 @@ def find_R(u0: Field, model: ModelSpec, max_doublings: int = 60) -> tuple[float,
         c1, c2, eta_tilde = selection_clauses(u0, model, R)
         if c1 and c2:
             if tail_mass(u0, R) > a0() / 2.0 + 1e-12:
-                raise AssertionError("tail-mass bound should follow from the clauses")
+                raise RuntimeError("tail-mass bound should follow from the clauses")
             return R, weight.eta(R, mass(u0)), eta_tilde
         R *= 2.0
     raise RuntimeError(f"no admissible R found after {max_doublings} doublings")

@@ -72,6 +72,26 @@ class TestSimulate:
         p = tmp_path / "incomplete.json"
         p.write_text(json.dumps({"name": "x"}))
         assert cli.main(["simulate", str(p)]) == 2
+        edits = [
+            lambda sc: sc["initial_data"].pop("lam"),
+            lambda sc: sc["model"].pop("variant"),
+            lambda sc: sc.update(initial_data={"kind": "file", "path": str(tmp_path / "no.csv")}),
+            lambda sc: sc["solver"].update(T_end=float("nan")),
+            lambda sc: sc["grid"].update(L=float("nan")),
+            lambda sc: sc.update(grid={"kind": "graph", "J": 3, "Ledge": float("nan"), "M": 99}),
+            lambda sc: sc["grid"].update(kind="torus"),
+            lambda sc: sc.update(model={"variant": "delta", "gamma": float("nan")}),
+            lambda sc: sc.update(
+                model={"variant": "graph", "vertex": {"kind": "dirac_delta", "gamma": float("inf")}},
+                grid={"kind": "graph", "J": 3, "Ledge": 16.0, "M": 99},
+            ),
+        ]
+        for i, edit in enumerate(edits):
+            sc = json.loads(quick_scenario(tmp_path).read_text())
+            edit(sc)
+            p = tmp_path / f"broken{i}.json"
+            p.write_text(json.dumps(sc))  # NaN is written as the JSON extension NaN
+            assert cli.main(["simulate", str(p)]) == 2, sc
 
     def test_bundled_scenarios_roundtrip(self):
         names = [

@@ -1,9 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from viriallab import evolve as ev
 from viriallab import functionals as fn
-from viriallab.field import GraphField, LineField, lp_norm
+from viriallab.field import GraphField, LineField, lp_norm, tail_mass
 
 
 def soliton_field(L=16.0, N=2**12, lam=1.0, center=0.0):
@@ -126,13 +129,7 @@ class TestAssembly:
             )
             H = ev.assemble_hamiltonian(gg, fn.ModelSpec.graph(vc))
             back = H.from_vector(H.to_vector(gg), gg)
-            assert np.max(np.abs(back.full_values - gg.full_values)) < 1e-15
-
-    def test_rejects_general_condition(self):
-        g = GraphField.from_function(lambda x: np.zeros_like(x), 2, 4.0, 16)
-        vc = fn.VertexCondition("general", A=np.eye(2), B=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            ev.assemble_hamiltonian(g, fn.ModelSpec.graph(vc))
+            assert np.max(np.abs(back.values - gg.values)) < 1e-15
 
 
 class TestCayleyStep:
@@ -229,6 +226,29 @@ class TestRun:
             ev.SolverConfig(dt_min=1e-2, dt_init=1e-3)
         with pytest.raises(ValueError):
             ev.SolverConfig(snapshot_stride=0)
+        for bad in ("T_end", "phase_tol", "dt_max", "amp_cap", "grad_blowup_factor"):
+            with pytest.raises(ValueError):
+                ev.SolverConfig(**{bad: float("nan")})
+        with pytest.raises(ValueError):
+            ev.SolverConfig(T_end=float("inf"))  # a run that never ends
+
+    def test_overflow_aborts(self, monkeypatch):
+        # the field constructors reject the non-finite values of an overflow
+        def overflow(f, dt, model):
+            return f.with_values(np.full(f.N, np.inf))
+
+        monkeypatch.setattr(ev, "step_splitstep", overflow)
+        traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
+        assert traj.verdict.status == "aborted"
+        assert "non-finite" in traj.verdict.diagnostic
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(f, dt, model):
+            raise TypeError("bug in a step")
+
+        monkeypatch.setattr(ev, "step_splitstep", broken)
+        with pytest.raises(TypeError):
+            ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
 
 
 class TestPersistence:
@@ -243,6 +263,15 @@ class TestPersistence:
         assert back.verdict.status == traj.verdict.status
         for a, b in zip(back.snapshots, traj.snapshots):
             assert np.max(np.abs(a.values - b.values)) < 1e-15
+        # byte reference: the row-by-row csv.writer form of series.csv
+        ref = io.StringIO(newline="")
+        wr = csv.writer(ref)
+        wr.writerow(["t", "mass", "energy", "grad_norm", "tail_mass@2"])
+        for i, t in enumerate(traj.times):
+            row = [t, traj.mass_series[i], traj.energy_series[i], traj.grad_series[i]]
+            row.append(tail_mass(traj.snapshots[i], 2.0))
+            wr.writerow([f"{float(v):.17g}" for v in row])
+        assert (tmp_path / "series.csv").read_bytes() == ref.getvalue().encode()
 
     def test_roundtrip_graph(self, tmp_path):
         g = GraphField.from_function(
@@ -256,4 +285,4 @@ class TestPersistence:
         assert back.model.variant == "graph"
         assert back.model.vertex.gamma == 1.0
         for a, b in zip(back.snapshots, traj.snapshots):
-            assert np.max(np.abs(a.full_values - b.full_values)) < 1e-15
+            assert np.max(np.abs(a.values - b.values)) < 1e-15

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from viriallab.field import (
     lp_norm,
     tail_mass,
     tail_quad_weights,
+    write_snapshot,
 )
 
 
@@ -18,16 +21,22 @@ def gaussian_line(L=20.0, N=2**12, stagger=False):
     return LineField.from_function(lambda x: np.exp(-(x**2)), L, N, stagger=stagger)
 
 
-class TestQuadrature:
-    def test_constant_measure_line(self):
-        f = LineField.from_function(lambda x: np.ones_like(x), 2.0, 64)
-        assert lp_norm(f, 2) ** 2 == pytest.approx(4.0, rel=1e-12)
+def one_field(kind, prof):
+    if kind == "line":
+        return LineField.from_function(prof, 2.0, 64)
+    return GraphField.from_function(prof, 3, 5.0, 50)
 
-    def test_constant_measure_graph(self):
-        g = GraphField.from_function(lambda x: np.ones_like(x), 3, 5.0, 50)
-        # Dirichlet far node is zeroed; drop its half cell from the measure
-        expect = 3 * (5.0 - g.h / 2.0)
-        assert lp_norm(g, 2) ** 2 == pytest.approx(expect, rel=1e-12)
+
+KINDS = ["line", "graph"]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constant_measure(self, kind):
+        f = one_field(kind, np.ones_like)
+        # graphs: the Dirichlet far node is zeroed, dropping its half cell
+        expect = 4.0 if kind == "line" else 3 * (5.0 - f.h / 2.0)
+        assert lp_norm(f, 2) ** 2 == pytest.approx(expect, rel=1e-12)
 
     def test_zero_graph_every_p(self):
         g = GraphField.from_function(lambda x: np.zeros_like(x), 2, 1.0, 10)
@@ -66,8 +75,8 @@ class TestDerivative:
         for M in (200, 400, 800):
             g = GraphField.from_function(lambda x: np.exp(-((x - 4.0) ** 2)), 1, 12.0, M)
             dg = derivative(g)
-            expect = -2 * (g.x_full - 4.0) * np.exp(-((g.x_full - 4.0) ** 2))
-            errs.append(np.max(np.abs(dg.full_values[0] - expect)))
+            expect = -2 * (g.x - 4.0) * np.exp(-((g.x - 4.0) ** 2))
+            errs.append(np.max(np.abs(dg.values[0] - expect)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
@@ -151,3 +160,31 @@ class TestSampling:
                 edge_values=np.zeros((2, 4)),
                 shared_vertex=True,
             )
+
+
+def _fmt(x):
+    return f"{float(x):.17g}"
+
+
+def csv_writer_snapshot(f, path):
+    """The row-by-row csv.writer snapshot format, kept as the byte reference."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        if isinstance(f, LineField):
+            wr.writerow(["x", "re", "im"])
+            for x, v in zip(f.x, f.values):
+                wr.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+        else:
+            wr.writerow(["edge", "x", "re", "im"])
+            for j in range(f.J):
+                for x, v in zip(f.x, f.values[j]):
+                    wr.writerow([str(j), _fmt(x), _fmt(v.real), _fmt(v.imag)])
+
+
+class TestSnapshotIO:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bytes_match_csv_writer(self, kind, tmp_path):
+        f = one_field(kind, lambda x: np.exp(-(x**2)) * np.exp(0.3j * x) / 3.0)
+        write_snapshot(f, tmp_path / "new.csv")
+        csv_writer_snapshot(f, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

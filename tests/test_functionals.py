@@ -64,15 +64,6 @@ class TestVertexCondition:
         vals = np.array([0.5, gamma * 0.7 - 0.5])  # values sum to gamma * derivative
         assert np.max(np.abs(A @ vals + B @ ders)) < 1e-14
 
-    def test_general_validation(self):
-        eye = np.eye(2)
-        fn.VertexCondition("general", A=eye, B=np.zeros((2, 2)))  # Dirichlet, fine
-        with pytest.raises(ValueError):
-            fn.VertexCondition("general", A=np.zeros((2, 2)), B=np.zeros((2, 2)))
-        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            fn.VertexCondition("general", A=eye, B=skew)  # AB* not self-adjoint
-
     def test_delta_prime_needs_gamma(self):
         with pytest.raises(ValueError):
             fn.VertexCondition("delta_prime", gamma=0.0)

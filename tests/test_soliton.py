@@ -55,8 +55,8 @@ class TestScaledData:
     def test_graph_placement(self):
         g = GraphField.from_function(lambda x: np.zeros_like(x), 3, 20.0, 2000)
         d = sol.scaled_data(1.1, 1.0, g, center=5.0)
-        assert d.full_values.shape == (3, 2001)
-        assert np.all(d.full_values[:, -1] == 0)
+        assert d.values.shape == (3, 2001)
+        assert np.all(d.values[:, -1] == 0)
         # three identical half-line bumps, energy ~ 3x the line value of 1.1Q
         m = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
         expect = 3.0 * (1.1**2 - 1.1**6) * np.sqrt(3.0) * np.pi / 8.0

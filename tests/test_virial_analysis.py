@@ -116,6 +116,12 @@ class TestFindR:
         with pytest.raises(RuntimeError):
             va.find_R(u0, fn.ModelSpec.free(), max_doublings=2)
 
+    def test_inconsistent_tail_bound_is_typed(self, monkeypatch):
+        u0 = self.soliton_data(1.1)
+        monkeypatch.setattr(va, "tail_mass", lambda f, R: 1.0)
+        with pytest.raises(RuntimeError, match="tail-mass"):
+            va.find_R(u0, fn.ModelSpec.free())
+
 
 class TestInequalityFlags:
     def test_free_soliton_scaled(self):
