@@ -113,7 +113,6 @@ def cmd_weight_check(args) -> int:
                 tail_coeffs=np.asarray(d["tail_coeffs"], dtype=float),
                 z2=float(d["z2"]),
                 z3=float(d["z3"]),
-                chi_plateau=float(d.get("chi_plateau", 0.0)),
             )
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: bad profile file: {exc}", file=sys.stderr)
@@ -306,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     wc = sub.add_parser("weight-check", help="certify the cutoff profile")
     wc.add_argument("--samples", type=int, default=100_000)
-    wc.add_argument("--profile", help="JSON file with an alternative profile")
+    wc.add_argument(
+        "--profile", help="JSON file with an alternative profile: keys s1, tail_coeffs, z2, z3"
+    )
     wc.add_argument("--out")
     wc.set_defaults(func=cmd_weight_check)
 

@@ -1,11 +1,14 @@
 """Time integration of the four model variants.
 
-Smooth line problems (free, inverse-power) use Strang splitting with the
-exact Fourier propagator.  The delta potential and star graphs use a
-Crank-Nicolson Cayley step on a piecewise-linear form discretization with
-lumped mass, so the vertex conditions are natural conditions of the form
-and the discrete mass is conserved exactly.  Blow-up is reported through
-surrogate triggers (gradient growth, amplitude cap, step-size underflow).
+Both steps are one Strang composition: half-step quintic phase, linear
+flow, half-step phase.  The smooth line problems (free, inverse-power) take
+the exact Fourier propagator as the linear flow; the delta potential and
+star graphs a Crank-Nicolson Cayley step on the piecewise-linear form with
+lumped mass, <K c, c> = sum over the elements of `field.p1_chain` of
+|c_b - c_a|^2 / h, plus g |sum_nodes c|^2 from `functionals.vertex_form`:
+the vertex conditions are natural conditions of the form and the discrete
+mass is conserved exactly.  Blow-up is reported through surrogate triggers
+(gradient growth, amplitude cap, step-size underflow).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .field import (
     LineField,
     field_from_grid,
     lp_norm,
+    p1_chain,
     read_snapshot,
     spectral_wavenumbers,
     tail_mass,
@@ -34,9 +38,9 @@ from .functionals import (
     energy,
     kinetic_energy,
     mass,
-    origin_index,
     potential_on_grid,
     require_geometry,
+    vertex_form,
 )
 
 
@@ -55,8 +59,9 @@ class SolverConfig:
         # written so that NaN fails every check
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not (self.snapshot_stride >= 1):
-            raise ValueError("snapshot_stride must be >= 1")
+        stride = self.snapshot_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError("snapshot_stride must be an integer >= 1")
         if not (self.grad_blowup_factor > 1.0 and self.amp_cap > 0.0):
             raise ValueError("grad_blowup_factor > 1 and amp_cap > 0 required")
         if not (self.phase_tol > 0.0):
@@ -98,8 +103,15 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _phase_factor(u_abs2_sq: np.ndarray, V: np.ndarray | float, half_dt: float) -> np.ndarray:
-    return np.exp(1j * half_dt * (u_abs2_sq - V))
+def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool) -> np.ndarray:
+    """Strang composition: half-step phase exp(i dt/2 (|u|^4 - V)), the
+    linear flow `linear`, half-step phase again."""
+
+    def phase(u):
+        nl = np.abs(u) ** 4 if nonlinearity_on else 0.0
+        return u * np.exp(1j * (dt / 2.0) * (nl - V))
+
+    return phase(linear(phase(vec)))
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -113,51 +125,38 @@ def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
         raise ValueError("split-step handles only the free and inverse_power variants")
-    V = potential_on_grid(model, f.x) if model.variant == "inverse_power" else 0.0
     k = spectral_wavenumbers(f)
-    u = f.values
-    nl = np.abs(u) ** 4 if model.nonlinearity_on else 0.0
-    u = u * _phase_factor(nl, V, dt / 2.0)
-    u = np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(u))
-    nl = np.abs(u) ** 4 if model.nonlinearity_on else 0.0
-    u = u * _phase_factor(nl, V, dt / 2.0)
-    return f.with_values(u)
+
+    def linear(u):
+        return np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(u))
+
+    V = potential_on_grid(model, f.x)
+    return f.with_values(_strang(f.values, dt, V, linear, model.nonlinearity_on))
 
 
 @dataclass
 class AssembledOperator:
-    """Hermitian discrete Hamiltonian K with lumped mass Mdiag, plus the
-    layout mapping fields to coefficient vectors."""
+    """Hermitian discrete Hamiltonian K with lumped mass Mdiag on the
+    coefficient vector; `unknown` holds the coefficient index of each node
+    of template.values (len(Mdiag) for an eliminated Dirichlet far node)."""
 
-    kind: str  # line | graph_shared | graph_full
     model: ModelSpec
     template: Field
     K: sp.csc_matrix
     Mdiag: np.ndarray
+    unknown: np.ndarray
     _lu_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # _unknown: coefficient index held by each node of template.values,
-        # len(Mdiag) for the eliminated Dirichlet far node of a graph edge;
-        # _node_of: the first flat node holding each coefficient
-        n = len(self.Mdiag)
-        unknown = np.full(np.shape(self.template.values), n)
-        if self.kind == "line":
-            unknown[:] = np.arange(n)
-        elif self.kind == "graph_shared":  # one vertex unknown, then the edges
-            unknown[:, 0] = 0
-            unknown[:, 1:-1] = np.arange(1, n).reshape(len(unknown), -1)
-        else:
-            unknown[:, :-1] = np.arange(n).reshape(len(unknown), -1)
-        self._unknown = unknown
-        self._node_of = np.unique(unknown, return_index=True)[1][:n]
+        # the first flat node holding each coefficient
+        self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
 
     def to_vector(self, f: Field) -> np.ndarray:
         return f.values.ravel()[self._node_of]
 
     def from_vector(self, vec: np.ndarray, like: Field | None = None) -> Field:
         like = like if like is not None else self.template
-        return like.with_values(np.append(vec, 0.0)[self._unknown])
+        return like.with_values(np.append(vec, 0.0)[self.unknown])
 
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
         """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec, LU factors cached per dt."""
@@ -171,62 +170,45 @@ class AssembledOperator:
         return lu.solve(b)
 
 
-def _edge_stiffness(M: int, h: float) -> sp.lil_matrix:
-    """P1 stiffness on nodes [vertex, x_1 .. x_{M-1}] with a Dirichlet far
-    node x_M eliminated."""
-    K = sp.lil_matrix((M, M))
-    main = np.full(M, 2.0 / h)
-    main[0] = 1.0 / h
-    K.setdiag(main)
-    K.setdiag(np.full(M - 1, -1.0 / h), 1)
-    K.setdiag(np.full(M - 1, -1.0 / h), -1)
-    K[M - 1, M - 1] = 2.0 / h  # element to the Dirichlet far node
-    return K
+def p1_form(template: Field) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """(K, Mdiag, unknown): the P1 stiffness sum over elements |c_b - c_a|^2 / h
+    and the lumped (quadrature) mass on coefficients c, and the coefficient of
+    each node of template.values: one per line node; on a graph one per edge
+    node, edge by edge, one vertex coefficient 0 when template.shared_vertex,
+    and the count n of coefficients at the eliminated Dirichlet far nodes."""
+    if isinstance(template, LineField):
+        unknown, n = np.arange(template.N), template.N
+    else:
+        J, M, s = template.J, template.M, int(template.shared_vertex)
+        unknown, n = np.arange(J)[:, None] * (M - s) + np.arange(M + 1), J * (M - s) + s
+        if template.shared_vertex:
+            unknown[:, 0] = 0
+        unknown[:, -1] = n
+    chain = p1_chain(template, unknown, n)
+    a, b = chain[..., :-1].ravel(), chain[..., 1:].ravel()
+    w = np.full(a.size, 1.0 / template.h)
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+    K = sp.coo_matrix((np.concatenate([w, w, -w, -w]), (rows, cols)), shape=(n + 1, n + 1))
+    wq = np.broadcast_to(template.quad_weights, unknown.shape).ravel()
+    Mdiag = np.bincount(unknown.ravel(), weights=wq, minlength=n + 1)[:n]
+    return K.tocsc()[:n, :n], Mdiag, unknown
 
 
 def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator:
-    """Discrete quadratic form of the linear operator: line Laplacian with a
-    gamma-weighted vertex value (delta), or the star-graph form with the
-    vertex term of the named condition."""
-    if model.variant not in ("delta", "graph"):
+    """Discrete quadratic form of the linear operator: `p1_form` plus the
+    rank-one point interaction g e e^T, e the indicator of `vertex_form`'s
+    nodes."""
+    if model.uses_spectral():
         raise ValueError("form assembly covers the delta and graph variants")
-    require_geometry(template, model)
-    if model.variant == "delta":
-        N, h = template.N, template.h
-        K = sp.lil_matrix((N, N))
-        K.setdiag(np.full(N, 2.0 / h))
-        K.setdiag(np.full(N - 1, -1.0 / h), 1)
-        K.setdiag(np.full(N - 1, -1.0 / h), -1)
-        K[origin_index(template), origin_index(template)] += model.gamma
-        return AssembledOperator("line", model, template, K.tocsc(), np.full(N, h))
-    vc = model.vertex
-    J, M, h = template.J, template.M, template.h
-    if vc.is_continuity_type:
-        n = 1 + J * (M - 1)
-        K = sp.lil_matrix((n, n))
-        Md = np.full(n, h)
-        Md[0] = J * h / 2.0
-        K[0, 0] = J / h + (vc.gamma if vc.kind == "dirac_delta" else 0.0)
-        for j in range(J):
-            base = 1 + j * (M - 1)
-            K[0, base] = K[base, 0] = -1.0 / h
-            for i in range(M - 1):
-                K[base + i, base + i] += 2.0 / h
-                if i + 1 < M - 1:
-                    K[base + i, base + i + 1] = K[base + i + 1, base + i] = -1.0 / h
-        return AssembledOperator("graph_shared", model, template, K.tocsc(), Md)
-    # delta_prime: independent vertex unknowns plus the rank-one vertex form
-    n = J * M
-    K = sp.lil_matrix((n, n))
-    Md = np.full(n, h)
-    for j in range(J):
-        base = j * M
-        K[base : base + M, base : base + M] = _edge_stiffness(M, h)
-        Md[base] = h / 2.0
-    for j in range(J):
-        for k in range(J):
-            K[j * M, k * M] += 1.0 / vc.gamma
-    return AssembledOperator("graph_full", model, template, K.tocsc(), Md)
+    layout = template
+    if model.variant == "graph":  # the condition decides if the vertex is one coefficient
+        shared = model.vertex.is_continuity_type
+        layout = field_from_grid({**template.grid_spec(), "shared_vertex": shared})
+    K, Mdiag, unknown = p1_form(layout)
+    nodes, g = vertex_form(layout, model)
+    c = unknown.ravel()[nodes]
+    e = sp.coo_matrix((np.ones(len(c)), (c, np.zeros(len(c), int))), shape=(K.shape[0], 1))
+    return AssembledOperator(model, template, (K + g * (e @ e.T)).tocsc(), Mdiag, unknown)
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
@@ -235,23 +217,14 @@ def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     phase."""
     if dt == 0.0 or not np.isfinite(dt):
         raise ValueError("dt must be a nonzero finite number")
-    vec = H.to_vector(f)
-    if H.model.nonlinearity_on:
-        vec = vec * np.exp(1j * (dt / 2.0) * np.abs(vec) ** 4)
-    vec = H.cayley_solve(vec, dt)
-    if H.model.nonlinearity_on:
-        vec = vec * np.exp(1j * (dt / 2.0) * np.abs(vec) ** 4)
+    vec = _strang(
+        H.to_vector(f), dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on
+    )
     return H.from_vector(vec, f)
 
 
 def _grad_norm(f: Field, model: ModelSpec) -> float:
     return float(np.sqrt(2.0 * kinetic_energy(f, model)))
-
-
-def _max_phase_rate(f: Field, model: ModelSpec, V: np.ndarray | float) -> float:
-    amp4 = lp_norm(f, np.inf) ** 4 if model.nonlinearity_on else 0.0
-    vmax = float(np.max(np.abs(V))) if np.ndim(V) else abs(float(V))
-    return amp4 + vmax
 
 
 def _quantize_dt(dt_target: float, dt_max: float) -> float:
@@ -278,16 +251,17 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     require_geometry(u0, model)
     use_split = model.uses_spectral()
     H = None if use_split else assemble_hamiltonian(u0, model)
-    V = potential_on_grid(model, u0.x) if model.variant == "inverse_power" else 0.0
+    vmax = float(np.max(np.abs(potential_on_grid(model, u0.x))))
 
     grad0 = _grad_norm(u0, model)
     times = [0.0]
     snapshots = [u0.copy()]
-    u, t, nstep = u0.copy(), 0.0, 0
+    u, t, nstep, amp = u0.copy(), 0.0, 0, lp_norm(u0, np.inf)
     verdict = BlowupVerdict("completed")
 
     while t < cfg.T_end * (1.0 - 1e-14):
-        rate = _max_phase_rate(u, model, V)
+        # the fastest phase rotation |u|^4 + |V| limits the step
+        rate = (amp**4 if model.nonlinearity_on else 0.0) + vmax
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         if nstep == 0:
             dt = min(dt, cfg.dt_init)
@@ -304,7 +278,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
             break
         t += dt
         nstep += 1
-        trigger = _trigger(cfg, grad0, lp_norm(u, np.inf), _grad_norm(u, model))
+        amp = lp_norm(u, np.inf)
+        trigger = _trigger(cfg, grad0, amp, _grad_norm(u, model))
         if trigger is not None:
             verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break

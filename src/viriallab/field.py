@@ -241,6 +241,15 @@ def derivative(f: Field, method: str = "auto") -> Field:
     return f.with_values(dvals)
 
 
+def p1_chain(f: Field, a: np.ndarray, zero) -> np.ndarray:
+    """`a`, shaped like f.values, along the chains of piecewise-linear elements:
+    a line padded with the homogeneous node `zero` beyond both ends, a graph
+    unchanged (each edge already ends at its own Dirichlet node)."""
+    if isinstance(f, LineField):
+        return np.concatenate(([zero], a, [zero]))
+    return a
+
+
 def _tail_fraction(lo: np.ndarray, hi: np.ndarray, R: float, symmetric: bool) -> np.ndarray:
     """Width of each node cell [lo, hi] lying in the tail region
     {|x| >= R} (symmetric) or {x >= R}."""

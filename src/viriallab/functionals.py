@@ -21,6 +21,7 @@ from .field import (
     LineField,
     derivative,
     lp_norm,
+    p1_chain,
     tail_mass,
     tail_quad_weights,
 )
@@ -177,43 +178,55 @@ def kinetic_energy(f: Field, model: ModelSpec) -> float:
     """(1/2) integral of |du|^2.
 
     Delta and graph variants use the piecewise-linear element form
-    sum |u_{i+1} - u_i|^2 / h (with homogeneous values beyond the ends),
-    which is exactly the quadratic form conserved by the Cayley scheme.
+    sum |u_{i+1} - u_i|^2 / h along `p1_chain`, which is exactly the
+    quadratic form conserved by the Cayley scheme.
     """
-    if isinstance(f, LineField):
-        if model.uses_spectral():
-            du = derivative(f, "spectral").values
-            return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
-        v = f.values
-        diff = np.diff(v)
-        form = (np.sum(np.abs(diff) ** 2) + np.abs(v[0]) ** 2 + np.abs(v[-1]) ** 2) / f.h
-        return 0.5 * float(form)
-    form = np.sum(np.abs(np.diff(f.values, axis=1)) ** 2) / f.h
-    return 0.5 * float(form)
+    if model.uses_spectral():
+        du = derivative(f, "spectral").values
+        return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
+    diff = np.diff(p1_chain(f, f.values, 0.0), axis=-1)
+    return 0.5 * float(np.sum(np.abs(diff) ** 2) / f.h)
+
+
+def vertex_form(f: Field, model: ModelSpec) -> tuple[list, float]:
+    """The point interaction P(u) = g |sum_{i in nodes} u_i|^2 as (nodes, g),
+    nodes being flat indices into f.values: the origin node with g = gamma
+    (delta line), the vertex with g = gamma (Dirac delta vertex), every
+    edge's vertex node with g = 1/gamma (delta prime), none otherwise."""
+    require_geometry(f, model)
+    if model.variant == "delta":
+        return [origin_index(f)], model.gamma
+    if model.variant != "graph" or model.vertex.kind == "kirchhoff":
+        return [], 0.0
+    if model.vertex.kind == "dirac_delta":
+        return [0], model.vertex.gamma
+    return list(range(0, f.J * (f.M + 1), f.M + 1)), 1.0 / model.vertex.gamma
+
+
+def _vertex_energy(f: Field, model: ModelSpec) -> float:
+    """P(u) of `vertex_form`."""
+    nodes, g = vertex_form(f, model)
+    return g * float(np.abs(np.sum(f.values.ravel()[nodes])) ** 2)
 
 
 def p_functional(f: GraphField, vc: VertexCondition) -> float:
     """Vertex energy P: 0 (Kirchhoff), gamma |f1(0)|^2 (delta),
     |sum_j f_j(0)|^2 / gamma (delta')."""
-    if vc.kind == "kirchhoff":
+    return _vertex_energy(f, ModelSpec.graph(vc))
+
+
+def _smooth_moment(f: Field, model: ModelSpec, R: float | None = None) -> float:
+    """int V |u|^2 for the smooth potential V (0 for the variants without
+    one), with the weight (R/x) chi_R'(x) when R is given."""
+    if model.variant != "inverse_power":
         return 0.0
-    if vc.kind == "dirac_delta":
-        return float(vc.gamma * np.abs(f.vertex_values[0]) ** 2)
-    return float(np.abs(np.sum(f.vertex_values)) ** 2 / vc.gamma)
+    w = f.quad_weights if R is None else f.quad_weights * weight.zeta_over_s(f.x / R)
+    return float(np.sum(w * potential_on_grid(model, f.x) * np.abs(f.values) ** 2))
 
 
 def potential_energy(f: Field, model: ModelSpec) -> float:
-    """The potential/vertex part of the energy (zero for the free model)."""
-    if model.variant == "free":
-        return 0.0
-    require_geometry(f, model)
-    if model.variant == "inverse_power":
-        V = potential_on_grid(model, f.x)
-        return 0.5 * float(np.sum(f.quad_weights * V * np.abs(f.values) ** 2))
-    if model.variant == "delta":
-        i0 = origin_index(f)
-        return 0.5 * model.gamma * float(np.abs(f.values[i0]) ** 2)
-    return 0.5 * p_functional(f, model.vertex)
+    """The potential/vertex part of the energy, 0.5 int V |u|^2 + 0.5 P."""
+    return 0.5 * (_smooth_moment(f, model) + _vertex_energy(f, model))
 
 
 def energy(f: Field, model: ModelSpec) -> float:
@@ -241,24 +254,19 @@ def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
     return 2.0 * float(np.imag(np.sum(f.quad_weights * integrand)))
 
 
+def _potential_rhs(f: Field, R: float, model: ModelSpec) -> float:
+    """The variant's term in the localized virial identity with w = chi_R:
+    2 mu int (R/x) chi_R'(x) V |u|^2 + 2 w''(0) P, and w''(0) = 2."""
+    return 2.0 * model.mu * _smooth_moment(f, model, R) + 4.0 * _vertex_energy(f, model)
+
+
 def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
     """Discrete value of the model's nonpositive virial correction.
 
     This is rhs(model) - rhs(free form) - 16 (E_model - E_free) on the same
     field: the term the blow-up estimates discard by sign.
     """
-    if model.variant == "free" or (
-        model.variant == "graph" and model.vertex.kind == "kirchhoff"
-    ):
-        return 0.0
-    if model.variant == "inverse_power":
-        V = potential_on_grid(model, f.x)
-        fac = model.mu * weight.zeta_over_s(f.x / R) - 4.0
-        return 2.0 * float(np.sum(f.quad_weights * fac * V * np.abs(f.values) ** 2))
-    if model.variant == "delta":
-        i0 = origin_index(f)
-        return -4.0 * model.gamma * float(np.abs(f.values[i0]) ** 2)
-    return -4.0 * p_functional(f, model.vertex)
+    return _potential_rhs(f, R, model) - 16.0 * potential_energy(f, model)
 
 
 def virial_rhs(f: Field, R: float, model: ModelSpec) -> float:
@@ -275,19 +283,7 @@ def virial_rhs(f: Field, R: float, model: ModelSpec) -> float:
     if model.nonlinearity_on:
         val -= 4.0 / 3.0 * np.sum(wq * w2 * np.abs(u) ** 6)
     val -= np.sum(wq * w4 * np.abs(u) ** 2)
-    val = float(val)
-
-    if model.variant == "inverse_power":
-        V = potential_on_grid(model, f.x)
-        ratio = weight.zeta_over_s(f.x / R)  # (R/x) chi'(x/R), removable at 0
-        val += 2.0 * model.mu * float(np.sum(f.quad_weights * ratio * V * np.abs(f.values) ** 2))
-    elif model.variant == "delta":
-        i0 = origin_index(f)
-        # w''(0) = 2 for the chi_R weight
-        val += 2.0 * model.gamma * 2.0 * float(np.abs(f.values[i0]) ** 2)
-    elif model.variant == "graph":
-        val += 2.0 * 2.0 * p_functional(f, model.vertex)
-    return val
+    return float(val) + _potential_rhs(f, R, model)
 
 
 @dataclass

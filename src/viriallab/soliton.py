@@ -16,9 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .evolve import assemble_hamiltonian
+from .evolve import assemble_hamiltonian, p1_form
 from .field import Field, LineField, spectral_wavenumbers
-from .functionals import ModelSpec, potential_on_grid, require_geometry
+from .functionals import ModelSpec, potential_on_grid, require_geometry, vertex_form
 
 
 def exact_Q(omega: float, x) -> np.ndarray:
@@ -101,12 +101,9 @@ def _flow_line_spectral(template, V, omega, tol, max_iter, tau):
         if residual_of(u) < tol:
             return template.with_values(u), residual_of(u), it, True
 
-    # FD Laplacian (Dirichlet ends) as the Jacobian preconditioner
-    N = template.N
-    lap = sp.diags(
-        [np.full(N, 2.0 / h**2), np.full(N - 1, -1.0 / h**2), np.full(N - 1, -1.0 / h**2)],
-        [0, 1, -1],
-    )
+    # FD Laplacian (Dirichlet ends), the P1 stiffness over h, as the
+    # Jacobian preconditioner
+    lap = p1_form(template)[0] / h
 
     def newton_step(u):
         return splu((lap + sp.diags(V + omega - 5.0 * u**4)).tocsc()).solve(residual_vec(u))
@@ -119,18 +116,12 @@ def _offset_guess(model, template, omega):
     """Closed-form standing wave with the soliton peak offset from the
     vertex: phi = Q-profile(|x| + a), where a solves the derivative-jump
     condition deg * sqrt(omega) * tanh(2 sqrt(omega) a) = -gamma (deg = the
-    number of edges meeting the vertex), sampled on the template.  Returns
-    None outside its range or for conditions without this form."""
-    if model.variant == "delta":
-        deg, gamma = 2, model.gamma
-    elif model.vertex.kind == "kirchhoff":
-        deg, gamma = template.J, 0.0
-    elif model.vertex.kind == "dirac_delta":
-        deg, gamma = template.J, model.vertex.gamma
-    else:
-        return None
-    arg = -gamma / (deg * np.sqrt(omega))
-    if abs(arg) >= 1.0:
+    edges at the vertex, a line having two; gamma = `vertex_form`'s g on one
+    node), sampled on the template.  None outside its range or for a form on
+    several nodes (delta prime with J >= 2)."""
+    nodes, gamma = vertex_form(template, model)
+    arg = -gamma / (getattr(template, "J", 2) * np.sqrt(omega))
+    if len(nodes) > 1 or abs(arg) >= 1.0:
         return None
     a = np.arctanh(arg) / (2.0 * np.sqrt(omega))
     return template.sampled(lambda x: exact_Q(omega, np.abs(x) + a))
@@ -186,7 +177,7 @@ def ground_state_flow(
     if omega <= 0 or tol <= 0:
         raise ValueError("need omega > 0 and tol > 0")
     require_geometry(template, model)
-    if model.variant in ("free", "inverse_power"):
+    if model.uses_spectral():
         V = potential_on_grid(model, template.x)
         f, res, it, ok = _flow_line_spectral(template, V, omega, tol, max_iter, tau)
     else:

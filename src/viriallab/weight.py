@@ -19,7 +19,8 @@ constant eta(R, m) entering the decay estimate for the localized variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,15 +90,28 @@ def _poly_abs_max(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, floa
 class WeightProfile:
     """Certified cutoff data: tail interpolant plus the sup-norm constants.
 
+    s1 is where the tail starts; tail_coeffs are the six ascending
+    coefficients of the quintic tail in t = s - s1;
     z2 = ||zeta''||_inf over the tail interval [s1, 2];
     z3 = ||zeta'''||_inf over [1, 2].  Both feed eta().
+    A `weight-check --profile` file holds these four keys.
     """
 
     s1: float
     tail_coeffs: np.ndarray
     z2: float
     z3: float
-    chi_plateau: float = field(default=0.0)
+
+    @cached_property
+    def chi_tail(self) -> np.ndarray:
+        """Ascending coefficients of chi on [s1, 2] in t = s - s1."""
+        chi_s1 = self.s1**2 - (self.s1 - 1.0) ** 4 / 2.0
+        return np.concatenate(([chi_s1], self.tail_coeffs / np.arange(1, 7)))
+
+    @cached_property
+    def chi_plateau(self) -> float:
+        """chi on the plateau s >= 2."""
+        return float(np.polyval(self.chi_tail[::-1], 2.0 - self.s1))
 
     @classmethod
     def default(cls) -> "WeightProfile":
@@ -108,11 +122,7 @@ class WeightProfile:
         # |zeta'''| = 12 on the cubic branch [1, s1]
         z3_tail, _ = _poly_abs_max(d3, 0.0, tau)
         z3 = max(12.0, z3_tail)
-        # chi value at s1 and on the plateau s >= 2
-        anti = np.concatenate(([0.0], coeffs / np.arange(1, 7)))
-        chi_s1 = S1**2 - (S1 - 1.0) ** 4 / 2.0
-        plateau = chi_s1 + float(np.polyval(anti[::-1], tau))
-        return cls(s1=S1, tail_coeffs=coeffs, z2=z2, z3=z3, chi_plateau=plateau)
+        return cls(s1=S1, tail_coeffs=coeffs, z2=z2, z3=z3)
 
 
 _DEFAULT: WeightProfile | None = None
@@ -180,20 +190,18 @@ def chi(x, profile: WeightProfile | None = None):
         raise ValueError("non-finite input to chi")
     a = np.abs(x)
     s1 = profile.s1
-    chi_s1 = s1**2 - (s1 - 1.0) ** 4 / 2.0
-    anti = np.concatenate(([0.0], profile.tail_coeffs / np.arange(1, 7)))
 
     out = np.where(a < 1.0, a**2, 0.0)
     m_cub = (a >= 1.0) & (a < s1)
     out = np.where(m_cub, a**2 - (a - 1.0) ** 4 / 2.0, out)
     m_tail = (a >= s1) & (a <= 2.0)
     if np.any(m_tail):
-        out = np.where(m_tail, chi_s1 + np.polyval(anti[::-1], a - s1), out)
+        out = np.where(m_tail, np.polyval(profile.chi_tail[::-1], a - s1), out)
     out = np.where(a > 2.0, profile.chi_plateau, out)
     return out if out.ndim else float(out)
 
 
-def chi_R(x, R: float, order: int = 0, profile: WeightProfile | None = None):
+def chi_R(x, R: float, order: int = 0):
     """Scaled weight chi_R = R^2 chi(x/R) and its derivatives.
 
     order 0 -> chi_R, 1 -> R zeta(x/R), 2 -> zeta'(x/R),
@@ -202,21 +210,21 @@ def chi_R(x, R: float, order: int = 0, profile: WeightProfile | None = None):
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     if order == 0:
-        return np.multiply(R**2, chi(np.asarray(x) / R, profile))
+        return np.multiply(R**2, chi(np.asarray(x) / R))
     if order == 1:
-        return np.multiply(R, zeta(np.asarray(x) / R, 0, profile))
+        return np.multiply(R, zeta(np.asarray(x) / R, 0))
     if order == 2:
-        return zeta(np.asarray(x) / R, 1, profile)
+        return zeta(np.asarray(x) / R, 1)
     if order == 4:
-        return np.multiply(1.0 / R**2, zeta(np.asarray(x) / R, 3, profile))
+        return np.multiply(1.0 / R**2, zeta(np.asarray(x) / R, 3))
     raise ValueError(f"unsupported chi_R derivative order {order}")
 
 
-def g_R(x, R: float, profile: WeightProfile | None = None):
+def g_R(x, R: float):
     """(2 - zeta'(x/R))^(1/4): zero on |x| <= R, 2^(1/4) beyond 2R."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    val = 2.0 - zeta(np.asarray(x) / R, 1, profile)
+    val = 2.0 - zeta(np.asarray(x) / R, 1)
     return np.clip(val, 0.0, None) ** 0.25
 
 
@@ -228,7 +236,7 @@ def zeta_over_s(s, profile: WeightProfile | None = None):
     return out if out.ndim else float(out)
 
 
-def eta(R: float, mass2: float, profile: WeightProfile | None = None) -> float:
+def eta(R: float, mass2: float) -> float:
     """Tail penalty: (4/(3R^2))(sqrt6 + z2/2)^2 m^3 + z3 m / (2R^2).
 
     mass2 is the squared L^2 norm of the initial data.
@@ -237,8 +245,7 @@ def eta(R: float, mass2: float, profile: WeightProfile | None = None) -> float:
         raise ValueError(f"R must be positive, got {R}")
     if mass2 < 0:
         raise ValueError(f"mass2 must be nonnegative, got {mass2}")
-    if profile is None:
-        profile = default_profile()
+    profile = default_profile()
     term1 = 4.0 / (3.0 * R**2) * (np.sqrt(6.0) + profile.z2 / 2.0) ** 2 * mass2**3
     term2 = profile.z3 / (2.0 * R**2) * mass2
     return term1 + term2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viriallab import cli
+from viriallab import weight as w
 
 
 def quick_scenario(tmp_path, name="quick", lam=1.0, T=0.05, model=None):
@@ -50,6 +51,14 @@ class TestWeightCheck:
         assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 1
         assert "knot_continuity" in capsys.readouterr().err
 
+    def test_profile_file_without_plateau(self, tmp_path):
+        # the four keys suffice: chi's plateau value is derived from the tail
+        prof = w.default_profile()
+        d = {"s1": prof.s1, "tail_coeffs": list(prof.tail_coeffs), "z2": prof.z2, "z3": prof.z3}
+        p = tmp_path / "profile.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 0
+
 
 class TestSimulate:
     def test_quick_run_completes(self, tmp_path):
@@ -77,6 +86,7 @@ class TestSimulate:
             lambda sc: sc["model"].pop("variant"),
             lambda sc: sc.update(initial_data={"kind": "file", "path": str(tmp_path / "no.csv")}),
             lambda sc: sc["solver"].update(T_end=float("nan")),
+            lambda sc: sc["solver"].update(snapshot_stride=2.5),
             lambda sc: sc["grid"].update(L=float("nan")),
             lambda sc: sc.update(grid={"kind": "graph", "J": 3, "Ledge": float("nan"), "M": 99}),
             lambda sc: sc["grid"].update(kind="torus"),

@@ -3,10 +3,12 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from viriallab import cli
 from viriallab import evolve as ev
 from viriallab import functionals as fn
-from viriallab.field import GraphField, LineField, lp_norm, tail_mass
+from viriallab.field import GraphField, LineField, field_from_grid, lp_norm, tail_mass
 
 
 def soliton_field(L=16.0, N=2**12, lam=1.0, center=0.0):
@@ -65,6 +67,62 @@ class TestSplitStep:
             ev.step_splitstep(g, 1e-3, fn.ModelSpec.free())
 
 
+def lil_assembly(template, model):
+    """(K, Mdiag) by the element-by-element lil_matrix assembly that the P1
+    form replaced, kept as the reference."""
+    if model.variant == "delta":
+        N, h = template.N, template.h
+        K = sp.lil_matrix((N, N))
+        K.setdiag(np.full(N, 2.0 / h))
+        K.setdiag(np.full(N - 1, -1.0 / h), 1)
+        K.setdiag(np.full(N - 1, -1.0 / h), -1)
+        K[fn.origin_index(template), fn.origin_index(template)] += model.gamma
+        return K.tocsc(), np.full(N, h)
+    vc = model.vertex
+    J, M, h = template.J, template.M, template.h
+    if vc.is_continuity_type:
+        n = 1 + J * (M - 1)
+        K = sp.lil_matrix((n, n))
+        Md = np.full(n, h)
+        Md[0] = J * h / 2.0
+        K[0, 0] = J / h + (vc.gamma if vc.kind == "dirac_delta" else 0.0)
+        for j in range(J):
+            base = 1 + j * (M - 1)
+            K[0, base] = K[base, 0] = -1.0 / h
+            for i in range(M - 1):
+                K[base + i, base + i] += 2.0 / h
+                if i + 1 < M - 1:
+                    K[base + i, base + i + 1] = K[base + i + 1, base + i] = -1.0 / h
+        return K.tocsc(), Md
+    n = J * M
+    K = sp.lil_matrix((n, n))
+    Md = np.full(n, h)
+    for j in range(J):
+        base = j * M
+        edge = sp.lil_matrix((M, M))
+        main = np.full(M, 2.0 / h)
+        main[0] = 1.0 / h
+        edge.setdiag(main)
+        edge.setdiag(np.full(M - 1, -1.0 / h), 1)
+        edge.setdiag(np.full(M - 1, -1.0 / h), -1)
+        K[base : base + M, base : base + M] = edge
+        Md[base] = h / 2.0
+    for j in range(J):
+        for k in range(J):
+            K[j * M, k * M] += 1.0 / vc.gamma
+    return K.tocsc(), Md
+
+
+def assert_matches_lil(template, model, rel):
+    H = ev.assemble_hamiltonian(template, model)
+    K, Md = lil_assembly(template, model)
+    assert H.K.shape == K.shape
+    diff = (H.K - K).tocoo()
+    ref = np.abs(np.asarray(K.tocsr()[diff.row, diff.col]).ravel())
+    assert np.all(np.abs(diff.data) <= rel * ref)
+    assert np.all(np.abs(H.Mdiag - Md) <= rel * np.abs(Md))
+
+
 class TestAssembly:
     def test_line_dirichlet_eigenvalue(self):
         L, N = 10.0, 2**10
@@ -87,25 +145,50 @@ class TestAssembly:
             rhs = np.vdot(u, K @ v)
             assert abs(lhs - rhs) < 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
-    def test_form_matches_kinetic_plus_vertex(self):
-        # <K u, u> = 2 * kinetic + gamma |u(0)|^2 on the line
-        f = LineField.from_function(lambda x: np.exp(-(x**2)) * (1 + 0.5j), 8.0, 2**8)
-        gamma = 0.9
-        H = ev.assemble_hamiltonian(f, fn.ModelSpec.delta(gamma))
-        form = np.vdot(f.values, H.K @ f.values).real
-        expect = 2.0 * fn.kinetic_energy(f, fn.ModelSpec.delta(gamma))
-        expect += gamma * np.abs(f.values[fn.origin_index(f)]) ** 2
-        assert form == pytest.approx(expect, rel=1e-12)
-
-    def test_graph_form_matches_kinetic(self):
-        g = GraphField.from_function(lambda x: np.exp(-((x - 3.0) ** 2)), 3, 10.0, 200)
-        m = fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=2.0))
-        H = ev.assemble_hamiltonian(g, m)
-        vec = H.to_vector(g)
+    @pytest.mark.parametrize("case", ["delta", "kirchhoff", "dirac_delta", "delta_prime"])
+    def test_form_matches_kinetic_plus_vertex(self, case):
+        # <K u, u> = 2 * kinetic + 2 * potential (the vertex term)
+        if case == "delta":
+            f = LineField.from_function(lambda x: np.exp(-(x**2)) * (1 + 0.5j), 8.0, 2**8)
+            m = fn.ModelSpec.delta(0.9)
+        else:
+            vc = fn.VertexCondition(case, gamma=0.0 if case == "kirchhoff" else 2.0)
+            shared = vc.is_continuity_type
+            scale = np.array([[1.0], [1.0], [1.0]]) if shared else np.array([[1.0], [0.5j], [-0.3]])
+            grid = {"kind": "graph", "J": 3, "Ledge": 10.0, "M": 200, "shared_vertex": shared}
+            f = field_from_grid(grid)
+            vals = np.exp(-(f.x**2) / 4.0) * scale
+            vals[:, -1] = 0.0
+            f = f.with_values(vals)
+            m = fn.ModelSpec.graph(vc)
+        H = ev.assemble_hamiltonian(f, m)
+        vec = H.to_vector(f)
         form = np.vdot(vec, H.K @ vec).real
-        expect = 2.0 * fn.kinetic_energy(g, m)
-        expect += 2.0 * np.abs(g.vertex_values[0]) ** 2  # gamma |v|^2
-        assert form == pytest.approx(expect, rel=1e-12)
+        pot = fn.potential_energy(f, m)
+        assert (pot == 0.0) == (case == "kirchhoff")
+        assert form == pytest.approx(2.0 * fn.kinetic_energy(f, m) + 2.0 * pot, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.3])
+    def test_line_matches_lil_reference(self, gamma):
+        f = LineField.from_function(lambda x: np.zeros_like(x), 6.3, 100)
+        assert_matches_lil(f, fn.ModelSpec.delta(gamma), rel=4e-16)
+
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["kirchhoff", "dirac_delta", "delta_prime"])
+    def test_graph_matches_lil_reference(self, J, kind):
+        # the vertex condition, not the template's shared_vertex, sets the layout
+        vc = fn.VertexCondition(kind, gamma=0.0 if kind == "kirchhoff" else 1.3)
+        for Ledge, M, shared in ((5.0, 20, True), (7.3, 31, False)):
+            grid = {"kind": "graph", "J": J, "Ledge": Ledge, "M": M, "shared_vertex": shared}
+            assert_matches_lil(field_from_grid(grid), fn.ModelSpec.graph(vc), rel=4e-16)
+
+    @pytest.mark.parametrize(
+        "name", ["delta_gaussian", "delta_blowup", "graph_gaussian", "graph_blowup"]
+    )
+    def test_bundled_grids_match_lil_reference_exactly(self, name):
+        sc = cli.load_scenario(cli.bundled_scenario_path(name))
+        model = fn.ModelSpec.from_dict(sc["model"])
+        assert_matches_lil(field_from_grid(sc["grid"]), model, rel=0.0)
 
     def test_two_edge_kirchhoff_form_folds_to_line(self):
         L, M = 8.0, 160
@@ -224,8 +307,9 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ev.SolverConfig(dt_min=1e-2, dt_init=1e-3)
-        with pytest.raises(ValueError):
-            ev.SolverConfig(snapshot_stride=0)
+        for stride in (0, 2.5, float("inf"), True):
+            with pytest.raises(ValueError):
+                ev.SolverConfig(snapshot_stride=stride)
         for bad in ("T_end", "phase_tol", "dt_max", "amp_cap", "grad_blowup_factor"):
             with pytest.raises(ValueError):
                 ev.SolverConfig(**{bad: float("nan")})

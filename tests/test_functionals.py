@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viriallab import functionals as fn
-from viriallab.field import GraphField, LineField, lp_norm
+from viriallab.field import GraphField, LineField, field_from_grid, lp_norm
 
 
 def soliton(x, lam=1.0):
@@ -238,17 +238,33 @@ class TestSignCondition:
             )
             assert fn.sign_condition_value(gg, 3.0, fn.ModelSpec.graph(vc)) <= 0.0
 
-    def test_matches_rhs_energy_bookkeeping(self):
+    @pytest.mark.parametrize("case", ["delta", "inverse_power", "dirac_delta", "delta_prime"])
+    def test_matches_rhs_energy_bookkeeping(self, case):
         # value == rhs(model) - rhs(base) - 16 (E_model - E_base) on one field
-        f = gaussian(N=2**10)
-        gamma, R = 0.9, 5.0
-        m, base = fn.ModelSpec.delta(gamma), fn.ModelSpec.delta(0.0)
+        R = 5.0
+        if case == "delta":
+            f = gaussian(N=2**10)
+            m, base = fn.ModelSpec.delta(0.9), fn.ModelSpec.delta(0.0)
+        elif case == "inverse_power":
+            f = gaussian(N=2**10, center=1.0, stagger=True)
+            m, base = fn.ModelSpec.inverse_power(2.0, 0.5), fn.ModelSpec.free()
+        else:
+            vals = np.exp(-np.arange(65) / 8.0) * np.array([[1.0], [0.5j], [-0.3]])
+            vals[:, -1] = 0.0
+            shared = case == "dirac_delta"
+            if shared:
+                vals[:, 0] = 0.8
+            grid = {"kind": "graph", "J": 3, "Ledge": 8.0, "M": 64, "shared_vertex": shared}
+            f = field_from_grid(grid).with_values(vals)
+            m = fn.ModelSpec.graph(fn.VertexCondition(case, gamma=1.7))
+            base = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
         lhs = fn.sign_condition_value(f, R, m)
         rhs = (
             fn.virial_rhs(f, R, m)
             - fn.virial_rhs(f, R, base)
             - 16.0 * (fn.energy(f, m) - fn.energy(f, base))
         )
+        assert lhs != 0.0
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
