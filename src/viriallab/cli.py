@@ -94,6 +94,7 @@ def _scenario_pieces(sc: dict):
         cfg = ev.SolverConfig(**sc["solver"])
         template = field_from_grid(sc["grid"])
         u0 = _build_initial(sc["initial_data"], template, model)
+        fn.potential_energy(u0, model)  # the model must fit the grid
     except (KeyError, ValueError, TypeError, OSError) as exc:
         raise ScenarioError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     wc = sub.add_parser("weight-check", help="certify the cutoff profile")
     wc.add_argument("--samples", type=int, default=100_000)
     wc.add_argument(
-        "--profile", help="JSON file with an alternative profile: keys s1, tail_coeffs, z2, z3"
+        "--profile", help="alternative profile JSON: s1 (1 < s1 < 2), six tail_coeffs, z2, z3"
     )
     wc.add_argument("--out")
     wc.set_defaults(func=cmd_weight_check)

@@ -29,8 +29,8 @@ from .field import (
 
 @dataclass(frozen=True)
 class VertexCondition:
-    """Vertex coupling of a star-graph Laplacian; each kind expands to its
-    (A, B) matrices on demand."""
+    """Vertex coupling of a star-graph Laplacian (encoded for the solvers
+    by `vertex_form`)."""
 
     kind: str  # kirchhoff | dirac_delta | delta_prime
     gamma: float = 0.0
@@ -53,25 +53,6 @@ class VertexCondition:
     @classmethod
     def from_dict(cls, d: dict) -> "VertexCondition":
         return cls(kind=d["kind"], gamma=float(d.get("gamma", 0.0)))
-
-    def matrices(self, J: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (A, B) pair encoding the condition A f(0) + B f'(0) = 0."""
-        chain = np.zeros((J, J))
-        for i in range(J - 1):
-            chain[i, i] = 1.0
-            chain[i, i + 1] = -1.0
-        ones_row = np.zeros((J, J))
-        ones_row[J - 1, :] = 1.0
-        if self.kind == "kirchhoff":
-            return chain, ones_row
-        if self.kind == "dirac_delta":
-            A = chain.copy()
-            A[J - 1, 0] = -self.gamma
-            return A, ones_row
-        # delta_prime: derivative continuity, sum of values = gamma f'(0)
-        B = chain.copy()
-        B[J - 1, 0] = -self.gamma
-        return ones_row, B
 
 
 @dataclass(frozen=True)

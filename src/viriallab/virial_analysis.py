@@ -101,36 +101,43 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     )
 
 
+def _clauses(u0: Field, R: float, E: float, m: float, grad_sq: float) -> tuple[bool, bool, float]:
+    """`selection_clauses` at R, given the R-independent E, mass m and ||u0'||^2."""
+    eta_tilde = -8.0 * E - weight.eta(R, m)
+    if eta_tilde <= 0:
+        return False, False, eta_tilde
+    lhs = np.sqrt(virial_I(u0, R)) / R * np.sqrt(1.0 + 4.0 * grad_sq / eta_tilde)
+    return True, bool(lhs <= a0() / 2.0), eta_tilde
+
+
+def _invariants(u0: Field, model: ModelSpec) -> tuple[float, float, float]:
+    """(E, mass, ||u0'||^2), the inputs of `_clauses`."""
+    return energy(u0, model), mass(u0), 2.0 * kinetic_energy(u0, model)
+
+
 def selection_clauses(u0: Field, model: ModelSpec, R: float) -> tuple[bool, bool, float]:
     """The two admissibility clauses at a given R: eta_tilde > 0, and
     (1/R) sqrt(I(0)) sqrt(1 + 4 ||u0'||^2 / eta_tilde) <= a0 / 2.
     Returns (clause1, clause2, eta_tilde)."""
-    E = energy(u0, model)
-    eta_val = weight.eta(R, mass(u0))
-    eta_tilde = -8.0 * E - eta_val
-    if eta_tilde <= 0:
-        return False, False, eta_tilde
-    grad_sq = 2.0 * kinetic_energy(u0, model)
-    lhs = np.sqrt(virial_I(u0, R)) / R * np.sqrt(1.0 + 4.0 * grad_sq / eta_tilde)
-    return True, bool(lhs <= a0() / 2.0), eta_tilde
+    return _clauses(u0, R, *_invariants(u0, model))
 
 
 def find_R(u0: Field, model: ModelSpec, max_doublings: int = 60) -> tuple[float, float, float]:
     """Smallest R on the ladder 2^j satisfying both selection clauses.
 
     Requires negative energy; returns (R, eta, eta_tilde)."""
-    E = energy(u0, model)
+    E, m, grad_sq = _invariants(u0, model)
     if E >= 0:
         raise ValueError(
             f"energy must be negative for the blow-up argument, got {E:.6g}"
         )
     R = 1.0
     for _ in range(max_doublings + 1):
-        c1, c2, eta_tilde = selection_clauses(u0, model, R)
+        c1, c2, eta_tilde = _clauses(u0, R, E, m, grad_sq)
         if c1 and c2:
             if tail_mass(u0, R) > a0() / 2.0 + 1e-12:
                 raise RuntimeError("tail-mass bound should follow from the clauses")
-            return R, weight.eta(R, mass(u0)), eta_tilde
+            return R, weight.eta(R, m), eta_tilde
         R *= 2.0
     raise RuntimeError(f"no admissible R found after {max_doublings} doublings")
 

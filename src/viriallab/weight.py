@@ -11,10 +11,11 @@ extended oddly to s < 0.  The tail is the unique quintic matching value,
 first and second derivative of the cubic branch at s1 = 1 + 1/sqrt(3) and
 vanishing to second order at s = 2, so zeta is C^2 with zeta''' in L^inf.
 
-From zeta we get chi(x) = int_0^x zeta, the scaled weight
-chi_R(x) = R^2 chi(x/R) (equal to x^2 on |x| <= R, constant beyond 2R),
-the quartic-root factor g_R = (2 - zeta'(x/R))^(1/4), and the tail-penalty
-constant eta(R, m) entering the decay estimate for the localized variance.
+The profile is stored once, as one piecewise polynomial chi(x) = int_0^x zeta
+on the knots 0, 1, s1, 2 (constant beyond 2).  zeta and its derivatives are
+the derivatives of chi, the scaled weight chi_R(x) = R^2 chi(x/R) equals x^2
+on |x| <= R and is constant beyond 2R, and eta(R, m) is the tail-penalty
+constant entering the decay estimate for the localized variance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 S1 = 1.0 + 1.0 / np.sqrt(3.0)
 
@@ -62,25 +64,11 @@ def _hermite_tail_coeffs() -> np.ndarray:
     return c
 
 
-def _poly_derivs(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Coefficient arrays (ascending) of p, p', p'', p'''."""
-    out = [np.asarray(coeffs, dtype=float)]
-    for _ in range(3):
-        p = out[-1]
-        out.append(p[1:] * np.arange(1, len(p)))
-    return out
-
-
 def _poly_abs_max(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """Max of |p| over [lo, hi] via critical points of p'. Returns (max, loc)."""
     p = np.asarray(coeffs, dtype=float)
-    dp = p[1:] * np.arange(1, len(p))
-    cand = [lo, hi]
-    if len(dp) > 1:
-        roots = np.roots(dp[::-1])
-        for r in roots:
-            if abs(r.imag) < 1e-12 and lo <= r.real <= hi:
-                cand.append(float(r.real))
+    roots = np.roots(P.polyder(p)[::-1])
+    cand = [lo, hi] + [float(r.real) for r in roots if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
     vals = [abs(float(np.polyval(p[::-1], t))) for t in cand]
     i = int(np.argmax(vals))
     return vals[i], cand[i]
@@ -90,8 +78,8 @@ def _poly_abs_max(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, floa
 class WeightProfile:
     """Certified cutoff data: tail interpolant plus the sup-norm constants.
 
-    s1 is where the tail starts; tail_coeffs are the six ascending
-    coefficients of the quintic tail in t = s - s1;
+    s1 is where the tail starts, 1 < s1 < 2; tail_coeffs are the six
+    ascending coefficients of the quintic tail in t = s - s1;
     z2 = ||zeta''||_inf over the tail interval [s1, 2];
     z3 = ||zeta'''||_inf over [1, 2].  Both feed eta().
     A `weight-check --profile` file holds these four keys.
@@ -102,25 +90,38 @@ class WeightProfile:
     z2: float
     z3: float
 
-    @cached_property
-    def chi_tail(self) -> np.ndarray:
-        """Ascending coefficients of chi on [s1, 2] in t = s - s1."""
-        chi_s1 = self.s1**2 - (self.s1 - 1.0) ** 4 / 2.0
-        return np.concatenate(([chi_s1], self.tail_coeffs / np.arange(1, 7)))
+    def __post_init__(self):
+        tail = np.asarray(self.tail_coeffs, dtype=float)
+        if tail.shape != (6,) or not np.all(np.isfinite(tail)):
+            raise ValueError(f"tail_coeffs must be six finite numbers, got {self.tail_coeffs!r}")
+        if not 1.0 < self.s1 < 2.0:
+            raise ValueError(f"s1 must lie in (1, 2), got {self.s1}")
 
     @cached_property
-    def chi_plateau(self) -> float:
-        """chi on the plateau s >= 2."""
-        return float(np.polyval(self.chi_tail[::-1], 2.0 - self.s1))
+    def knots(self) -> np.ndarray:
+        """Left ends of the three pieces, then the end of the bump."""
+        return np.array([0.0, 1.0, self.s1, 2.0])
+
+    @cached_property
+    def chi_table(self) -> np.ndarray:
+        """Ascending coefficients (3 x 7) of chi on each piece in t = s - knot:
+        the integrals of zeta = 2t, 2 + 2t - 2t^3 and the tail, chained."""
+        table = np.zeros((3, 7))
+        start = 0.0
+        pieces = ([0.0, 2.0], [2.0, 2.0, 0.0, -2.0], self.tail_coeffs)
+        for row, z, width in zip(table, pieces, np.diff(self.knots)):
+            c = P.polyint(np.asarray(z, dtype=float), k=start)
+            row[: len(c)] = c
+            start = P.polyval(width, c)
+        return table
 
     @classmethod
     def default(cls) -> "WeightProfile":
         coeffs = _hermite_tail_coeffs()
         tau = 2.0 - S1
-        _, d1, d2, d3 = _poly_derivs(coeffs)
-        z2, _ = _poly_abs_max(d2, 0.0, tau)
+        z2, _ = _poly_abs_max(P.polyder(coeffs, 2), 0.0, tau)
         # |zeta'''| = 12 on the cubic branch [1, s1]
-        z3_tail, _ = _poly_abs_max(d3, 0.0, tau)
+        z3_tail, _ = _poly_abs_max(P.polyder(coeffs, 3), 0.0, tau)
         z3 = max(12.0, z3_tail)
         return cls(s1=S1, tail_coeffs=coeffs, z2=z2, z3=z3)
 
@@ -135,97 +136,48 @@ def default_profile() -> WeightProfile:
     return _DEFAULT
 
 
-def _tail_eval(profile: WeightProfile, t, order: int):
-    derivs = _poly_derivs(profile.tail_coeffs)
-    return np.polyval(derivs[order][::-1], t)
-
-
-def zeta(s, order: int = 0, profile: WeightProfile | None = None):
-    """Evaluate zeta or one of its first three derivatives.
-
-    At the knots, derivative orders >= 2 take the one-sided value from the
-    branch nearer the interior of the bump: the cubic branch at s = 1, the
-    tail at s = s1 and s = 2.  Those values only ever enter sup-norms.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in {{0,1,2,3}}, got {order}")
-    if profile is None:
-        profile = default_profile()
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("non-finite input to zeta")
-    a = np.abs(s)
-    s1 = profile.s1
-
-    m_lin = a < 1.0
-    m_cub = (a >= 1.0) & (a < s1)
-    m_tail = (a >= s1) & (a <= 2.0)
-
-    out = np.zeros_like(a)
-    if order == 0:
-        out = np.where(m_lin, 2.0 * a, out)
-        out = np.where(m_cub, 2.0 * (a - (a - 1.0) ** 3), out)
-    elif order == 1:
-        out = np.where(m_lin, 2.0, out)
-        out = np.where(m_cub, 2.0 * (1.0 - 3.0 * (a - 1.0) ** 2), out)
-    elif order == 2:
-        out = np.where(m_cub, -12.0 * (a - 1.0), out)
-    else:
-        out = np.where(m_cub, -12.0, out)
-    if np.any(m_tail):
-        out = np.where(m_tail, _tail_eval(profile, a - s1, order), out)
-
-    # odd function: even-order derivatives are odd, odd-order ones even
-    if order % 2 == 0:
-        out = out * np.sign(s)
-    return out if out.ndim else float(out)
-
-
-def chi(x, profile: WeightProfile | None = None):
-    """chi(x) = int_0^x zeta, evaluated from branch antiderivatives."""
-    if profile is None:
-        profile = default_profile()
+def _chi_deriv(x, k: int, profile: WeightProfile | None = None):
+    """chi^(k)(x) from `chi_table`.  |x| is clipped at 2 (the plateau); each
+    knot belongs to the piece on its right and s = 2 to the tail, so a jump
+    takes that piece's one-sided value (these only ever enter sup-norms)."""
+    profile = profile or default_profile()
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to chi")
-    a = np.abs(x)
-    s1 = profile.s1
-
-    out = np.where(a < 1.0, a**2, 0.0)
-    m_cub = (a >= 1.0) & (a < s1)
-    out = np.where(m_cub, a**2 - (a - 1.0) ** 4 / 2.0, out)
-    m_tail = (a >= s1) & (a <= 2.0)
-    if np.any(m_tail):
-        out = np.where(m_tail, np.polyval(profile.chi_tail[::-1], a - s1), out)
-    out = np.where(a > 2.0, profile.chi_plateau, out)
+    a = np.minimum(np.abs(x), 2.0)
+    piece = np.searchsorted(profile.knots[1:3], a, side="right")
+    t = a - profile.knots[piece]
+    coef = P.polyder(profile.chi_table, k, axis=1)[piece]
+    out = 0.0
+    for c in np.moveaxis(coef, -1, 0)[::-1]:  # Horner
+        out = out * t + c
+    if k:
+        out = np.where(np.abs(x) > 2.0, 0.0, out)
+    if k % 2:  # chi is even, so its odd-order derivatives are odd
+        out = out * np.sign(x)
     return out if out.ndim else float(out)
 
 
+def zeta(s, order: int = 0, profile: WeightProfile | None = None):
+    """zeta = chi' or one of its first three derivatives."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be in {{0,1,2,3}}, got {order}")
+    return _chi_deriv(s, order + 1, profile)
+
+
+def chi(x, profile: WeightProfile | None = None):
+    """chi(x) = int_0^x zeta."""
+    return _chi_deriv(x, 0, profile)
+
+
 def chi_R(x, R: float, order: int = 0):
-    """Scaled weight chi_R = R^2 chi(x/R) and its derivatives.
-
-    order 0 -> chi_R, 1 -> R zeta(x/R), 2 -> zeta'(x/R),
-    order 4 -> zeta'''(x/R) / R^2.  Order 3 is never needed and rejected.
-    """
+    """R^(2 - order) chi^(order)(x/R): the scaled weight chi_R = R^2 chi(x/R)
+    and its derivatives of order 1, 2 and 4 (order 3 is never needed)."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    if order == 0:
-        return np.multiply(R**2, chi(np.asarray(x) / R))
-    if order == 1:
-        return np.multiply(R, zeta(np.asarray(x) / R, 0))
-    if order == 2:
-        return zeta(np.asarray(x) / R, 1)
-    if order == 4:
-        return np.multiply(1.0 / R**2, zeta(np.asarray(x) / R, 3))
-    raise ValueError(f"unsupported chi_R derivative order {order}")
-
-
-def g_R(x, R: float):
-    """(2 - zeta'(x/R))^(1/4): zero on |x| <= R, 2^(1/4) beyond 2R."""
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
-    val = 2.0 - zeta(np.asarray(x) / R, 1)
-    return np.clip(val, 0.0, None) ** 0.25
+    if order not in (0, 1, 2, 4):
+        raise ValueError(f"unsupported chi_R derivative order {order}")
+    return np.multiply(float(R) ** (2 - order), _chi_deriv(np.asarray(x) / R, order))
 
 
 def zeta_over_s(s, profile: WeightProfile | None = None):
@@ -290,8 +242,7 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
     """
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples}")
-    if profile is None:
-        profile = default_profile()
+    profile = profile or default_profile()
     s1 = profile.s1
     checks: list[CheckResult] = []
 
@@ -314,24 +265,12 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
     far = s[np.abs(s) >= 2.0]
     add("zero_beyond_2", 1e-12 - np.abs(zeta(far, 0, profile)), far)
 
-    # one-sided knot values from the closed-form branches
-    tau = 2.0 - s1
-    derivs = _poly_derivs(profile.tail_coeffs)
-    knot_jumps = {
-        1.0: (2.0 * 1.0 - 2.0 * (1.0 - 0.0), 2.0 - 2.0 * (1.0 - 0.0)),
-        s1: (
-            2.0 * (s1 - (s1 - 1.0) ** 3) - float(np.polyval(derivs[0][::-1], 0.0)),
-            2.0 * (1.0 - 3.0 * (s1 - 1.0) ** 2) - float(np.polyval(derivs[1][::-1], 0.0)),
-        ),
-        2.0: (
-            float(np.polyval(derivs[0][::-1], tau)),
-            float(np.polyval(derivs[1][::-1], tau)),
-        ),
-    }
-    jump0 = [abs(v[0]) for v in knot_jumps.values()]
-    jump1 = [abs(v[1]) for v in knot_jumps.values()]
-    add("knot_continuity_zeta", 1e-10 - np.asarray(jump0), list(knot_jumps))
-    add("knot_continuity_zeta_prime", 1e-10 - np.asarray(jump1), list(knot_jumps))
+    # at the knots 1, s1, 2: each piece's right-end value of zeta and zeta'
+    # against the next piece's left-end value (zero beyond 2)
+    for k, name in ((1, "knot_continuity_zeta"), (2, "knot_continuity_zeta_prime")):
+        d = P.polyder(profile.chi_table, k, axis=1)
+        right = P.polyval(np.diff(profile.knots), d.T, tensor=False)
+        add(name, 1e-10 - np.abs(right - np.append(d[1:, 0], 0.0)), profile.knots[1:])
 
     add("zeta_prime_le_2", 2.0 - z1, s)
     pos = s[s >= 0.0]
@@ -349,7 +288,7 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
     outer = s[np.abs(s) >= 1.0]
     add("chi_ge_1_outside", chi(outer, profile) - 1.0 + 1e-12, outer)
 
-    # |d/dx g_R^2| table (R = 1; scales as 1/R)
+    # |d/ds sqrt(2 - zeta'(s))|, the squared quartic-root factor's slope (R = 1)
     def dgsq(ss):
         val = np.clip(2.0 - zeta(ss, 1, profile), 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,15 +304,17 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
     tail_s = np.linspace(s1 + 1e-7, 2.0 - 1e-7, samples // 2)
     add("g_sq_deriv_le_z2_half", profile.z2 / 2.0 + 1e-9 - dgsq(tail_s), tail_s)
 
-    # sampled sup-norms must agree with the stored analytic constants
+    # sampled sup-norms of the tail's zeta'' and zeta''' must agree with the
+    # stored analytic constants
+    tau = 2.0 - s1
+    tail = profile.chi_table[2]
     t_grid = np.linspace(0.0, tau, samples)
-    z2_s = float(np.max(np.abs(np.polyval(derivs[2][::-1], t_grid))))
-    z3_s = max(12.0, float(np.max(np.abs(np.polyval(derivs[3][::-1], t_grid)))))
+    z2_s = float(np.max(np.abs(P.polyval(t_grid, P.polyder(tail, 3)))))
+    z3_s = max(12.0, float(np.max(np.abs(P.polyval(t_grid, P.polyder(tail, 4))))))
     add("z2_positive_finite", profile.z2 if np.isfinite(profile.z2) else -1.0, s1)
     add("z3_positive_finite", profile.z3 if np.isfinite(profile.z3) else -1.0, 1.0)
     # sampling underestimates the sup by at most (max slope) * grid spacing
-    d4 = derivs[3][1:] * np.arange(1, len(derivs[3]))
-    z4, _ = _poly_abs_max(d4, 0.0, tau)
+    z4, _ = _poly_abs_max(P.polyder(tail, 5), 0.0, tau)
     dt = tau / max(samples - 1, 1)
     add("z2_matches_sampled", profile.z3 * dt + 1e-8 - abs(profile.z2 - z2_s), s1)
     add("z3_matches_sampled", z4 * dt + 1e-8 - abs(profile.z3 - z3_s), 1.0)

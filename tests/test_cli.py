@@ -51,6 +51,16 @@ class TestWeightCheck:
         assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 1
         assert "knot_continuity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [{"tail_coeffs": [1.0, 0.0, -3.0]}, {"s1": 2.5}])
+    def test_malformed_profile(self, tmp_path, change):
+        # rejected by the WeightProfile constructor, before any check runs
+        prof = w.default_profile()
+        d = {"s1": prof.s1, "tail_coeffs": list(prof.tail_coeffs), "z2": prof.z2, "z3": prof.z3}
+        d.update(change)
+        p = tmp_path / "profile.json"
+        p.write_text(json.dumps(d))
+        assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 2
+
     def test_profile_file_without_plateau(self, tmp_path):
         # the four keys suffice: chi's plateau value is derived from the tail
         prof = w.default_profile()
@@ -95,6 +105,13 @@ class TestSimulate:
                 model={"variant": "graph", "vertex": {"kind": "dirac_delta", "gamma": float("inf")}},
                 grid={"kind": "graph", "J": 3, "Ledge": 16.0, "M": 99},
             ),
+            # models that do not fit their grid
+            lambda sc: sc.update(
+                model={"variant": "delta", "gamma": 1.0}, grid={**sc["grid"], "stagger": True}
+            ),
+            lambda sc: sc.update(model={"variant": "graph", "vertex": {"kind": "kirchhoff"}}),
+            lambda sc: sc.update(grid={"kind": "graph", "J": 3, "Ledge": 16.0, "M": 99}),
+            lambda sc: sc.update(model={"variant": "inverse_power", "gamma": 1.0, "mu": 0.5}),
         ]
         for i, edit in enumerate(edits):
             sc = json.loads(quick_scenario(tmp_path).read_text())

@@ -35,35 +35,6 @@ def random_smooth_field(rng, L=16.0, N=2**10, modes=12, width=3.0, real=False):
 
 
 class TestVertexCondition:
-    @pytest.mark.parametrize("kind,gamma", [("kirchhoff", 0.0), ("dirac_delta", 1.5), ("delta_prime", 2.0)])
-    def test_named_matrices_admissible(self, kind, gamma):
-        vc = fn.VertexCondition(kind, gamma=gamma)
-        for J in (2, 3, 5):
-            A, B = vc.matrices(J)
-            assert np.linalg.matrix_rank(np.hstack([A, B])) == J
-            AB = A @ B.conj().T
-            assert np.max(np.abs(AB - AB.conj().T)) < 1e-12
-
-    def test_kirchhoff_matrices_encode_continuity_and_flux(self):
-        A, B = fn.VertexCondition("kirchhoff").matrices(3)
-        vals = np.array([2.0, 2.0, 2.0])
-        ders = np.array([1.0, -3.0, 2.0])  # fluxes sum to zero
-        assert np.max(np.abs(A @ vals + B @ ders)) < 1e-14
-
-    def test_dirac_delta_matrices_encode_jump(self):
-        gamma = 1.5
-        A, B = fn.VertexCondition("dirac_delta", gamma=gamma).matrices(2)
-        vals = np.array([2.0, 2.0])
-        ders = np.array([1.0, gamma * 2.0 - 1.0])  # sum of fluxes = gamma * value
-        assert np.max(np.abs(A @ vals + B @ ders)) < 1e-14
-
-    def test_delta_prime_matrices_encode_condition(self):
-        gamma = 2.0
-        A, B = fn.VertexCondition("delta_prime", gamma=gamma).matrices(2)
-        ders = np.array([0.7, 0.7])  # derivative continuity
-        vals = np.array([0.5, gamma * 0.7 - 0.5])  # values sum to gamma * derivative
-        assert np.max(np.abs(A @ vals + B @ ders)) < 1e-14
-
     def test_delta_prime_needs_gamma(self):
         with pytest.raises(ValueError):
             fn.VertexCondition("delta_prime", gamma=0.0)

@@ -12,6 +12,81 @@ from viriallab import weight as w
 S1 = 1.0 + 1.0 / np.sqrt(3.0)
 
 
+def _zeta_reference(s, order, profile):
+    """The closed-form branch ladder zeta used before the coefficient table:
+    linear and cubic branches written out, the tail from its coefficients."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    s1 = profile.s1
+    m_lin = a < 1.0
+    m_cub = (a >= 1.0) & (a < s1)
+    m_tail = (a >= s1) & (a <= 2.0)
+    out = np.zeros_like(a)
+    if order == 0:
+        out = np.where(m_lin, 2.0 * a, out)
+        out = np.where(m_cub, 2.0 * (a - (a - 1.0) ** 3), out)
+    elif order == 1:
+        out = np.where(m_lin, 2.0, out)
+        out = np.where(m_cub, 2.0 * (1.0 - 3.0 * (a - 1.0) ** 2), out)
+    elif order == 2:
+        out = np.where(m_cub, -12.0 * (a - 1.0), out)
+    else:
+        out = np.where(m_cub, -12.0, out)
+    p = np.asarray(profile.tail_coeffs, dtype=float)
+    for _ in range(order):
+        p = p[1:] * np.arange(1, len(p))
+    out = np.where(m_tail, np.polyval(p[::-1], a - s1), out)
+    return out * np.sign(s) if order % 2 == 0 else out
+
+
+def _chi_reference(x, profile):
+    """The closed-form branch antiderivatives chi used before the table."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    s1 = profile.s1
+    chi_tail = np.concatenate(([s1**2 - (s1 - 1.0) ** 4 / 2.0], profile.tail_coeffs / np.arange(1, 7)))
+    plateau = np.polyval(chi_tail[::-1], 2.0 - s1)
+    out = np.where(a < 1.0, a**2, 0.0)
+    out = np.where((a >= 1.0) & (a < s1), a**2 - (a - 1.0) ** 4 / 2.0, out)
+    out = np.where((a >= s1) & (a <= 2.0), np.polyval(chi_tail[::-1], a - s1), out)
+    return np.where(a > 2.0, plateau, out)
+
+
+def _chi_deriv_reference(x, k, profile):
+    return _chi_reference(x, profile) if k == 0 else _zeta_reference(x, k - 1, profile)
+
+
+def _pin_points(profile):
+    knots = [0.0, 1.0, -1.0, profile.s1, -profile.s1, 2.0, -2.0]
+    return np.concatenate([np.linspace(-3.0, 3.0, 200_001), knots])
+
+
+class TestTableMatchesClosedForms:
+    """The coefficient table reproduces the closed-form branches."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_chi_and_zeta(self, k):
+        p = w.default_profile()
+        s = _pin_points(p)
+        ref = _chi_deriv_reference(s, k, p)
+        got = w.chi(s) if k == 0 else w.zeta(s, k - 1)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("R", [0.5, 8.0, 2048.0])
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_chi_R(self, k, R):
+        p = w.default_profile()
+        x = R * _pin_points(p)
+        ref = R ** (2 - k) * _chi_deriv_reference(x / R, k, p)
+        assert np.max(np.abs(w.chi_R(x, R, k) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_keeps_input_shape(self):
+        s = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        for k in range(4):
+            assert np.array_equal(w.zeta(s, k), w.zeta(s.ravel(), k).reshape(3, 4))
+        assert np.array_equal(w.chi(s), w.chi(s.ravel()).reshape(3, 4))
+
+
 class TestZeta:
     def test_linear_branch(self):
         assert w.zeta(0.5, 0) == pytest.approx(1.0, abs=1e-14)
@@ -107,21 +182,6 @@ class TestChiR:
             w.chi_R(1.0, -1.0, 0)
 
 
-class TestGR:
-    def test_inner_zero(self):
-        assert w.g_R(0.5, 1.0) == 0.0
-
-    def test_outer_value(self):
-        assert w.g_R(5.0, 1.0) == pytest.approx(2.0**0.25, abs=1e-14)
-
-    def test_cubic_branch_value(self):
-        # 2 - zeta'(1.2) = 6 * 0.2^2 on the cubic branch
-        assert w.g_R(1.2, 1.0) ** 4 == pytest.approx(0.24, abs=1e-12)
-
-    def test_scales_with_R(self):
-        assert w.g_R(2.4, 2.0) == pytest.approx(w.g_R(1.2, 1.0), abs=1e-13)
-
-
 class TestEta:
     def test_zero_mass(self):
         assert w.eta(3.0, 0.0) == 0.0
@@ -171,6 +231,20 @@ class TestVerifyProfile:
         s = np.linspace(-5, 5, 100_001)
         s = s[np.abs(s) > 1e-9]
         assert np.max(w.zeta(s, 0) / s) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tail_coeffs": np.zeros(3)},
+            {"tail_coeffs": np.array([1.0, 0, 0, 0, 0, np.nan])},
+            {"s1": 2.5},
+            {"s1": 1.0},
+            {"s1": float("nan")},
+        ],
+    )
+    def test_rejects_malformed_profile(self, change):
+        with pytest.raises(ValueError):
+            dataclasses.replace(w.default_profile(), **change)
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
