@@ -165,12 +165,11 @@ def cmd_virial_report(args) -> int:
     traj = ev.load_trajectory(src)
     if args.R == "auto":
         try:
-            R, _, _ = va.find_R(traj.snapshots[0], traj.model)
+            R, _, eta_tilde = va.find_R(traj.snapshots[0], traj.model)
         except (ValueError, RuntimeError) as exc:
             print(f"error: auto R selection failed: {exc}", file=sys.stderr)
             return EXIT_BADARGS
-        clauses = va.selection_clauses(traj.snapshots[0], traj.model, R)
-        print(f"selected R = {_fmt(R)}; clauses: {clauses[0]}, {clauses[1]}")
+        print(f"selected R = {_fmt(R)}; eta_tilde = {_fmt(eta_tilde)}")
     else:
         try:
             R = float(args.R)
@@ -219,14 +218,18 @@ def cmd_virial_report(args) -> int:
 
 
 def cmd_blowup_scan(args) -> int:
-    if args.steps < 2 or not (args.lambda_min < args.lambda_max):
-        print("error: need steps >= 2 and lambda_min < lambda_max", file=sys.stderr)
+    if args.steps < 2 or not (0.0 < args.lambda_min < args.lambda_max < np.inf):
+        print("error: need steps >= 2 and 0 < lambda_min < lambda_max < inf", file=sys.stderr)
+        return EXIT_BADARGS
+    try:
+        cfg = ev.SolverConfig(
+            dt_init=1e-3, dt_max=1e-3, phase_tol=1e-3, T_end=args.T_end, snapshot_stride=1000
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADARGS
     model = fn.ModelSpec.free()
     template = LineField(L=16.0, N=2**12, values=np.zeros(2**12))
-    cfg = ev.SolverConfig(
-        dt_init=1e-3, dt_max=1e-3, phase_tol=1e-3, T_end=args.T_end, snapshot_stride=1000
-    )
     rows = []
     for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
         u0 = sol.scaled_data(float(lam), 1.0, template)
@@ -247,33 +250,22 @@ def cmd_blowup_scan(args) -> int:
 
 
 def cmd_ground_state(args) -> int:
-    if args.tol <= 0:
-        print("error: tol must be positive", file=sys.stderr)
-        return EXIT_BADARGS
+    stagger = args.model == "inverse_power"
+    template = LineField(L=16.0, N=2**12, values=np.zeros(2**12), stagger=stagger)
     try:
-        if args.model == "free":
-            model = fn.ModelSpec.free()
-        elif args.model == "delta":
-            model = fn.ModelSpec.delta(args.gamma)
-        elif args.model == "inverse_power":
-            if args.gamma < 0:
-                model = None
-            else:
-                model = fn.ModelSpec.inverse_power(args.gamma, args.mu)
+        if stagger and args.gamma < 0:  # attractive: no ModelSpec, so no energy
+            model = None
+            gs = sol.attractive_inverse_power_profile(
+                args.gamma, args.mu, template, omega=args.omega, tol=args.tol
+            )
         else:
-            print(f"error: unknown model {args.model!r}", file=sys.stderr)
-            return EXIT_BADARGS
+            model = fn.ModelSpec.from_dict(
+                {"variant": args.model, "gamma": args.gamma, "mu": args.mu}
+            )
+            gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADARGS
-    stagger = args.model == "inverse_power"
-    template = LineField(L=16.0, N=2**12, values=np.zeros(2**12), stagger=stagger)
-    if model is None:
-        gs = sol.attractive_inverse_power_profile(
-            args.gamma, args.mu, template, omega=args.omega, tol=args.tol
-        )
-    else:
-        gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
     record = {
         "model": args.model,
         "omega": args.omega,

@@ -2,10 +2,13 @@
 
 exact_Q is the closed-form zero-energy soliton of Q'' - omega Q + Q^5 = 0.
 ground_state_flow computes standing-wave profiles for the potential and
-graph variants by a semi-implicit normalized gradient flow: the linear part
-(including any vertex term) is treated implicitly, the quintic term and any
-smooth potential explicitly, and the amplitude is renormalized each sweep by
-the fixed-point rule c = (<(H+omega)u, u> / ||u||_6^6)^{1/4}.
+graph variants with one solver on either operator (the Fourier Laplacian on
+the smooth line variants, the assembled form on the delta line and graphs):
+an optional warm-up of at most 200 sweeps of a semi-implicit normalized
+gradient flow with step tau = 0.5 (the linear part, including any vertex
+term, implicit; the quintic term and any smooth potential explicit; the
+amplitude renormalized each sweep by c = (<(H+omega)u, u> / ||u||_6^6)^{1/4}),
+then damped Newton, at most 20,000 iterations in all.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .functionals import ModelSpec, potential_on_grid, require_geometry, vertex_
 
 def exact_Q(omega: float, x) -> np.ndarray:
     """(3 omega)^{1/4} sech^{1/2}(2 sqrt(omega) x)."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     x = np.asarray(x, dtype=float)
     return (3.0 * omega) ** 0.25 / np.sqrt(np.cosh(2.0 * np.sqrt(omega) * x))
 
@@ -32,8 +35,8 @@ def exact_Q(omega: float, x) -> np.ndarray:
 def scaled_data(lam: float, omega: float, template: Field, center: float = 0.0) -> Field:
     """lambda Q_omega placed at `center` (per edge on graphs); lambda > 1
     gives negative free energy."""
-    if lam <= 0 or omega <= 0:
-        raise ValueError("need lambda > 0 and omega > 0")
+    if not (0.0 < lam < np.inf and 0.0 < omega < np.inf):
+        raise ValueError("need finite lambda > 0 and omega > 0")
     return template.sampled(lambda x: lam * exact_Q(omega, x - center))
 
 
@@ -47,6 +50,8 @@ class GroundState:
 
 
 _WARMUP_SWEEPS = 200
+_MAX_ITER = 20_000
+_TAU = 0.5
 
 
 def _damped_newton(u, newton_step, residual_of, tol, it, max_iter):
@@ -69,47 +74,51 @@ def _damped_newton(u, newton_step, residual_of, tol, it, max_iter):
     return u, float(res), it, bool(res < tol)
 
 
-def _flow_line_spectral(template, V, omega, tol, max_iter, tau):
-    """Line variants: a short normalized flow (Laplacian implicit in Fourier
-    space) to reach the basin, then damped approximate-Newton steps with a
-    finite-difference Jacobian; the residual is always measured with the
-    spectral operator.  The plain flow alone stalls on the near-neutral
-    dilation mode of the mass-critical nonlinearity."""
-    k2 = spectral_wavenumbers(template) ** 2
-    h = template.h
-    u = exact_Q(omega, template.x)
-    denom = 1.0 + tau * (k2 + omega)
+def _standing_wave(u, w, H, flow, K, V, omega, tol, warm_up):
+    """Real solution u of H u + (V + omega) u - u^5 = 0 from the start u, with
+    quadrature weights w, the linear operator H, the implicit flow solve
+    `flow` and the stiffness form K (K u ~ w H u).  With `warm_up`, a short
+    normalized gradient flow reaches the basin first; the plain flow alone
+    stalls on the near-neutral dilation mode of the mass-critical
+    nonlinearity.  Then damped Newton with the Jacobian K + diag(w (V + omega
+    - 5 u^4)).  Returns (u, residual, iterations, converged)."""
 
     def residual_vec(u):
-        return np.fft.ifft(k2 * np.fft.fft(u)).real + (V + omega) * u - u**5
+        return H(u) + (V + omega) * u - u**5
 
     def residual_of(u):
         r = residual_vec(u)
-        return float(np.sqrt(np.sum(r**2) / np.sum(u**2)))
+        return float(np.sqrt(np.sum(w * r**2) / np.sum(w * u**2)))
 
     it = 0
-    for it in range(1, min(_WARMUP_SWEEPS, max_iter) + 1):
-        rhs = u + tau * (u**5 - V * u)
-        u = np.fft.ifft(np.fft.fft(rhs) / denom).real
-        fu = np.fft.fft(u)
-        quad = h / template.N * np.sum(k2 * np.abs(fu) ** 2)
-        quad += h * np.sum((V + omega) * u**2)
-        sextic = h * np.sum(u**6)
+    for it in range(1, (_WARMUP_SWEEPS if warm_up else 0) + 1):
+        u = flow(u + _TAU * (u**5 - V * u))
+        quad = np.sum(w * (u * H(u) + (V + omega) * u**2))
+        sextic = np.sum(w * u**6)
         if sextic <= 0 or quad <= 0:
-            return template.with_values(u), np.inf, it, False
-        u *= (quad / sextic) ** 0.25
+            return u, np.inf, it, False
+        u = u * (quad / sextic) ** 0.25
         if residual_of(u) < tol:
-            return template.with_values(u), residual_of(u), it, True
-
-    # FD Laplacian (Dirichlet ends), the P1 stiffness over h, as the
-    # Jacobian preconditioner
-    lap = p1_form(template)[0] / h
+            return u, residual_of(u), it, True
 
     def newton_step(u):
-        return splu((lap + sp.diags(V + omega - 5.0 * u**4)).tocsc()).solve(residual_vec(u))
+        return splu((K + sp.diags(w * (V + omega - 5.0 * u**4))).tocsc()).solve(w * residual_vec(u))
 
-    u, res, it, ok = _damped_newton(u, newton_step, residual_of, tol, it, max_iter)
-    return template.with_values(u), res, it, ok
+    return _damped_newton(u, newton_step, residual_of, tol, it, _MAX_ITER)
+
+
+def _fourier_ground_state(template: LineField, V, omega, tol) -> GroundState:
+    """Line variants on the Fourier operator, from exact_Q with the warm-up;
+    the P1 stiffness is the Newton preconditioner."""
+    k2 = spectral_wavenumbers(template) ** 2
+    denom = 1.0 + _TAU * (k2 + omega)
+    u, res, it, ok = _standing_wave(
+        exact_Q(omega, template.x), template.quad_weights,
+        lambda u: np.fft.ifft(k2 * np.fft.fft(u)).real,
+        lambda r: np.fft.ifft(np.fft.fft(r) / denom).real,
+        p1_form(template)[0], V, omega, tol, warm_up=True,
+    )
+    return GroundState(template.with_values(u), omega, res, it, ok)
 
 
 def _offset_guess(model, template, omega):
@@ -127,89 +136,48 @@ def _offset_guess(model, template, omega):
     return template.sampled(lambda x: exact_Q(omega, np.abs(x) + a))
 
 
-def _flow_assembled(model, template, omega, tol, max_iter, tau):
-    """Delta/graph variants on the assembled form operator: Newton on the
-    discrete system, seeded by the closed-form offset soliton when it
-    exists, with a normalized flow warm-up as fallback."""
+def _assembled_ground_state(model, template, omega, tol) -> GroundState:
+    """Delta/graph variants on the assembled form operator, from the offset
+    soliton when it exists, else from Q with the warm-up."""
     H = assemble_hamiltonian(template, model)
     K, Md = H.K, H.Mdiag
-    A = (sp.diags(Md) + tau * (K + omega * sp.diags(Md))).tocsc()
-    lu = splu(A)
+    lu = splu((sp.diags(Md) + _TAU * (K + omega * sp.diags(Md))).tocsc())
     guess = _offset_guess(model, template, omega)
-    u = H.to_vector(guess if guess is not None else scaled_data(1.0, omega, template)).real
-
-    def residual_vec(u):
-        return (K @ u) / Md + omega * u - u**5
-
-    def residual_of(u):
-        r = residual_vec(u)
-        return float(np.sqrt(np.sum(Md * r**2) / np.sum(Md * u**2)))
-
-    it = 0
-    if guess is None:
-        for it in range(1, min(_WARMUP_SWEEPS, max_iter) + 1):
-            rhs = Md * (u + tau * u**5)
-            u = lu.solve(rhs)
-            quad = float(u @ (K @ u)) + omega * np.sum(Md * u**2)
-            sextic = np.sum(Md * u**6)
-            if sextic <= 0 or quad <= 0:
-                return H.from_vector(u.astype(complex)), np.inf, it, False
-            u = u * (quad / sextic) ** 0.25
-            if residual_of(u) < tol:
-                return H.from_vector(u.astype(complex)), residual_of(u), it, True
-
-    def newton_step(u):
-        return splu((K + sp.diags(Md * (omega - 5.0 * u**4))).tocsc()).solve(Md * residual_vec(u))
-
-    u, res, it, ok = _damped_newton(u, newton_step, residual_of, tol, it, max_iter)
-    return H.from_vector(u.astype(complex)), res, it, ok
+    start = guess if guess is not None else scaled_data(1.0, omega, template)
+    u, res, it, ok = _standing_wave(
+        H.to_vector(start).real, Md, lambda u: (K @ u) / Md,
+        lambda r: lu.solve(Md * r), K, 0.0, omega, tol, warm_up=guess is None,
+    )
+    return GroundState(H.from_vector(u.astype(complex)), omega, res, it, ok)
 
 
 def ground_state_flow(
-    model: ModelSpec,
-    template: Field,
-    omega: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-    tau: float = 0.5,
+    model: ModelSpec, template: Field, omega: float = 1.0, tol: float = 1e-8
 ) -> GroundState:
     """Standing-wave profile of the given variant at frequency omega."""
-    if omega <= 0 or tol <= 0:
-        raise ValueError("need omega > 0 and tol > 0")
+    if not (0.0 < omega < np.inf and tol > 0.0):  # NaN fails too
+        raise ValueError("need finite omega > 0 and tol > 0")
     require_geometry(template, model)
     if model.uses_spectral():
-        V = potential_on_grid(model, template.x)
-        f, res, it, ok = _flow_line_spectral(template, V, omega, tol, max_iter, tau)
-    else:
-        f, res, it, ok = _flow_assembled(model, template, omega, tol, max_iter, tau)
-    return GroundState(field=f, omega=omega, residual=res, iterations=it, converged=ok)
+        return _fourier_ground_state(template, potential_on_grid(model, template.x), omega, tol)
+    return _assembled_ground_state(model, template, omega, tol)
 
 
 def attractive_inverse_power_profile(
-    gamma: float,
-    mu: float,
-    template: LineField,
-    omega: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-    tau: float = 0.5,
+    gamma: float, mu: float, template: LineField, omega: float = 1.0, tol: float = 1e-8
 ) -> GroundState:
     """Standing-wave candidate for V = gamma |x|^{-mu} with gamma < 0.
 
     The blow-up theory requires gamma > 0, so this regime is not expressible
-    as a ModelSpec; the flow itself is identical with the attractive
-    potential inserted directly.
+    as a ModelSpec; the solver is the same, with V the negated potential of
+    the repulsive model of strength -gamma.
     """
+    if not (0.0 < omega < np.inf and tol > 0.0):
+        raise ValueError("need finite omega > 0 and tol > 0")
     if gamma >= 0:
         raise ValueError("use ground_state_flow for gamma >= 0")
-    if not (0.0 < mu < 1.0):
-        raise ValueError("need 0 < mu < 1")
-    ax = np.abs(template.x)
-    if np.min(ax) == 0.0:
-        raise ValueError("grid must avoid x = 0 (use stagger)")
-    V = gamma / ax**mu
-    f, res, it, ok = _flow_line_spectral(template, V, omega, tol, max_iter, tau)
-    return GroundState(field=f, omega=omega, residual=res, iterations=it, converged=ok)
+    V = -potential_on_grid(ModelSpec.inverse_power(-gamma, mu), template.x)
+    return _fourier_ground_state(template, V, omega, tol)
 
 
 def vertex_derivative_jump(f: LineField) -> float:

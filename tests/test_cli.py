@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viriallab import cli
+from viriallab import virial_analysis as va
 from viriallab import weight as w
 
 
@@ -112,6 +113,8 @@ class TestSimulate:
             lambda sc: sc.update(model={"variant": "graph", "vertex": {"kind": "kirchhoff"}}),
             lambda sc: sc.update(grid={"kind": "graph", "J": 3, "Ledge": 16.0, "M": 99}),
             lambda sc: sc.update(model={"variant": "inverse_power", "gamma": 1.0, "mu": 0.5}),
+            # rejected before the solve (a NaN tol used to run every Newton iteration)
+            lambda sc: sc.update(initial_data={"kind": "ground_state", "tol": float("nan")}),
         ]
         for i, edit in enumerate(edits):
             sc = json.loads(quick_scenario(tmp_path).read_text())
@@ -167,6 +170,16 @@ class TestVirialReport:
     def test_missing_trajectory(self, tmp_path):
         assert cli.main(["virial-report", str(tmp_path / "nothing")]) == 2
 
+    def test_auto_R_evaluates_invariants_once(self, tmp_path, monkeypatch, capsys):
+        p = quick_scenario(tmp_path, name="neg", lam=1.3, T=0.05)
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "neg")]) == 0
+        calls = []
+        energy = va.energy
+        monkeypatch.setattr(va, "energy", lambda *a: calls.append(1) or energy(*a))
+        cli.main(["virial-report", str(tmp_path / "neg"), "--R", "auto"])
+        assert len(calls) == 1
+        assert "selected R = " in capsys.readouterr().out
+
 
 class TestBlowupScan:
     def test_invalid_steps(self):
@@ -215,3 +228,20 @@ class TestGroundState:
 
     def test_zero_tol_rejected(self):
         assert cli.main(["ground-state", "--tol", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "ground-state --omega -1",
+    "ground-state --model inverse_power --gamma -0.5 --mu 1.5",
+    "ground-state --model inverse_power --gamma -0.5 --omega 0",
+    "ground-state --omega nan",
+    "ground-state --omega inf",
+    "ground-state --tol nan",
+    "ground-state --model graph",
+    "blowup-scan --lambda-min 0 --lambda-max 1 --steps 2",
+    "blowup-scan --lambda-min 1 --lambda-max inf --steps 2",
+    "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end -1",
+    "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end nan",
+])
+def test_bad_arguments_exit_2_before_solving(argv):
+    assert cli.main(argv.split()) == 2
