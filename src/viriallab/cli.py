@@ -289,7 +289,14 @@ def cmd_ground_state(args) -> int:
     write_snapshot(gs.field, out / "profile.csv")
     with open(out / "record.json", "w") as fh:
         json.dump(record, fh, indent=2)
-    return EXIT_OK if gs.converged else EXIT_FAIL
+    if not gs.converged:
+        print(
+            f"ground state not converged: residual {gs.residual:.3g} "
+            f"after {gs.iterations} iterations",
+            file=sys.stderr,
+        )
+        return EXIT_FAIL
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

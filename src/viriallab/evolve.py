@@ -9,11 +9,19 @@ lumped mass, <K c, c> = sum over the elements of `field.p1_chain` of
 the vertex conditions are natural conditions of the form and the discrete
 mass is conserved exactly.  Blow-up is reported through surrogate triggers
 (gradient growth, amplitude cap, step-size underflow).
+
+What a step needs of its grid is computed once: the squared wavenumbers of
+the half spectrum and V are cached per (L, N, stagger, model), the Fourier
+propagator is filled as cos + i sin on the half spectrum and mirrored, and
+both half phases are cos + i sin in one buffer.  The gradient norm that the
+trigger reads on every step comes from one FFT through Parseval
+(`functionals.kinetic_energy`), with no derivative field built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -97,7 +105,8 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
-        if not (len(self.snapshots) == len(self.mass_series) == len(self.energy_series) == n):
+        series = (self.snapshots, self.mass_series, self.energy_series, self.grad_series)
+        if any(len(s) != n for s in series):
             raise ValueError("trajectory series lengths disagree")
         if n > 1 and np.min(np.diff(self.times)) <= 0:
             raise ValueError("times must be strictly increasing")
@@ -105,13 +114,30 @@ class Trajectory:
 
 def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool) -> np.ndarray:
     """Strang composition: half-step phase exp(i dt/2 (|u|^4 - V)), the
-    linear flow `linear`, half-step phase again."""
+    linear flow `linear`, half-step phase again.  The phase factor is built
+    as cos + i sin in one complex buffer shared by both half steps."""
+    fac = np.empty_like(vec)
 
     def phase(u):
-        nl = np.abs(u) ** 4 if nonlinearity_on else 0.0
-        return u * np.exp(1j * (dt / 2.0) * (nl - V))
+        nl = np.square(u.real**2 + u.imag**2) if nonlinearity_on else 0.0
+        th = (dt / 2.0) * (nl - V)
+        np.cos(th, out=fac.real)
+        np.sin(th, out=fac.imag)
+        return u * fac
 
     return phase(linear(phase(vec)))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_kernels(L: float, N: int, stagger: bool, model: ModelSpec) -> tuple:
+    """Read-only step kernels of one line grid: the squared wavenumbers of
+    the half spectrum k[:N//2+1]**2, and V on the nodes (0.0 when V is zero
+    everywhere)."""
+    f = field_from_grid({"kind": "line", "L": L, "N": N, "stagger": stagger})
+    k2 = spectral_wavenumbers(f)[: N // 2 + 1] ** 2
+    V = potential_on_grid(model, f.x)
+    k2.flags.writeable = V.flags.writeable = False
+    return k2, (V if np.any(V) else 0.0)
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -125,12 +151,21 @@ def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
         raise ValueError("split-step handles only the free and inverse_power variants")
-    k = spectral_wavenumbers(f)
+    k2, V = _grid_kernels(f.L, f.N, f.stagger, model)
+    # exp(-i k^2 dt) on the half spectrum; k^2 is even, so the negative
+    # wavenumbers mirror it
+    n = f.N // 2
+    prop = np.empty(f.N, dtype=complex)
+    arg = -dt * k2
+    np.cos(arg, out=prop.real[: n + 1])
+    np.sin(arg, out=prop.imag[: n + 1])
+    prop[n + 1 :] = prop[n - 1 : 0 : -1]
 
     def linear(u):
-        return np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(u))
+        spec = np.fft.fft(u)
+        spec *= prop
+        return np.fft.ifft(spec)
 
-    V = potential_on_grid(model, f.x)
     return f.with_values(_strang(f.values, dt, V, linear, model.nonlinearity_on))
 
 

@@ -22,6 +22,7 @@ from .field import (
     derivative,
     lp_norm,
     p1_chain,
+    spectral_wavenumbers,
     tail_mass,
     tail_quad_weights,
 )
@@ -158,13 +159,21 @@ def _grad_field(f: Field, model: ModelSpec) -> Field:
 def kinetic_energy(f: Field, model: ModelSpec) -> float:
     """(1/2) integral of |du|^2.
 
-    Delta and graph variants use the piecewise-linear element form
-    sum |u_{i+1} - u_i|^2 / h along `p1_chain`, which is exactly the
-    quadratic form conserved by the Cayley scheme.
+    The spectral variants take it through Parseval from one FFT,
+    (h / 2N) sum k^2 |fft u|^2 without the Nyquist mode, the norm of the
+    spectral `derivative`.  Delta and graph variants use the piecewise-linear
+    element form sum |u_{i+1} - u_i|^2 / h along `p1_chain`, which is
+    exactly the quadratic form conserved by the Cayley scheme.
     """
     if model.uses_spectral():
-        du = derivative(f, "spectral").values
-        return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
+        require_geometry(f, model)
+        if f.N & (f.N - 1):
+            raise ValueError("spectral derivative needs N a power of two")
+        k = spectral_wavenumbers(f)
+        k[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
+        spec = np.fft.fft(f.values)
+        power = spec.real**2 + spec.imag**2
+        return 0.5 * f.h / f.N * float(np.dot(k * k, power))
     diff = np.diff(p1_chain(f, f.values, 0.0), axis=-1)
     return 0.5 * float(np.sum(np.abs(diff) ** 2) / f.h)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viriallab import cli
+from viriallab import soliton as sol
 from viriallab import virial_analysis as va
 from viriallab import weight as w
 
@@ -228,6 +229,21 @@ class TestGroundState:
 
     def test_zero_tol_rejected(self):
         assert cli.main(["ground-state", "--tol", "0"]) == 2
+
+    def test_not_converged_reported(self, tmp_path, monkeypatch, capsys):
+        def stalled(model, template, omega, tol):
+            return sol.GroundState(
+                field=template.sampled(lambda x: np.exp(-(x**2))), omega=omega,
+                residual=0.125, iterations=7, converged=False,
+            )
+
+        monkeypatch.setattr(sol, "ground_state_flow", stalled)
+        out = tmp_path / "gs"
+        assert cli.main(["ground-state", "--model", "free", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "residual 0.125" in err[0] and "7 iterations" in err[0]
+        assert json.loads((out / "record.json").read_text())["converged"] is False
 
 
 @pytest.mark.parametrize("argv", [

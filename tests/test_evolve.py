@@ -8,7 +8,15 @@ import scipy.sparse as sp
 from viriallab import cli
 from viriallab import evolve as ev
 from viriallab import functionals as fn
-from viriallab.field import GraphField, LineField, field_from_grid, lp_norm, tail_mass
+from viriallab.field import (
+    GraphField,
+    LineField,
+    derivative,
+    field_from_grid,
+    lp_norm,
+    spectral_wavenumbers,
+    tail_mass,
+)
 
 
 def soliton_field(L=16.0, N=2**12, lam=1.0, center=0.0):
@@ -65,6 +73,135 @@ class TestSplitStep:
         g = LineField.from_function(lambda x: np.zeros_like(x), 4.0, 48)
         with pytest.raises(ValueError):
             ev.step_splitstep(g, 1e-3, fn.ModelSpec.free())
+
+
+def ref_strang(vec, dt, V, linear, nonlinearity_on):
+    """The Strang composition with the complex-exponential phase
+    exp(i dt/2 (|u|^4 - V)) that the cos/sin phase replaced."""
+
+    def phase(u):
+        nl = np.abs(u) ** 4 if nonlinearity_on else 0.0
+        return u * np.exp(1j * (dt / 2.0) * (nl - V))
+
+    return phase(linear(phase(vec)))
+
+
+def ref_splitstep(f, dt, model):
+    """The split step that recomputed k, V and the full-spectrum propagator
+    on every call, kept as the reference for the cached kernels."""
+    k = spectral_wavenumbers(f)
+
+    def linear(u):
+        return np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(u))
+
+    V = fn.potential_on_grid(model, f.x)
+    return f.with_values(ref_strang(f.values, dt, V, linear, model.nonlinearity_on))
+
+
+def ref_step_cn(f, dt, H):
+    vec = ref_strang(
+        H.to_vector(f), dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on
+    )
+    return H.from_vector(vec, f)
+
+
+def ref_spectral_kinetic_energy(f):
+    """(1/2) sum h |du|^2 from the spectral derivative Field."""
+    du = derivative(f, "spectral").values
+    return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
+
+
+def rough_field(N, stagger=False, seed=0):
+    """Unit-size smooth profile plus noise in every Fourier mode."""
+    rng = np.random.default_rng(seed)
+    f = LineField.from_function(
+        lambda x: np.exp(-(x**2) / 4.0) * (1.0 + 0.3j * np.sin(x)), 16.0, N, stagger=stagger
+    )
+    return f.with_values(f.values + 0.1 * (rng.standard_normal(N) + 1j * rng.standard_normal(N)))
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+SPECTRAL_CASES = [
+    (fn.ModelSpec.free(), False),
+    (fn.ModelSpec.inverse_power(2.0, 0.5), True),
+    (fn.ModelSpec.free(nonlinearity_on=False), False),
+    (fn.ModelSpec.inverse_power(2.0, 0.5, nonlinearity_on=False), True),
+]
+
+
+class TestKernelPins:
+    """The cached split-step kernels, the cos/sin phase and the Parseval
+    gradient norm against the kernels they replaced."""
+
+    @pytest.mark.parametrize("N", [2**p for p in range(6, 16)])
+    def test_splitstep_matches_reference(self, N):
+        for model, stagger in SPECTRAL_CASES:
+            f = rough_field(N, stagger)
+            for dt in (1e-3, -1e-3):
+                new = ev.step_splitstep(f, dt, model).values
+                assert rel_err(new, ref_splitstep(f, dt, model).values) <= 1e-12
+
+    @pytest.mark.parametrize("N", [2**p for p in range(6, 16)])
+    def test_spectral_kinetic_energy_matches_derivative(self, N):
+        for model, stagger in SPECTRAL_CASES[:2]:
+            f = rough_field(N, stagger)
+            ref = ref_spectral_kinetic_energy(f)
+            assert fn.kinetic_energy(f, model) == pytest.approx(ref, rel=1e-12)
+
+    def test_strang_phase_matches_reference(self):
+        f = rough_field(2**10, stagger=True)
+        V = fn.potential_on_grid(fn.ModelSpec.inverse_power(2.0, 0.5), f.x)
+        for pot in (V, 0.0):
+            for on in (True, False):
+                for dt in (1e-2, -1e-2):
+                    new = ev._strang(f.values, dt, pot, lambda u: u, on)
+                    assert rel_err(new, ref_strang(f.values, dt, pot, lambda u: u, on)) <= 1e-12
+
+    def test_step_cn_matches_reference(self):
+        line = rough_field(2**9)
+        graph = GraphField.from_function(
+            lambda x: np.exp(-((x - 3.0) ** 2)) * (1.0 + 0.5j), 3, 10.0, 200
+        )
+        cases = [
+            (line, fn.ModelSpec.delta(1.0)),
+            (graph, fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=1.0))),
+        ]
+        for f, model in cases:
+            H = ev.assemble_hamiltonian(f, model)
+            for dt in (1e-3, -1e-3):
+                new = ev.step_cn(f, dt, H).values
+                assert rel_err(new, ref_step_cn(f, dt, H).values) <= 1e-12
+
+    def test_kinetic_energy_rejects_bad_grid(self):
+        f = LineField.from_function(lambda x: np.exp(-(x**2)), 4.0, 48)
+        with pytest.raises(ValueError, match="power of two"):
+            fn.kinetic_energy(f, fn.ModelSpec.free())
+        g = GraphField.from_function(lambda x: np.exp(-(x**2)), 3, 4.0, 48)
+        with pytest.raises(ValueError, match="needs a LineField"):
+            fn.kinetic_energy(g, fn.ModelSpec.free())
+
+    def test_cached_kernels_read_only(self):
+        k2, V = ev._grid_kernels(16.0, 2**8, True, fn.ModelSpec.inverse_power(2.0, 0.5))
+        assert k2.shape == (2**7 + 1,)
+        for arr in (k2, V):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert ev._grid_kernels(16.0, 2**8, True, fn.ModelSpec.free())[1] == 0.0
+
+    def test_cache_keyed_on_model(self):
+        f = rough_field(2**8, stagger=True)
+        models = (fn.ModelSpec.free(), fn.ModelSpec.inverse_power(2.0, 0.5))
+        fresh = []
+        for model in models:
+            ev._grid_kernels.cache_clear()
+            fresh.append(ev.step_splitstep(f, 1e-3, model).values)
+        ev._grid_kernels.cache_clear()
+        for model, ref in zip(models, fresh):  # free, then inverse_power on the same grid
+            assert np.array_equal(ev.step_splitstep(f, 1e-3, model).values, ref)
 
 
 def lil_assembly(template, model):
@@ -370,3 +507,24 @@ class TestPersistence:
         assert back.model.vertex.gamma == 1.0
         for a, b in zip(back.snapshots, traj.snapshots):
             assert np.max(np.abs(a.values - b.values)) < 1e-15
+
+
+class TestTrajectory:
+    def test_grad_series_length_checked(self):
+        # a third snapshot past amp_cap with only two gradient entries would
+        # otherwise be cut off by zip in detect_blowup and read "completed"
+        f = soliton_field(N=2**6)
+        snaps = [f, f, f.with_values(2e6 * f.values)]
+        kwargs = dict(
+            times=np.array([0.0, 0.1, 0.2]),
+            snapshots=snaps,
+            mass_series=np.ones(3),
+            energy_series=np.ones(3),
+            verdict=ev.BlowupVerdict("completed"),
+            model=fn.ModelSpec.free(),
+            config=ev.SolverConfig(),
+        )
+        with pytest.raises(ValueError, match="lengths disagree"):
+            ev.Trajectory(grad_series=np.ones(2), **kwargs)
+        traj = ev.Trajectory(grad_series=np.ones(3), **kwargs)
+        assert ev.detect_blowup(traj).trigger == "amplitude_cap"
