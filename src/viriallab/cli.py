@@ -4,7 +4,8 @@ Subcommands: weight-check, simulate, virial-report, blowup-scan,
 ground-state.  Exit codes: 0 success, 1 failed check or aborted run,
 2 bad arguments or config, 10 blow-up detected (the expected outcome of
 the negative-energy scenarios).  The env var VIRIALLAB_OUT overrides the
-output root for relative --out paths.  All outputs are deterministic.
+output root for relative --out paths and for the relative trajectory
+directory virial-report reads.  All outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -158,11 +159,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_virial_report(args) -> int:
-    src = pathlib.Path(args.trajectory)
-    if not (src / "summary.json").exists():
-        print(f"error: no trajectory at {src}", file=sys.stderr)
+    src = _out_path(args.trajectory, args.trajectory)  # where simulate --out wrote it
+    try:
+        traj = ev.load_trajectory(src)
+    except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: cannot load trajectory at {src}: {exc}", file=sys.stderr)
         return EXIT_BADARGS
-    traj = ev.load_trajectory(src)
     if args.R == "auto":
         try:
             R, _, eta_tilde = va.find_R(traj.snapshots[0], traj.model)

@@ -16,6 +16,13 @@ propagator is filled as cos + i sin on the half spectrum and mirrored, and
 both half phases are cos + i sin in one buffer.  The gradient norm that the
 trigger reads on every step comes from one FFT through Parseval
 (`functionals.kinetic_energy`), with no derivative field built.
+
+A stored trajectory is a directory of three files: series.csv (t, mass,
+energy, gradient norm and optionally the tail mass, one row per
+snapshot), summary.json (grid, model, solver config, verdict, drifts,
+n_snapshots) and snapshots.npy, every snapshot in one uncompressed
+complex128 array written by `numpy.save` and read back with
+allow_pickle=False.
 """
 
 from __future__ import annotations
@@ -36,10 +43,8 @@ from .field import (
     field_from_grid,
     lp_norm,
     p1_chain,
-    read_snapshot,
     spectral_wavenumbers,
     tail_mass,
-    write_snapshot,
 )
 from .functionals import (
     ModelSpec,
@@ -361,9 +366,13 @@ def _fmt(x: float) -> str:
 
 
 def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
-    """Write series.csv, snapshots/NNNN.csv and summary.json."""
+    """Write series.csv, snapshots.npy and summary.json.
+
+    snapshots.npy is one uncompressed complex128 array of shape
+    (n_snapshots, *grid shape): (n, N) on a line, (n, J, M+1) on a graph
+    (vertex node first on each edge, as `GraphField.values`)."""
     out = pathlib.Path(outdir)
-    (out / "snapshots").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     head = ["t", "mass", "energy", "grad_norm"]
     cols = [traj.times, traj.mass_series, traj.energy_series, traj.grad_series]
     if R is not None:
@@ -373,8 +382,7 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
         out / "series.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
         newline="\r\n", header=",".join(head), comments="",
     )
-    for i, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, out / "snapshots" / f"{i:04d}.csv")
+    np.save(out / "snapshots.npy", np.stack([s.values for s in traj.snapshots]))
     mdrift = float(np.max(np.abs(traj.mass_series - traj.mass_series[0]))) / max(
         traj.mass_series[0], 1e-300
     )
@@ -392,20 +400,28 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
 
 
 def load_trajectory(indir) -> Trajectory:
+    """Read back a `save_trajectory` directory; ValueError when
+    snapshots.npy is not a complex array of shape (n_snapshots, *grid
+    shape) or series.csv does not hold n_snapshots rows."""
     src = pathlib.Path(indir)
     with open(src / "summary.json") as fh:
         summary = json.load(fh)
     model = ModelSpec.from_dict(summary["model"])
     cfg = SolverConfig(**summary["config"])
     template = field_from_grid(summary["grid"])
+    n = summary["n_snapshots"]
     series = np.loadtxt(src / "series.csv", delimiter=",", skiprows=1, ndmin=2)
-    snapshots = [
-        read_snapshot(src / "snapshots" / f"{i:04d}.csv", template)
-        for i in range(summary["n_snapshots"])
-    ]
+    if len(series) != n:
+        raise ValueError(f"series.csv has {len(series)} rows, summary.json {n} snapshots")
+    values = np.load(src / "snapshots.npy", allow_pickle=False)
+    shape = (n, *np.shape(template.values))
+    if values.shape != shape:
+        raise ValueError(f"snapshots.npy has shape {values.shape}, expected {shape}")
+    if values.dtype.kind != "c":
+        raise ValueError(f"snapshots.npy has dtype {values.dtype}, expected complex")
     return Trajectory(
         times=series[:, 0],
-        snapshots=snapshots,
+        snapshots=[template.with_values(v) for v in values],
         mass_series=series[:, 1],
         energy_series=series[:, 2],
         grad_series=series[:, 3],

@@ -11,8 +11,8 @@ Both classes expose the same seam: node coordinates `x`, samples `values`,
 quadrature weights `quad_weights` (all on the nodes of one edge for graphs,
 so `x` and `quad_weights` of shape (M+1,) broadcast against `values` of
 shape (J, M+1)), `with_values` and `sampled`.  `GraphField.values` is a
-derived, read-only array assembled from the stored `vertex_values` and
-`edge_values`; write through `with_values`.
+read-only view of the one (J, M+1) array each field owns; `vertex_values`
+and `edge_values` are writable views of its first column and the rest.
 """
 
 from __future__ import annotations
@@ -89,20 +89,27 @@ class GraphField:
     shared_vertex: bool = True
 
     def __post_init__(self):
-        self.vertex_values = np.asarray(self.vertex_values, dtype=complex)
-        self.edge_values = np.asarray(self.edge_values, dtype=complex)
         if self.J < 1 or self.M < 3 or not (self.Ledge > 0):
             raise ValueError("need J >= 1, M >= 3, Ledge > 0")
-        if self.vertex_values.shape != (self.J,):
+        if np.shape(self.vertex_values) != (self.J,):
             raise ValueError("vertex_values must have shape (J,)")
-        if self.edge_values.shape != (self.J, self.M):
+        if np.shape(self.edge_values) != (self.J, self.M):
             raise ValueError("edge_values must have shape (J, M)")
-        if not (np.all(np.isfinite(self.vertex_values)) and np.all(np.isfinite(self.edge_values))):
+        # one (J, M+1) array owned by this field; the two stored parts are
+        # views of it, so a write to either shows in `values`
+        vals = np.empty((self.J, self.M + 1), dtype=complex)
+        vals[:, 0] = self.vertex_values
+        vals[:, 1:] = self.edge_values
+        if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite field values")
-        if self.shared_vertex and np.max(np.abs(self.vertex_values - self.vertex_values[0])) > 1e-12 * (
-            1.0 + np.max(np.abs(self.vertex_values))
+        vertex = vals[:, 0]
+        if self.shared_vertex and np.max(np.abs(vertex - vertex[0])) > 1e-12 * (
+            1.0 + np.max(np.abs(vertex))
         ):
             raise ValueError("shared vertex requires equal values on all edges")
+        self.vertex_values, self.edge_values = vertex, vals[:, 1:]
+        self._values = vals.view()
+        self._values.flags.writeable = False
 
     @property
     def h(self) -> float:
@@ -115,8 +122,9 @@ class GraphField:
 
     @property
     def values(self) -> np.ndarray:
-        """(J, M+1) array: vertex value prepended to each edge."""
-        return np.concatenate([self.vertex_values[:, None], self.edge_values], axis=1)
+        """Read-only (J, M+1) array: vertex value, then the edge nodes, on
+        each edge."""
+        return self._values
 
     @property
     def quad_weights(self) -> np.ndarray:
@@ -126,13 +134,11 @@ class GraphField:
         return wq
 
     def with_values(self, values: np.ndarray) -> "GraphField":
-        values = np.asarray(values, dtype=complex)
-        return replace(self, vertex_values=values[:, 0].copy(), edge_values=values[:, 1:].copy())
+        values = np.asarray(values)
+        return replace(self, vertex_values=values[:, 0], edge_values=values[:, 1:])
 
     def copy(self) -> "GraphField":
-        return replace(
-            self, vertex_values=self.vertex_values.copy(), edge_values=self.edge_values.copy()
-        )
+        return replace(self)  # __post_init__ copies into a fresh array
 
     def sampled(self, f) -> "GraphField":
         """The samples f(x) on every edge, with the Dirichlet zero at the far node."""
@@ -227,7 +233,10 @@ def spectral_wavenumbers(f: LineField) -> np.ndarray:
 def derivative(f: Field, method: str = "auto") -> Field:
     """Spatial derivative: Fourier multiplier on the line ("auto" picks it
     when N is a power of two), second-order finite differences on graphs
-    and on the line with method="fd"."""
+    and on the line with method="fd".  A spectral derivative of a graph
+    field is a ValueError."""
+    if method == "spectral" and not isinstance(f, LineField):
+        raise ValueError("spectral derivative needs a line field")
     if isinstance(f, LineField) and method in ("auto", "spectral"):
         if _is_pow2(f.N):
             ik = 1j * spectral_wavenumbers(f)

@@ -138,7 +138,7 @@ class TestSimulate:
 
 
 class TestVirialReport:
-    def run_quick(self, tmp_path):
+    def run_quick(self, tmp_path, out=None):
         sc = {
             "name": "smooth",
             "model": {"variant": "free"},
@@ -152,7 +152,7 @@ class TestVirialReport:
         }
         p = tmp_path / "smooth.json"
         p.write_text(json.dumps(sc))
-        out = tmp_path / "smooth_run"
+        out = out or tmp_path / "smooth_run"
         assert cli.main(["simulate", str(p), "--out", str(out)]) == 0
         return out
 
@@ -168,8 +168,31 @@ class TestVirialReport:
         out = self.run_quick(tmp_path)
         assert cli.main(["virial-report", str(out), "--R", "-1"]) == 2
 
+    def test_relative_trajectory_under_output_root(self, tmp_path, monkeypatch):
+        # the README workflow with relative paths: virial-report finds what
+        # simulate wrote under $VIRIALLAB_OUT, not under the working directory
+        monkeypatch.chdir(tmp_path)
+        self.run_quick(tmp_path, out="rel_run")
+        assert cli.main(["virial-report", "rel_run", "--R", "8"]) == 0
+        assert (tmp_path / "out" / "rel_run" / "virial_summary.json").exists()
+
     def test_missing_trajectory(self, tmp_path):
         assert cli.main(["virial-report", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda out: (out / "snapshots.npy").unlink(),
+        lambda out: (out / "snapshots.npy").write_bytes((out / "snapshots.npy").read_bytes()[:-16]),
+        lambda out: np.save(out / "snapshots.npy", np.load(out / "snapshots.npy")[:, ::2]),
+        lambda out: (out / "series.csv").write_text(
+            "".join((out / "series.csv").read_text().splitlines(keepends=True)[:-1])
+        ),
+        lambda out: (out / "summary.json").write_text("{"),
+    ], ids=["missing_file", "truncated_file", "wrong_shape", "count_mismatch", "bad_summary"])
+    def test_unloadable_trajectory(self, tmp_path, capsys, damage):
+        out = self.run_quick(tmp_path)
+        damage(out)
+        assert cli.main(["virial-report", str(out), "--R", "8.0"]) == 2
+        assert f"error: cannot load trajectory at {out}: " in capsys.readouterr().err
 
     def test_auto_R_evaluates_invariants_once(self, tmp_path, monkeypatch, capsys):
         p = quick_scenario(tmp_path, name="neg", lam=1.3, T=0.05)

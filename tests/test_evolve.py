@@ -472,18 +472,32 @@ class TestRun:
             ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
 
 
+def assert_same_trajectory(back, traj):
+    """Bit-identical snapshots and series after a save/load round trip."""
+    for name in ("times", "mass_series", "energy_series", "grad_series"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+    assert len(back.snapshots) == len(traj.snapshots)
+    for a, b in zip(back.snapshots, traj.snapshots):
+        assert type(a) is type(b)
+        assert a.grid_spec() == b.grid_spec()
+        assert np.array_equal(a.values, b.values)
+
+
+def saved_line_run(path):
+    traj = ev.run(
+        soliton_field(N=2**8, L=10.0), fn.ModelSpec.free(),
+        ev.SolverConfig(T_end=0.02, snapshot_stride=5),
+    )
+    ev.save_trajectory(traj, path, R=2.0)
+    return traj
+
+
 class TestPersistence:
     def test_roundtrip_line(self, tmp_path):
-        f = soliton_field(N=2**8, L=10.0)
-        cfg = ev.SolverConfig(T_end=0.02, snapshot_stride=5)
-        traj = ev.run(f, fn.ModelSpec.free(), cfg)
-        ev.save_trajectory(traj, tmp_path, R=2.0)
+        traj = saved_line_run(tmp_path)
         back = ev.load_trajectory(tmp_path)
-        assert np.allclose(back.times, traj.times)
-        assert np.allclose(back.mass_series, traj.mass_series)
+        assert_same_trajectory(back, traj)
         assert back.verdict.status == traj.verdict.status
-        for a, b in zip(back.snapshots, traj.snapshots):
-            assert np.max(np.abs(a.values - b.values)) < 1e-15
         # byte reference: the row-by-row csv.writer form of series.csv
         ref = io.StringIO(newline="")
         wr = csv.writer(ref)
@@ -493,6 +507,8 @@ class TestPersistence:
             row.append(tail_mass(traj.snapshots[i], 2.0))
             wr.writerow([f"{float(v):.17g}" for v in row])
         assert (tmp_path / "series.csv").read_bytes() == ref.getvalue().encode()
+        stored = np.load(tmp_path / "snapshots.npy", allow_pickle=False)
+        assert stored.dtype == np.complex128 and stored.shape == (len(traj.times), 2**8)
 
     def test_roundtrip_graph(self, tmp_path):
         g = GraphField.from_function(
@@ -505,8 +521,24 @@ class TestPersistence:
         back = ev.load_trajectory(tmp_path)
         assert back.model.variant == "graph"
         assert back.model.vertex.gamma == 1.0
-        for a, b in zip(back.snapshots, traj.snapshots):
-            assert np.max(np.abs(a.values - b.values)) < 1e-15
+        assert_same_trajectory(back, traj)
+        stored = np.load(tmp_path / "snapshots.npy", allow_pickle=False)
+        assert stored.shape == (len(traj.times), 3, 101)
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda a, rows: (a[:, :-1], rows), "shape"),
+        (lambda a, rows: (a[:-1], rows), "shape"),
+        (lambda a, rows: (a.real, rows), "dtype"),
+        (lambda a, rows: (a, rows[:-1]), "rows"),
+    ], ids=["grid_shape", "snapshot_count", "real_dtype", "series_rows"])
+    def test_rejects_bad_snapshot_file(self, tmp_path, damage, match):
+        saved_line_run(tmp_path)
+        npy, series = tmp_path / "snapshots.npy", tmp_path / "series.csv"
+        a, rows = damage(np.load(npy), series.read_bytes().splitlines(keepends=True))
+        np.save(npy, a)
+        series.write_bytes(b"".join(rows))
+        with pytest.raises(ValueError, match=match):
+            ev.load_trajectory(tmp_path)
 
 
 class TestTrajectory:

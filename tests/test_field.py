@@ -80,6 +80,11 @@ class TestDerivative:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
+    def test_spectral_on_graph_rejected(self):
+        g = GraphField.from_function(lambda x: np.exp(-((x - 4.0) ** 2)), 3, 12.0, 200)
+        with pytest.raises(ValueError, match="line field"):
+            derivative(g, "spectral")
+
     def test_linearity(self):
         rng = np.random.default_rng(1)
         base = LineField(L=5.0, N=128, values=np.zeros(128))
@@ -88,6 +93,29 @@ class TestDerivative:
         lhs = derivative(f.with_values(2.0 * f.values + 3.0j * g.values)).values
         rhs = 2.0 * derivative(f).values + 3.0j * derivative(g).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestGraphValues:
+    def test_edge_write_shows_in_values(self):
+        g = GraphField.from_function(lambda x: np.exp(-x), 3, 5.0, 50)
+        g.edge_values[1, 4] = 7.0 - 2.0j
+        g.vertex_values[:] = 0.5
+        assert g.values[1, 5] == 7.0 - 2.0j
+        assert np.all(g.values[:, 0] == 0.5)
+
+    def test_values_read_only(self):
+        g = GraphField.from_function(lambda x: np.exp(-x), 3, 5.0, 50)
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[0, 1] = 1.0
+
+    def test_fields_share_no_memory(self):
+        vertex, edges = np.ones(2, dtype=complex), np.ones((2, 4), dtype=complex)
+        a = GraphField(J=2, Ledge=1.0, M=4, vertex_values=vertex, edge_values=edges)
+        b = GraphField(J=2, Ledge=1.0, M=4, vertex_values=vertex, edge_values=edges)
+        c = a.with_values(a.values)
+        for x, y in [(a, b), (a, c), (a, a.copy())]:
+            assert not np.shares_memory(x.values, y.values)
+        assert not np.shares_memory(a.values, vertex) and not np.shares_memory(a.values, edges)
 
 
 class TestTailMass:
