@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from viriallab import cli
 from viriallab import evolve as ev
@@ -98,9 +99,18 @@ def ref_splitstep(f, dt, model):
     return f.with_values(ref_strang(f.values, dt, V, linear, model.nonlinearity_on))
 
 
+def ref_cayley_solve(H, vec, dt):
+    """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec with the right-hand side built
+    by a sparse matvec with K, the form the matvec-free solve replaced; kept
+    as the reference, with a factor of its own."""
+    A = sp.diags(H.Mdiag).astype(complex) + 0.5j * dt * H.K
+    b = H.Mdiag * vec - 0.5j * dt * (H.K @ vec)
+    return splu(A.tocsc()).solve(b)
+
+
 def ref_step_cn(f, dt, H):
     vec = ref_strang(
-        H.to_vector(f), dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on
+        H.to_vector(f), dt, 0.0, lambda v: ref_cayley_solve(H, v, dt), H.model.nonlinearity_on
     )
     return H.from_vector(vec, f)
 
@@ -402,6 +412,80 @@ class TestCayleyStep:
         assert err < 1e-9
 
 
+VERTEX_CONDITIONS = [
+    fn.VertexCondition("kirchhoff"),
+    fn.VertexCondition("dirac_delta", gamma=0.7),
+    fn.VertexCondition("dirac_delta", gamma=-0.5),
+    fn.VertexCondition("delta_prime", gamma=2.0),
+    fn.VertexCondition("delta_prime", gamma=-3.0),
+]
+CAYLEY_DTS = (1e-3, -1e-3, 0.5, 1e-6)
+
+
+def rough_graph(J, shared, M=96, seed=0):
+    """A different noisy profile on each edge, the Dirichlet zero at the far
+    node, and one vertex value on a shared grid."""
+    rng = np.random.default_rng(seed)
+    t = field_from_grid({"kind": "graph", "J": J, "Ledge": 8.0, "M": M, "shared_vertex": shared})
+    prof = np.exp(-((t.x - 2.0) ** 2) / 2.0) * (1.0 + 0.4j * np.sin(t.x))
+    vals = prof * (1.0 + 0.3 * np.arange(J))[:, None]
+    vals = vals + 0.1 * (rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape))
+    if shared:
+        vals[:, 0] = vals[0, 0]
+    vals[:, -1] = 0.0
+    return t.with_values(vals)
+
+
+def cayley_cases():
+    for gamma in (0.0, 1.3, -2.0):
+        yield pytest.param(rough_field(2**9), fn.ModelSpec.delta(gamma), id=f"line-delta{gamma}")
+    for J in (1, 2, 3, 4):
+        for vc in VERTEX_CONDITIONS:
+            for shared in (True, False):
+                name = f"graph-J{J}-{vc.kind}{vc.gamma}-{'shared' if shared else 'unshared'}"
+                yield pytest.param(rough_graph(J, shared, seed=J), fn.ModelSpec.graph(vc), id=name)
+
+
+class TestCayleyPins:
+    """The matvec-free Cayley flow 2 (M + i dt/2 K)^{-1} M v - v against the
+    solve with the explicit right-hand side (M - i dt/2 K) v."""
+
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_matches_matvec_reference(self, f, model):
+        H = ev.assemble_hamiltonian(f, model)
+        rng = np.random.default_rng(1)
+        n = len(H.Mdiag)
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # a delta' vertex holds one value per edge, which a shared grid cannot
+        # store, so there only the coefficient vector is stepped
+        holds_step = not (
+            model.variant == "graph" and f.shared_vertex and not model.vertex.is_continuity_type
+        )
+        for dt in CAYLEY_DTS:
+            assert rel_err(H.cayley_solve(vec, dt), ref_cayley_solve(H, vec, dt)) <= 1e-12
+            if holds_step:
+                new = ev.step_cn(f, dt, H).values
+                assert rel_err(new, ref_step_cn(f, dt, H).values) <= 1e-12
+
+    @pytest.mark.parametrize("graph", [False, True], ids=["delta-line", "graph-3-edge"])
+    def test_discrete_mass_conserved(self, graph):
+        if graph:
+            f = rough_graph(3, True, M=200)
+            model = fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=-0.5))
+        else:
+            f = soliton_field(L=12.0, N=2**9)
+            model = fn.ModelSpec.delta(1.3)
+        H = ev.assemble_hamiltonian(f, model)
+
+        def discrete_mass(u):
+            return float(np.sum(H.Mdiag * np.abs(H.to_vector(u)) ** 2))
+
+        m0 = discrete_mass(f)
+        for _ in range(2000):
+            f = ev.step_cn(f, 1e-3, H)
+        assert abs(discrete_mass(f) - m0) <= 1e-12 * m0
+
+
 class TestRun:
     def test_zero_data_completes(self):
         f = LineField.from_function(lambda x: np.zeros_like(x), 8.0, 2**6)
@@ -462,6 +546,26 @@ class TestRun:
         traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
+
+    @pytest.mark.parametrize(
+        "geometry,T_end", [("line", 1.11), ("line", 2.0), ("graph", 1.11)]
+    )
+    def test_rounding_remainder_at_T_end_completes(self, geometry, T_end):
+        # t falls short of T_end by more than T_end * 1e-14 but less than
+        # dt_min: the run completes, and the step before that remainder lands
+        # on T_end, so no snapshot sits a rounding error before the last one
+        def prof(x):
+            return 0.3 * np.exp(-(x**2))
+
+        if geometry == "line":
+            f, model = LineField.from_function(prof, 20.0, 256), fn.ModelSpec.free()
+        else:
+            f = GraphField.from_function(prof, 3, 10.0, 100)
+            model = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
+        traj = ev.run(f, model, ev.SolverConfig(T_end=T_end, snapshot_stride=10))
+        assert traj.verdict.status == "completed"
+        assert traj.times[-1] == pytest.approx(T_end, abs=1e-12)
+        assert np.allclose(np.diff(traj.times), 1e-2, rtol=0.0, atol=1e-12)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(f, dt, model):
