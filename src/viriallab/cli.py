@@ -178,9 +178,6 @@ def cmd_virial_report(args) -> int:
         except ValueError:
             print(f"error: bad R {args.R!r}", file=sys.stderr)
             return EXIT_BADARGS
-        if R <= 0:
-            print("error: R must be positive", file=sys.stderr)
-            return EXIT_BADARGS
     try:
         rep = va.report(traj, R, traj.model)
     except ValueError as exc:
@@ -188,20 +185,14 @@ def cmd_virial_report(args) -> int:
         return EXIT_BADARGS
     out = _out_path(args.out, src.name + "_virial") if args.out else src
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "virial_report.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["t", "I", "Iprime_formula", "Isecond_fd", "rhs", "residual",
-             "tail_mass", "checked", "satisfied"]
-        )
-        for i, t in enumerate(rep.times):
-            snap = traj.snapshots[1 + i]
-            wr.writerow(
-                [_fmt(t), _fmt(rep.I[i]), _fmt(rep.Iprime_formula[i]),
-                 _fmt(rep.Isecond_fd[i]), _fmt(rep.rhs_formula[i]),
-                 _fmt(rep.residual[i]), _fmt(tail_mass(snap, R)),
-                 int(rep.ineq_checked[i]), int(rep.ineq_satisfied[i])]
-            )
+    cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula,
+            rep.residual, [tail_mass(s, R) for s in traj.snapshots[1:-1]],
+            rep.ineq_checked, rep.ineq_satisfied]
+    np.savetxt(
+        out / "virial_report.csv", np.column_stack(cols), fmt=["%.17g"] * 7 + ["%d"] * 2,
+        delimiter=",", newline="\r\n", comments="",
+        header="t,I,Iprime_formula,Isecond_fd,rhs,residual,tail_mass,checked,satisfied",
+    )
     summary = {
         "R": rep.R,
         "eta": rep.eta,

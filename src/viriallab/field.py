@@ -230,24 +230,22 @@ def spectral_wavenumbers(f: LineField) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(f.N, d=f.h)
 
 
-def derivative(f: Field, method: str = "auto") -> Field:
-    """Spatial derivative: Fourier multiplier on the line ("auto" picks it
-    when N is a power of two), second-order finite differences on graphs
-    and on the line with method="fd".  A spectral derivative of a graph
-    field is a ValueError."""
-    if method == "spectral" and not isinstance(f, LineField):
+def derivative(f: Field, method: str) -> np.ndarray:
+    """Samples of the spatial derivative, shaped like f.values: second-order
+    finite differences along each edge or the line ("fd"), or the Fourier
+    multiplier on a line field with N a power of two ("spectral").  Any
+    other method, or a spectral derivative on another grid, is a ValueError."""
+    if method == "fd":
+        return np.gradient(f.values, f.h, axis=-1, edge_order=2)
+    if method != "spectral":
+        raise ValueError(f"unknown derivative method {method!r}")
+    if not isinstance(f, LineField):
         raise ValueError("spectral derivative needs a line field")
-    if isinstance(f, LineField) and method in ("auto", "spectral"):
-        if _is_pow2(f.N):
-            ik = 1j * spectral_wavenumbers(f)
-            ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
-            return f.with_values(np.fft.ifft(ik * np.fft.fft(f.values)))
-        if method == "spectral":
-            raise ValueError("spectral derivative needs N a power of two")
-    dvals = np.gradient(f.values, f.h, axis=-1, edge_order=2)
-    if isinstance(f, GraphField):
-        f = replace(f, shared_vertex=False)  # one-sided slopes differ per edge
-    return f.with_values(dvals)
+    if not _is_pow2(f.N):
+        raise ValueError("spectral derivative needs N a power of two")
+    ik = 1j * spectral_wavenumbers(f)
+    ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
+    return np.fft.ifft(ik * np.fft.fft(f.values))
 
 
 def p1_chain(f: Field, a: np.ndarray, zero) -> np.ndarray:

@@ -54,23 +54,15 @@ def inequality_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot (checked, satisfied, rhs) for the decay inequality
     rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0."""
-    thresh = a0()
     bound = 16.0 * E + 2.0 * eta_val + INEQ_SLACK * (1.0 + abs(E))
-    checked, satisfied, rhs = [], [], []
-    for s in snapshots:
-        r = virial_rhs(s, R, model)
-        c = tail_mass(s, R) <= thresh
-        checked.append(c)
-        satisfied.append((not c) or r <= bound)
-        rhs.append(r)
-    return np.array(checked), np.array(satisfied), np.array(rhs)
+    rhs = np.array([virial_rhs(s, R, model) for s in snapshots])
+    checked = np.array([tail_mass(s, R) for s in snapshots]) <= a0()
+    return checked, ~checked | (rhs <= bound), rhs
 
 
 def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     """Identity check on the interior snapshots of a uniformly spaced
     trajectory: I'' by centered differences of I against the formula rhs."""
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
     n = len(traj.snapshots)
     if n < 3:
         raise ValueError("need at least 3 snapshots")

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from viriallab import cli
+from viriallab import evolve as ev
+from viriallab import functionals as fn
 from viriallab import soliton as sol
 from viriallab import virial_analysis as va
 from viriallab import weight as w
+from viriallab.field import tail_mass
 
 
 def quick_scenario(tmp_path, name="quick", lam=1.0, T=0.05, model=None):
@@ -163,6 +168,26 @@ class TestVirialReport:
         summary = json.loads((out / "virial_summary.json").read_text())
         assert summary["max_residual"] < 1e-2
         assert summary["violations"] == 0
+
+    @pytest.mark.parametrize("R", [8.0, 0.1])
+    def test_report_bytes_match_csv_writer(self, tmp_path, R):
+        # R = 0.1 leaves the snapshots unchecked, so both flag values appear
+        out = self.run_quick(tmp_path)
+        cli.main(["virial-report", str(out), "--R", str(R)])
+        traj = ev.load_trajectory(out)
+        rep = va.report(traj, R, traj.model)
+        # byte reference: the row-by-row csv.writer form of virial_report.csv
+        ref = io.StringIO(newline="")
+        wr = csv.writer(ref)
+        wr.writerow(["t", "I", "Iprime_formula", "Isecond_fd", "rhs", "residual",
+                     "tail_mass", "checked", "satisfied"])
+        for i, t in enumerate(rep.times):
+            row = [t, rep.I[i], rep.Iprime_formula[i], rep.Isecond_fd[i], rep.rhs_formula[i],
+                   rep.residual[i], tail_mass(traj.snapshots[1 + i], R)]
+            wr.writerow([f"{float(v):.17g}" for v in row]
+                        + [int(rep.ineq_checked[i]), int(rep.ineq_satisfied[i])])
+        assert (out / "virial_report.csv").read_bytes() == ref.getvalue().encode()
+        assert np.any(rep.ineq_checked) != (R == 0.1)
 
     def test_bad_R(self, tmp_path):
         out = self.run_quick(tmp_path)

@@ -117,7 +117,7 @@ def ref_step_cn(f, dt, H):
 
 def ref_spectral_kinetic_energy(f):
     """(1/2) sum h |du|^2 from the spectral derivative Field."""
-    du = derivative(f, "spectral").values
+    du = derivative(f, "spectral")
     return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from viriallab.field import (
     GraphField,
     LineField,
     derivative,
+    field_from_grid,
     lp_norm,
     tail_mass,
     tail_quad_weights,
@@ -62,21 +64,21 @@ class TestDerivative:
     def test_spectral_exactness_sine(self):
         L, N = 4.0, 256
         f = LineField.from_function(lambda x: np.sin(np.pi * x / L), L, N)
-        df = derivative(f)
+        df = derivative(f, "spectral")
         expect = (np.pi / L) * np.cos(np.pi * f.x / L)
-        assert np.max(np.abs(df.values - expect)) < 1e-10
+        assert np.max(np.abs(df - expect)) < 1e-10
 
     def test_constant_maps_to_zero(self):
         f = LineField.from_function(lambda x: np.ones_like(x), 3.0, 64)
-        assert np.max(np.abs(derivative(f).values)) < 1e-12
+        assert np.max(np.abs(derivative(f, "spectral"))) < 1e-12
 
     def test_graph_fd_second_order(self):
         errs = []
         for M in (200, 400, 800):
             g = GraphField.from_function(lambda x: np.exp(-((x - 4.0) ** 2)), 1, 12.0, M)
-            dg = derivative(g)
+            dg = derivative(g, "fd")
             expect = -2 * (g.x - 4.0) * np.exp(-((g.x - 4.0) ** 2))
-            errs.append(np.max(np.abs(dg.values[0] - expect)))
+            errs.append(np.max(np.abs(dg[0] - expect)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
@@ -90,9 +92,63 @@ class TestDerivative:
         base = LineField(L=5.0, N=128, values=np.zeros(128))
         f = base.with_values(rng.standard_normal(128) + 1j * rng.standard_normal(128))
         g = base.with_values(rng.standard_normal(128) + 1j * rng.standard_normal(128))
-        lhs = derivative(f.with_values(2.0 * f.values + 3.0j * g.values)).values
-        rhs = 2.0 * derivative(f).values + 3.0j * derivative(g).values
+        lhs = derivative(f.with_values(2.0 * f.values + 3.0j * g.values), "spectral")
+        rhs = 2.0 * derivative(f, "spectral") + 3.0j * derivative(g, "spectral")
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+def reference_derivative(f, method="auto"):
+    """The Field-returning derivative this package had before `derivative`
+    returned samples, kept as the bitwise reference."""
+    if method == "spectral" and not isinstance(f, LineField):
+        raise ValueError("spectral derivative needs a line field")
+    if isinstance(f, LineField) and method in ("auto", "spectral"):
+        if f.N >= 2 and (f.N & (f.N - 1)) == 0:
+            ik = 1j * 2.0 * np.pi * np.fft.fftfreq(f.N, d=f.h)
+            ik[f.N // 2] = 0.0
+            return f.with_values(np.fft.ifft(ik * np.fft.fft(f.values)))
+        if method == "spectral":
+            raise ValueError("spectral derivative needs N a power of two")
+    dvals = np.gradient(f.values, f.h, axis=-1, edge_order=2)
+    if isinstance(f, GraphField):
+        f = dataclasses.replace(f, shared_vertex=False)
+    return f.with_values(dvals)
+
+
+def rough_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestDerivativeMatchesReference:
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    @pytest.mark.parametrize("stagger", [False, True])
+    @pytest.mark.parametrize("N", [2**k for k in range(6, 13)])
+    def test_line(self, N, stagger, method):
+        base = LineField(L=7.5, N=N, values=np.zeros(N), stagger=stagger)
+        f = base.with_values(rough_values(N, seed=N))
+        new = derivative(f, method)
+        assert isinstance(new, np.ndarray)
+        assert np.array_equal(new, reference_derivative(f, method).values)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_graph_fd(self, J, shared):
+        spec = {"kind": "graph", "J": J, "Ledge": 6.0, "M": 80, "shared_vertex": shared}
+        vals = rough_values((J, 81), seed=J)
+        vals[:, 0] = vals[0, 0] if shared else vals[:, 0]
+        vals[:, -1] = 0.0
+        g = field_from_grid(spec).with_values(vals)
+        assert np.array_equal(derivative(g, "fd"), reference_derivative(g, "fd").values)
+
+    @pytest.mark.parametrize("method", ["auto", "Spectral", "", None])
+    def test_other_methods_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown derivative method"):
+            derivative(gaussian_line(N=64), method)
+
+    def test_spectral_needs_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            derivative(gaussian_line(N=48), "spectral")
 
 
 class TestGraphValues:

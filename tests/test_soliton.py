@@ -30,7 +30,7 @@ class TestExactQ:
             f = line_template(L=L)
             vals = sum(sol.exact_Q(omega, f.x + s * 2 * f.L) for s in (-1, 0, 1))
             q = f.with_values(vals)
-            qxx = derivative(derivative(q)).values.real
+            qxx = derivative(q.with_values(derivative(q, "spectral")), "spectral").real
             res = qxx - omega * vals + vals**5
             assert np.max(np.abs(res)) < 1e-9
 

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from viriallab import cli
 from viriallab import evolve as ev
 from viriallab import functionals as fn
 from viriallab import soliton as sol
 from viriallab import virial_analysis as va
 from viriallab import weight as w
-from viriallab.field import LineField
+from viriallab.field import LineField, tail_mass
 
 
 def gaussian_field(L=20.0, N=2**12, amp=1.0):
@@ -133,3 +136,43 @@ class TestInequalityFlags:
         assert checked[0]
         assert satisfied[0]
         assert rhs[0] <= 16 * E + 2 * eta_val + 1e-6 * (1 + abs(E))
+
+
+def reference_inequality_flags(snapshots, R, model, E, eta_val):
+    """The per-snapshot append loop `inequality_flags` had before it worked
+    on arrays, kept as the bitwise reference."""
+    bound = 16.0 * E + 2.0 * eta_val + va.INEQ_SLACK * (1.0 + abs(E))
+    checked, satisfied, rhs = [], [], []
+    for s in snapshots:
+        r = fn.virial_rhs(s, R, model)
+        c = tail_mass(s, R) <= va.a0()
+        checked.append(c)
+        satisfied.append((not c) or r <= bound)
+        rhs.append(r)
+    return np.array(checked), np.array(satisfied), np.array(rhs)
+
+
+def short_bundled_run(name, T_end):
+    model, cfg, u0 = cli._scenario_pieces(cli.load_scenario(cli.bundled_scenario_path(name)))
+    cfg = dataclasses.replace(cfg, T_end=T_end, snapshot_stride=5)
+    return ev.run(u0, model, cfg)
+
+
+class TestInequalityFlagsMatchReference:
+    @pytest.mark.parametrize("run, R", [
+        (lambda: smooth_free_run(1e-3, 5, T=0.03, N=2**10), 4.0),
+        (lambda: short_bundled_run("free_blowup", 0.03), 2.0),
+        (lambda: short_bundled_run("graph_blowup", 0.02), 4.0),
+    ], ids=["smooth", "free_blowup", "graph_blowup"])
+    def test_bitwise_equal(self, run, R):
+        traj = run()
+        model, u0 = traj.model, traj.snapshots[0]
+        E = fn.energy(u0, model)
+        # R = 0.1 leaves every snapshot unchecked and R = 1e3 checks each one;
+        # lowering E by 100 makes every checked snapshot a violation
+        for R_k, E_k in [(R, E), (0.1, E), (1e3, E), (1e3, E - 100.0)]:
+            args = (traj.snapshots, R_k, model, E_k, w.eta(R_k, fn.mass(u0)))
+            new, ref = va.inequality_flags(*args), reference_inequality_flags(*args)
+            for a, b in zip(new, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not np.any(new[1]) and np.all(new[0])
