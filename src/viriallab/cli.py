@@ -96,6 +96,7 @@ def _scenario_pieces(sc: dict):
         template = field_from_grid(sc["grid"])
         u0 = _build_initial(sc["initial_data"], template, model)
         fn.potential_energy(u0, model)  # the model must fit the grid
+        ev.require_vertex_layout(u0, model)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         raise ScenarioError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
@@ -200,9 +201,11 @@ def cmd_virial_report(args) -> int:
         "max_residual": rep.max_residual(),
         "violations": rep.violations(),
     }
-    if rep.eta_tilde > 0 and rep.I[0] > 0:
+    u0 = traj.snapshots[0]
+    I0 = fn.virial_I(u0, R)
+    if rep.eta_tilde > 0 and I0 > 0:
         summary["envelope_root"] = va.envelope(
-            float(rep.I[0]), float(rep.Iprime_formula[0]), rep.eta_tilde
+            I0, fn.virial_I_prime(u0, R, traj.model), rep.eta_tilde
         )
     with open(out / "virial_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

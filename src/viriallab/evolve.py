@@ -242,16 +242,33 @@ def p1_form(template: Field) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     return K.tocsc()[:n, :n], Mdiag, unknown
 
 
+def vertex_layout(template: Field, model: ModelSpec) -> Field:
+    """Zero field on the grid of `template` in the layout the model evolves
+    in: on a graph the condition decides if the vertex is one value
+    (Kirchhoff, Dirac delta) or one per edge (delta prime)."""
+    spec = template.grid_spec()
+    if model.variant == "graph":
+        spec["shared_vertex"] = model.vertex.is_continuity_type
+    return field_from_grid(spec)
+
+
+def require_vertex_layout(f: Field, model: ModelSpec) -> None:
+    """`require_geometry`, and a ValueError naming the setting the grid
+    needs when f's vertex layout is not the model's `vertex_layout`."""
+    require_geometry(f, model)
+    need = vertex_layout(f, model).grid_spec()
+    if f.grid_spec() != need:
+        setting = f'"shared_vertex": {str(need["shared_vertex"]).lower()}'
+        raise ValueError(f"a {model.vertex.kind} vertex needs a grid with {setting}")
+
+
 def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator:
-    """Discrete quadratic form of the linear operator: `p1_form` plus the
-    rank-one point interaction g e e^T, e the indicator of `vertex_form`'s
-    nodes."""
+    """Discrete quadratic form of the linear operator: `p1_form` on the
+    model's `vertex_layout` plus the rank-one point interaction g e e^T, e the
+    indicator of `vertex_form`'s nodes."""
     if model.uses_spectral():
         raise ValueError("form assembly covers the delta and graph variants")
-    layout = template
-    if model.variant == "graph":  # the condition decides if the vertex is one coefficient
-        shared = model.vertex.is_continuity_type
-        layout = field_from_grid({**template.grid_spec(), "shared_vertex": shared})
+    layout = vertex_layout(template, model)
     K, Mdiag, unknown = p1_form(layout)
     nodes, g = vertex_form(layout, model)
     c = unknown.ravel()[nodes]
@@ -296,7 +313,7 @@ def _trigger(cfg: SolverConfig, grad0: float, amp: float, gradn: float) -> str |
 def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger."""
-    require_geometry(u0, model)
+    require_vertex_layout(u0, model)
     use_split = model.uses_spectral()
     H = None if use_split else assemble_hamiltonian(u0, model)
     vmax = float(np.max(np.abs(potential_on_grid(model, u0.x))))
@@ -316,19 +333,21 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         elif not use_split:
             dt = _quantize_dt(dt, cfg.dt_max)
         # underflow is judged on the step control's dt, before the step is
-        # fitted to T_end; a remainder shorter than dt_min is rounding, and
-        # the step before it lands on T_end
+        # fitted to T_end; the step that reaches T_end lands on it, and keeps
+        # dt (and its LU factor) when T_end - t differs from dt by rounding,
+        # at most dt_min
         if dt < cfg.dt_min:
             verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
             break
-        if t + dt > cfg.T_end - cfg.dt_min:
-            dt = cfg.T_end - t
+        rest = cfg.T_end - t
+        if rest < dt - cfg.dt_min:
+            dt = rest
         try:
             u = step_splitstep(u, dt, model) if use_split else step_cn(u, dt, H)
         except ValueError as exc:  # the field rejects non-finite values after an overflow
             verdict = BlowupVerdict("aborted", diagnostic=str(exc))
             break
-        t += dt
+        t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         amp = lp_norm(u, np.inf)
         trigger = _trigger(cfg, grad0, amp, _grad_norm(u, model))

@@ -129,6 +129,21 @@ class TestSimulate:
             p.write_text(json.dumps(sc))  # NaN is written as the JSON extension NaN
             assert cli.main(["simulate", str(p)]) == 2, sc
 
+    def test_vertex_layout_must_match_model(self, tmp_path, capsys):
+        # a delta' vertex holds one value per edge, which the default shared
+        # grid cannot store
+        sc = json.loads(quick_scenario(tmp_path, T=0.02).read_text())
+        sc["model"] = {"variant": "graph", "vertex": {"kind": "delta_prime", "gamma": 2.0}}
+        sc["initial_data"] = {"kind": "gaussian", "a": 0.5, "center": 2.0}
+        sc["grid"] = {"kind": "graph", "J": 3, "Ledge": 10.0, "M": 100}
+        p = tmp_path / "dprime.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p)]) == 2
+        assert '"shared_vertex": false' in capsys.readouterr().err
+        sc["grid"]["shared_vertex"] = False
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p)]) == 0
+
     def test_bundled_scenarios_roundtrip(self):
         names = [
             "free_soliton", "free_blowup", "free_control", "free_gaussian",
@@ -188,6 +203,24 @@ class TestVirialReport:
                         + [int(rep.ineq_checked[i]), int(rep.ineq_satisfied[i])])
         assert (out / "virial_report.csv").read_bytes() == ref.getvalue().encode()
         assert np.any(rep.ineq_checked) != (R == 0.1)
+
+    def test_envelope_root_from_t0(self, tmp_path):
+        # the envelope starts from I and I' of snapshot 0, at t = 0, and not
+        # from the first interior snapshot of the report
+        sc = json.loads(cli.bundled_scenario_path("free_blowup").read_text())
+        sc["solver"].update(phase_tol=1e6, T_end=0.05, snapshot_stride=10)
+        p = tmp_path / "fb.json"
+        p.write_text(json.dumps(sc))
+        out = tmp_path / "fb"
+        assert cli.main(["simulate", str(p), "--out", str(out)]) == 0
+        cli.main(["virial-report", str(out), "--R", "auto"])
+        summary = json.loads((out / "virial_summary.json").read_text())
+        traj = ev.load_trajectory(out)
+        u0, R = traj.snapshots[0], summary["R"]
+        root = va.envelope(
+            fn.virial_I(u0, R), fn.virial_I_prime(u0, R, traj.model), summary["eta_tilde"]
+        )
+        assert summary["envelope_root"] == root
 
     def test_bad_R(self, tmp_path):
         out = self.run_quick(tmp_path)

@@ -567,6 +567,29 @@ class TestRun:
         assert traj.times[-1] == pytest.approx(T_end, abs=1e-12)
         assert np.allclose(np.diff(traj.times), 1e-2, rtol=0.0, atol=1e-12)
 
+    def test_cayley_run_to_T_end_factors_one_lu(self, monkeypatch):
+        # T_end - t before the last step differs from dt_max by rounding only,
+        # so that step keeps dt_max and its LU factor, and ends on T_end
+        calls = []
+        monkeypatch.setattr(ev, "splu", lambda A: calls.append(1) or splu(A))
+        f = GraphField.from_function(lambda x: 0.3 * np.exp(-(x**2)), 3, 10.0, 100)
+        model = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
+        traj = ev.run(f, model, ev.SolverConfig(phase_tol=1e6, T_end=0.3, snapshot_stride=10))
+        assert traj.verdict.status == "completed"
+        assert len(calls) == 1
+        assert traj.times[-1] == 0.3
+
+    @pytest.mark.parametrize("vc, shared", [
+        (fn.VertexCondition("delta_prime", gamma=2.0), True),
+        (fn.VertexCondition("kirchhoff"), False),
+        (fn.VertexCondition("dirac_delta", gamma=1.0), False),
+    ], ids=["delta_prime-shared", "kirchhoff-unshared", "dirac_delta-unshared"])
+    def test_vertex_layout_must_match_model(self, vc, shared):
+        model, cfg = fn.ModelSpec.graph(vc), ev.SolverConfig(T_end=0.01)
+        with pytest.raises(ValueError, match=f'"shared_vertex": {str(not shared).lower()}'):
+            ev.run(rough_graph(3, shared), model, cfg)
+        assert ev.run(rough_graph(3, not shared), model, cfg).verdict.status == "completed"
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(f, dt, model):
             raise TypeError("bug in a step")
