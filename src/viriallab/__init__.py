@@ -22,7 +22,6 @@ from .evolve import (
     BlowupVerdict,
     SolverConfig,
     Trajectory,
-    detect_blowup,
     load_trajectory,
     run,
     save_trajectory,
@@ -49,7 +48,6 @@ __all__ = [
     "check_potential_condition",
     "chi",
     "chi_R",
-    "detect_blowup",
     "energy",
     "envelope",
     "eta",

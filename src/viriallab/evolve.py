@@ -10,6 +10,13 @@ the vertex conditions are natural conditions of the form and the discrete
 mass is conserved exactly.  Blow-up is reported through surrogate triggers
 (gradient growth, amplitude cap, step-size underflow).
 
+The step is phase-limited: dt = min(dt_max, phase_tol / rate) with rate
+sup|u|^4 + max |V| over the nodes where |u| > V_SUPPORT_FRACTION * sup|u|
+(c = 1e-3).  The V phase is exact at every node, so V costs accuracy only
+through the splitting error, which |u| weights; a node the solution has not
+reached, such as the singular node next to x = 0 under data far from it,
+does not set the step.
+
 What a step needs of its grid is computed once: the squared wavenumbers of
 the half spectrum and V are cached per (L, N, stagger, model), the Fourier
 propagator is filled as cos + i sin on the half spectrum and mirrored, and
@@ -23,9 +30,9 @@ dt, and no matvec with K.
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
 snapshot), summary.json (grid, model, solver config, verdict, drifts,
-n_snapshots) and snapshots.npy, every snapshot in one uncompressed
-complex128 array written by `numpy.save` and read back with
-allow_pickle=False.
+n_snapshots, and the steps taken with their least and largest dt) and
+snapshots.npy, every snapshot in one uncompressed complex128 array written
+by `numpy.save` and read back with allow_pickle=False.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .field import (
     Field,
     LineField,
     field_from_grid,
-    lp_norm,
     p1_chain,
     spectral_wavenumbers,
     tail_mass,
@@ -110,6 +116,11 @@ class Trajectory:
     verdict: BlowupVerdict
     model: ModelSpec
     config: SolverConfig
+    # how many steps `run` took, and their least and largest dt; None when
+    # not recorded (and dt_min, dt_max also when no step was taken)
+    steps: int | None = None
+    dt_min: float | None = None
+    dt_max: float | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -300,6 +311,10 @@ def _quantize_dt(dt_target: float, dt_max: float) -> float:
     return dt_max / 2.0**k
 
 
+# nodes where |u| <= V_SUPPORT_FRACTION * sup|u| do not let |V| limit the step
+V_SUPPORT_FRACTION = 1e-3
+
+
 def _trigger(cfg: SolverConfig, grad0: float, amp: float, gradn: float) -> str | None:
     """The blow-up trigger a state with sup norm `amp` and gradient norm
     `gradn` fires, if any."""
@@ -316,17 +331,24 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     require_vertex_layout(u0, model)
     use_split = model.uses_spectral()
     H = None if use_split else assemble_hamiltonian(u0, model)
-    vmax = float(np.max(np.abs(potential_on_grid(model, u0.x))))
+    V = _grid_kernels(u0.L, u0.N, u0.stagger, model)[1] if use_split else 0.0
+    absV = np.abs(V) if np.ndim(V) else None
 
     grad0 = _grad_norm(u0, model)
     times = [0.0]
     snapshots = [u0.copy()]
-    u, t, nstep, amp = u0.copy(), 0.0, 0, lp_norm(u0, np.inf)
+    u, t, nstep = u0.copy(), 0.0, 0
+    modulus = np.abs(u.values)
+    amp = float(np.max(modulus, initial=0.0))
+    dt_lo, dt_hi = np.inf, 0.0
     verdict = BlowupVerdict("completed")
 
     while t < cfg.T_end * (1.0 - 1e-14):
-        # the fastest phase rotation |u|^4 + |V| limits the step
-        rate = (amp**4 if model.nonlinearity_on else 0.0) + vmax
+        # the fastest phase rotation |u|^4 + |V| limits the step, |V| only
+        # where the solution lives (see the module docstring)
+        rate = amp**4 if model.nonlinearity_on else 0.0
+        if absV is not None:
+            rate += float(np.max(absV, where=modulus > V_SUPPORT_FRACTION * amp, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         if nstep == 0:
             dt = min(dt, cfg.dt_init)
@@ -349,7 +371,9 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
             break
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
-        amp = lp_norm(u, np.inf)
+        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        modulus = np.abs(u.values)
+        amp = float(np.max(modulus, initial=0.0))
         trigger = _trigger(cfg, grad0, amp, _grad_norm(u, model))
         if trigger is not None:
             verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
@@ -373,23 +397,10 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         verdict=verdict,
         model=model,
         config=cfg,
+        steps=nstep,
+        dt_min=float(dt_lo) if nstep else None,
+        dt_max=float(dt_hi) if nstep else None,
     )
-
-
-def detect_blowup(traj: Trajectory) -> BlowupVerdict:
-    """Re-derive the verdict from the stored snapshots (idempotent with run,
-    except that a dt underflow leaves no snapshot evidence and is passed
-    through from the stored verdict)."""
-    if len(traj.snapshots) == 0:
-        raise ValueError("empty trajectory")
-    grad0 = traj.grad_series[0]
-    for t, snap, gradn in zip(traj.times, traj.snapshots, traj.grad_series):
-        trigger = _trigger(traj.config, grad0, lp_norm(snap, np.inf), gradn)
-        if trigger is not None:
-            return BlowupVerdict("blowup_detected", t_detect=float(t), trigger=trigger)
-    if traj.verdict.trigger == "dt_underflow":
-        return traj.verdict
-    return BlowupVerdict("completed")
 
 
 def _fmt(x: float) -> str:
@@ -425,6 +436,9 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
         "mass_drift_rel": mdrift,
         "energy_drift": float(np.max(np.abs(traj.energy_series - traj.energy_series[0]))),
         "n_snapshots": len(traj.snapshots),
+        "steps": traj.steps,
+        "dt_min": traj.dt_min,
+        "dt_max": traj.dt_max,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -459,4 +473,7 @@ def load_trajectory(indir) -> Trajectory:
         verdict=BlowupVerdict(**summary["verdict"]),
         model=model,
         config=cfg,
+        steps=summary.get("steps"),
+        dt_min=summary.get("dt_min"),
+        dt_max=summary.get("dt_max"),
     )

@@ -147,10 +147,14 @@ def _chi_deriv(x, k: int, profile: WeightProfile | None = None):
     a = np.minimum(np.abs(x), 2.0)
     piece = np.searchsorted(profile.knots[1:3], a, side="right")
     t = a - profile.knots[piece]
-    coef = P.polyder(profile.chi_table, k, axis=1)[piece]
-    out = 0.0
-    for c in np.moveaxis(coef, -1, 0)[::-1]:  # Horner
-        out = out * t + c
+    # Horner in place, gathering one coefficient per node at a time (no
+    # (n, degree) gather); "+ 0.0" stands for the first step's 0 * t + c and
+    # gives a zero the same sign
+    top, *rest = P.polyder(profile.chi_table, k, axis=1).T[::-1]
+    out = top[piece] + 0.0
+    for c in rest:
+        out *= t
+        out += c[piece]
     if k:
         out = np.where(np.abs(x) > 2.0, 0.0, out)
     if k % 2:  # chi is even, so its odd-order derivatives are odd
@@ -173,8 +177,8 @@ def chi(x, profile: WeightProfile | None = None):
 def chi_R(x, R: float, order: int = 0):
     """R^(2 - order) chi^(order)(x/R): the scaled weight chi_R = R^2 chi(x/R)
     and its derivatives of order 1, 2 and 4 (order 3 is never needed)."""
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not (0 < R < np.inf):  # written so that NaN fails too
+        raise ValueError(f"R must be positive and finite, got {R}")
     if order not in (0, 1, 2, 4):
         raise ValueError(f"unsupported chi_R derivative order {order}")
     return np.multiply(float(R) ** (2 - order), _chi_deriv(np.asarray(x) / R, order))

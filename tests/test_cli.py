@@ -225,6 +225,8 @@ class TestVirialReport:
     def test_bad_R(self, tmp_path):
         out = self.run_quick(tmp_path)
         assert cli.main(["virial-report", str(out), "--R", "-1"]) == 2
+        assert cli.main(["virial-report", str(out), "--R", "inf"]) == 2
+        assert not (out / "virial_summary.json").exists()
 
     def test_relative_trajectory_under_output_root(self, tmp_path, monkeypatch):
         # the README workflow with relative paths: virial-report finds what

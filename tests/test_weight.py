@@ -178,8 +178,9 @@ class TestChiR:
     def test_rejects_order3_and_bad_R(self):
         with pytest.raises(ValueError):
             w.chi_R(1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            w.chi_R(1.0, -1.0, 0)
+        for R in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                w.chi_R(1.0, R, 0)
 
 
 class TestEta:
