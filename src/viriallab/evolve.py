@@ -20,19 +20,23 @@ does not set the step.
 What a step needs of its grid is computed once: the squared wavenumbers of
 the half spectrum and V are cached per (L, N, stagger, model), the Fourier
 propagator is filled as cos + i sin on the half spectrum and mirrored, and
-both half phases are cos + i sin in one buffer.  The gradient norm that the
-trigger reads on every step comes from one FFT through Parseval
-(`functionals.kinetic_energy`), with no derivative field built.  The Cayley
-flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v is taken as
+both half phases are cos + i sin in one buffer.  A split run steps Fields
+and reads the trigger's gradient norm from one FFT through Parseval
+(`functionals.kinetic_energy`).  A Cayley run steps the coefficient vector v,
+builds a Field only for a snapshot, reads ||v'|| along the P1 elements and
+aborts on a non-finite sup|v|; as the phase flow keeps |u| fixed, a step with
+the dt of the step before takes that step's trailing half-phase factor as
+its leading one.  The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v is
 2 (M + i dt/2 K)^{-1} M v - v: one solve with the SuperLU factor cached per
 dt, and no matvec with K.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
 snapshot), summary.json (grid, model, solver config, verdict, drifts,
-n_snapshots, and the steps taken with their least and largest dt) and
-snapshots.npy, every snapshot in one uncompressed complex128 array written
-by `numpy.save` and read back with allow_pickle=False.
+n_snapshots, the steps taken with their least and largest dt, and the LU
+factorizations) and snapshots.npy, every snapshot in one uncompressed
+complex128 array written by `numpy.save` and read back with
+allow_pickle=False.
 """
 
 from __future__ import annotations
@@ -116,11 +120,13 @@ class Trajectory:
     verdict: BlowupVerdict
     model: ModelSpec
     config: SolverConfig
-    # how many steps `run` took, and their least and largest dt; None when
-    # not recorded (and dt_min, dt_max also when no step was taken)
+    # how many steps `run` took, their least and largest dt, and the SuperLU
+    # factors it built (0 on the split path); None when not recorded (and
+    # dt_min, dt_max also when no step was taken)
     steps: int | None = None
     dt_min: float | None = None
     dt_max: float | None = None
+    lu_factorizations: int | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -131,20 +137,23 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool) -> np.ndarray:
-    """Strang composition: half-step phase exp(i dt/2 (|u|^4 - V)), the
-    linear flow `linear`, half-step phase again.  The phase factor is built
-    as cos + i sin in one complex buffer shared by both half steps."""
-    fac = np.empty_like(vec)
+def _phase(u: np.ndarray, dt: float, V, nonlinearity_on: bool, out: np.ndarray) -> np.ndarray:
+    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in the complex buffer `out`."""
+    nl = np.square(u.real**2 + u.imag**2) if nonlinearity_on else 0.0
+    th = (dt / 2.0) * (nl - V)
+    np.cos(th, out=out.real)
+    np.sin(th, out=out.imag)
+    return out
 
-    def phase(u):
-        nl = np.square(u.real**2 + u.imag**2) if nonlinearity_on else 0.0
-        th = (dt / 2.0) * (nl - V)
-        np.cos(th, out=fac.real)
-        np.sin(th, out=fac.imag)
-        return u * fac
 
-    return phase(linear(phase(vec)))
+def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool, fac=None) -> np.ndarray:
+    """Strang composition of half-step phase, linear flow `linear` and half-step
+    phase in one buffer: `fac`, if given, holds vec's leading phase factor and
+    receives the trailing one."""
+    if fac is None:
+        fac = _phase(vec, dt, V, nonlinearity_on, np.empty_like(vec))
+    w = linear(vec * fac)
+    return w * _phase(w, dt, V, nonlinearity_on, fac)
 
 
 @functools.lru_cache(maxsize=8)
@@ -204,6 +213,7 @@ class AssembledOperator:
     def __post_init__(self):
         # the first flat node holding each coefficient
         self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
+        self._chain = p1_chain(self.template, self.unknown, len(self.Mdiag))
 
     def to_vector(self, f: Field) -> np.ndarray:
         return f.values.ravel()[self._node_of]
@@ -211,6 +221,11 @@ class AssembledOperator:
     def from_vector(self, vec: np.ndarray, like: Field | None = None) -> Field:
         like = like if like is not None else self.template
         return like.with_values(np.append(vec, 0.0)[self.unknown])
+
+    def grad_norm(self, vec: np.ndarray) -> float:
+        """||u'|| along the P1 elements, `_grad_norm` of `from_vector(vec)` bit for bit."""
+        diff = np.diff(np.append(vec, 0.0)[self._chain], axis=-1)
+        return float(np.sqrt(2.0 * (0.5 * float(np.sum(np.abs(diff) ** 2) / self.template.h))))
 
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
         """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec, LU factors cached per dt.
@@ -287,16 +302,28 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
     return AssembledOperator(model, template, (K + g * (e @ e.T)).tocsc(), Mdiag, unknown)
 
 
+def _cayley_stepper(H: AssembledOperator):
+    """Cayley Strang step (vec, dt) -> vec on H's coefficient vector; each call takes the vector
+    the call before returned, so equal-dt steps share a half phase (module docstring)."""
+    fac, last_dt = np.empty(len(H.Mdiag), dtype=complex), None
+
+    def step(vec: np.ndarray, dt: float) -> np.ndarray:
+        nonlocal last_dt
+        if dt != last_dt:
+            _phase(vec, dt, 0.0, H.model.nonlinearity_on, fac)
+            last_dt = dt
+        return _strang(vec, dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on, fac)
+
+    return step
+
+
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     """Strang step with the Cayley (Crank-Nicolson) linear propagator:
     half-step quintic phase, exactly norm-preserving linear solve, half-step
     phase."""
     if dt == 0.0 or not np.isfinite(dt):
         raise ValueError("dt must be a nonzero finite number")
-    vec = _strang(
-        H.to_vector(f), dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on
-    )
-    return H.from_vector(vec, f)
+    return H.from_vector(_cayley_stepper(H)(H.to_vector(f), dt), f)
 
 
 def _grad_norm(f: Field, model: ModelSpec) -> float:
@@ -330,17 +357,23 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     snapshots every snapshot_stride steps, or stop at a blow-up trigger."""
     require_vertex_layout(u0, model)
     use_split = model.uses_spectral()
-    H = None if use_split else assemble_hamiltonian(u0, model)
+    if use_split:
+        H, state = None, u0.copy()
+        advance, values = (lambda u, dt: step_splitstep(u, dt, model)), (lambda u: u.values)
+        grad, snapshot = (lambda u: _grad_norm(u, model)), (lambda u: u.copy())
+    else:
+        H = assemble_hamiltonian(u0, model)
+        state, advance, values = H.to_vector(u0), _cayley_stepper(H), (lambda v: v)
+        grad, snapshot = H.grad_norm, H.from_vector
     V = _grid_kernels(u0.L, u0.N, u0.stagger, model)[1] if use_split else 0.0
     absV = np.abs(V) if np.ndim(V) else None
 
     grad0 = _grad_norm(u0, model)
     times = [0.0]
     snapshots = [u0.copy()]
-    u, t, nstep = u0.copy(), 0.0, 0
-    modulus = np.abs(u.values)
+    t, nstep, dt_lo, dt_hi = 0.0, 0, np.inf, 0.0
+    modulus = np.abs(u0.values)
     amp = float(np.max(modulus, initial=0.0))
-    dt_lo, dt_hi = np.inf, 0.0
     verdict = BlowupVerdict("completed")
 
     while t < cfg.T_end * (1.0 - 1e-14):
@@ -365,25 +398,28 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         if rest < dt - cfg.dt_min:
             dt = rest
         try:
-            u = step_splitstep(u, dt, model) if use_split else step_cn(u, dt, H)
-        except ValueError as exc:  # the field rejects non-finite values after an overflow
+            state = advance(state, dt)
+        except ValueError as exc:  # a Field rejects non-finite values after an overflow
             verdict = BlowupVerdict("aborted", diagnostic=str(exc))
+            break
+        modulus = np.abs(values(state))
+        amp = float(np.max(modulus, initial=0.0))
+        if not np.isfinite(amp):  # an overflow the coefficient vector carries
+            verdict = BlowupVerdict("aborted", diagnostic="non-finite field values")
             break
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-        modulus = np.abs(u.values)
-        amp = float(np.max(modulus, initial=0.0))
-        trigger = _trigger(cfg, grad0, amp, _grad_norm(u, model))
+        trigger = _trigger(cfg, grad0, amp, grad(state))
         if trigger is not None:
             verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break
         if nstep % cfg.snapshot_stride == 0:
             times.append(t)
-            snapshots.append(u.copy())
+            snapshots.append(snapshot(state))
     if t > times[-1]:
         times.append(t)
-        snapshots.append(u.copy())
+        snapshots.append(snapshot(state))
 
     m = np.array([mass(s) for s in snapshots])
     e = np.array([energy(s, model) for s in snapshots])
@@ -400,6 +436,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         steps=nstep,
         dt_min=float(dt_lo) if nstep else None,
         dt_max=float(dt_hi) if nstep else None,
+        lu_factorizations=0 if H is None else len(H._lu_cache),
     )
 
 
@@ -439,6 +476,7 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
         "steps": traj.steps,
         "dt_min": traj.dt_min,
         "dt_max": traj.dt_max,
+        "lu_factorizations": traj.lu_factorizations,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -476,4 +514,5 @@ def load_trajectory(indir) -> Trajectory:
         steps=summary.get("steps"),
         dt_min=summary.get("dt_min"),
         dt_max=summary.get("dt_max"),
+        lu_factorizations=summary.get("lu_factorizations"),
     )

@@ -122,6 +122,16 @@ def ref_spectral_kinetic_energy(f):
     return 0.5 * float(np.sum(f.quad_weights * np.abs(du) ** 2))
 
 
+def ref_parseval_kinetic_energy(f):
+    """The Parseval kinetic energy that rebuilt k and k * k on every call,
+    kept as the reference for the cached k^2."""
+    k = spectral_wavenumbers(f)
+    k[f.N // 2] = 0.0
+    spec = np.fft.fft(f.values)
+    power = spec.real**2 + spec.imag**2
+    return 0.5 * f.h / f.N * float(np.dot(k * k, power))
+
+
 def rough_field(N, stagger=False, seed=0):
     """Unit-size smooth profile plus noise in every Fourier mode."""
     rng = np.random.default_rng(seed)
@@ -161,6 +171,16 @@ class TestKernelPins:
             f = rough_field(N, stagger)
             ref = ref_spectral_kinetic_energy(f)
             assert fn.kinetic_energy(f, model) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2**p for p in range(6, 16)])
+    def test_cached_parseval_k2_is_bitwise_and_read_only(self, N):
+        for model, stagger in SPECTRAL_CASES[:2]:
+            f = rough_field(N, stagger)
+            assert fn.kinetic_energy(f, model) == ref_parseval_kinetic_energy(f)
+        k2 = fn._parseval_k2(16.0, N)
+        assert not k2.flags.writeable
+        with pytest.raises(ValueError):
+            k2[0] = 1.0
 
     def test_strang_phase_matches_reference(self):
         f = rough_field(2**10, stagger=True)
@@ -487,6 +507,92 @@ class TestCayleyPins:
         assert abs(discrete_mass(f) - m0) <= 1e-12 * m0
 
 
+def reference_cayley_run(u0, model, cfg):
+    """The Cayley path of `run` as it was when it stepped Fields: `step_cn`
+    and a Field on every step, the trigger's gradient norm from
+    `kinetic_energy`; kept as the reference for the coefficient-vector loop.
+    Returns (verdict, steps, times, snapshots)."""
+    H = ev.assemble_hamiltonian(u0, model)
+    grad0 = ev._grad_norm(u0, model)
+    times, snapshots = [0.0], [u0.copy()]
+    u, t, nstep = u0.copy(), 0.0, 0
+    amp = float(np.max(np.abs(u.values), initial=0.0))
+    verdict = ev.BlowupVerdict("completed")
+    while t < cfg.T_end * (1.0 - 1e-14):
+        rate = amp**4 if model.nonlinearity_on else 0.0
+        dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
+        dt = min(dt, cfg.dt_init) if nstep == 0 else ev._quantize_dt(dt, cfg.dt_max)
+        if dt < cfg.dt_min:
+            verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
+            break
+        rest = cfg.T_end - t
+        if rest < dt - cfg.dt_min:
+            dt = rest
+        try:
+            u = ev.step_cn(u, dt, H)
+        except ValueError as exc:
+            verdict = ev.BlowupVerdict("aborted", diagnostic=str(exc))
+            break
+        t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
+        nstep += 1
+        amp = float(np.max(np.abs(u.values), initial=0.0))
+        trigger = ev._trigger(cfg, grad0, amp, ev._grad_norm(u, model))
+        if trigger is not None:
+            verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
+            break
+        if nstep % cfg.snapshot_stride == 0:
+            times.append(t)
+            snapshots.append(u.copy())
+    if t > times[-1]:
+        times.append(t)
+        snapshots.append(u.copy())
+    return verdict, nstep, np.array(times), snapshots
+
+
+def focusing_bump(x):
+    return 1.3 * np.exp(-(x**2)) * (1.0 + 0.2j * x)
+
+
+# phase-limited runs whose dt starts at dt_init and changes level: the
+# attractive delta line fires the gradient trigger (factor 1.2) at t = 0.089,
+# the graphs run to T_end
+CAYLEY_RUN_CASES = [
+    pytest.param(
+        LineField.from_function(focusing_bump, 8.0, 2**9), fn.ModelSpec.delta(-1.0),
+        dict(grad_blowup_factor=1.2, T_end=0.3), id="delta-line",
+    ),
+    pytest.param(
+        GraphField.from_function(focusing_bump, 3, 8.0, 256),
+        fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=1.0)), {}, id="graph-dirac",
+    ),
+    pytest.param(
+        GraphField.from_function(focusing_bump, 3, 8.0, 256, shared_vertex=False),
+        fn.ModelSpec.graph(fn.VertexCondition("delta_prime", gamma=2.0)), {},
+        id="graph-delta_prime-unshared",
+    ),
+]
+
+
+def cayley_run_config(**kw):
+    base = dict(dt_init=1e-4, phase_tol=1e-3, T_end=0.1, snapshot_stride=50)
+    return ev.SolverConfig(**(base | kw))
+
+
+class TestVectorGradNorm:
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_matches_kinetic_energy_bitwise(self, f, model):
+        # the trigger's gradient norm from the coefficient vector, against
+        # `kinetic_energy` of the field it stands for (on the model's layout,
+        # which a shared grid is not for a delta' vertex)
+        H = ev.assemble_hamiltonian(f, model)
+        layout = ev.vertex_layout(f, model)
+        rng = np.random.default_rng(2)
+        n = len(H.Mdiag)
+        for _ in range(50):
+            vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert H.grad_norm(vec) == ev._grad_norm(H.from_vector(vec, layout), model)
+
+
 class TestRun:
     def test_zero_data_completes(self):
         f = LineField.from_function(lambda x: np.zeros_like(x), 8.0, 2**6)
@@ -496,6 +602,7 @@ class TestRun:
         assert np.all(traj.mass_series == 0)
         assert traj.times[-1] == pytest.approx(0.1, abs=1e-12)
         assert (traj.steps, traj.dt_min, traj.dt_max) == (100, 1e-3, 1e-3)
+        assert traj.lu_factorizations == 0
 
     def test_soliton_modulus_persists(self):
         f = soliton_field()
@@ -563,6 +670,56 @@ class TestRun:
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
 
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
+    def test_cayley_vector_loop_matches_field_loop(self, f, model, extra):
+        cfg = cayley_run_config(**extra)
+        traj = ev.run(f, model, cfg)
+        verdict, steps, times, snapshots = reference_cayley_run(f, model, cfg)
+        assert traj.dt_min == cfg.dt_init < traj.dt_max
+        fires = model.variant == "delta"
+        assert traj.verdict.status == ("blowup_detected" if fires else "completed")
+        assert traj.verdict == verdict
+        assert traj.steps == steps
+        assert np.array_equal(traj.times, times)
+        assert len(traj.snapshots) == len(snapshots)
+        for new, ref in zip(traj.snapshots, snapshots):
+            assert rel_err(new.values, ref.values) <= 1e-12
+
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
+    def test_leading_phase_recomputed_when_dt_changes(self, f, model, extra, monkeypatch):
+        # one phase factor per step, and one more (the leading factor) on the
+        # first step and on every step whose dt differs from the step before
+        phase_dts, step_dts = [], []
+        phase, solve = ev._phase, ev.AssembledOperator.cayley_solve
+        monkeypatch.setattr(
+            ev, "_phase", lambda u, dt, *a: phase_dts.append(dt) or phase(u, dt, *a)
+        )
+        monkeypatch.setattr(
+            ev.AssembledOperator, "cayley_solve",
+            lambda H, vec, dt: step_dts.append(dt) or solve(H, vec, dt),
+        )
+        traj = ev.run(f, model, cayley_run_config(**extra))
+        assert len(step_dts) == traj.steps and step_dts[0] == 1e-4
+        assert len(set(step_dts)) >= 3
+        expected = []
+        for i, dt in enumerate(step_dts):
+            expected += [dt, dt] if i == 0 or dt != step_dts[i - 1] else [dt]
+        assert phase_dts == expected
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES[:2])
+    def test_cayley_overflow_aborts(self, f, model, extra, bad, monkeypatch):
+        # no Field is built per step on the Cayley path: the finiteness check
+        # on sup|u| catches the overflow
+        monkeypatch.setattr(
+            ev.AssembledOperator, "cayley_solve", lambda H, vec, dt: np.full_like(vec, bad)
+        )
+        with np.errstate(invalid="ignore"):
+            traj = ev.run(f, model, cayley_run_config(**extra))
+        assert traj.verdict.status == "aborted"
+        assert "non-finite" in traj.verdict.diagnostic
+        assert traj.steps == 0 and len(traj.snapshots) == 1
+
     @pytest.mark.parametrize(
         "geometry,T_end", [("line", 1.11), ("line", 2.0), ("graph", 1.11)]
     )
@@ -592,7 +749,7 @@ class TestRun:
         model = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
         traj = ev.run(f, model, ev.SolverConfig(phase_tol=1e6, T_end=0.3, snapshot_stride=10))
         assert traj.verdict.status == "completed"
-        assert len(calls) == 1
+        assert len(calls) == traj.lu_factorizations == 1
         assert traj.times[-1] == 0.3
 
     @pytest.mark.parametrize("vc, shared", [
@@ -641,11 +798,10 @@ class TestPersistence:
         back = ev.load_trajectory(tmp_path)
         assert_same_trajectory(back, traj)
         assert back.verdict.status == traj.verdict.status
-        assert (back.steps, back.dt_min, back.dt_max) == (traj.steps, traj.dt_min, traj.dt_max)
+        record = ("steps", "dt_min", "dt_max", "lu_factorizations")
+        assert [getattr(back, k) for k in record] == [getattr(traj, k) for k in record]
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert [summary[k] for k in ("steps", "dt_min", "dt_max")] == [
-            traj.steps, traj.dt_min, traj.dt_max
-        ]
+        assert [summary[k] for k in record] == [getattr(traj, k) for k in record]
         assert traj.steps == 5 * (len(traj.times) - 1)
         # byte reference: the row-by-row csv.writer form of series.csv
         ref = io.StringIO(newline="")
@@ -673,6 +829,12 @@ class TestPersistence:
         assert_same_trajectory(back, traj)
         stored = np.load(tmp_path / "snapshots.npy", allow_pickle=False)
         assert stored.shape == (len(traj.times), 3, 101)
+        assert back.lu_factorizations == traj.lu_factorizations == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["lu_factorizations"] == 1
+        del summary["lu_factorizations"]  # a directory written before the count was recorded
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert ev.load_trajectory(tmp_path).lu_factorizations is None
 
     @pytest.mark.parametrize("damage, match", [
         (lambda a, rows: (a[:, :-1], rows), "shape"),
