@@ -25,7 +25,7 @@ from . import soliton as sol
 from . import virial_analysis as va
 from . import weight
 from .evolve import _fmt
-from .field import LineField, field_from_grid, lp_norm, read_snapshot, tail_mass, write_snapshot
+from .field import LineField, field_from_grid, lp_norm, read_snapshot, write_snapshot
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,7 +187,7 @@ def cmd_virial_report(args) -> int:
     out = _out_path(args.out, src.name + "_virial") if args.out else src
     out.mkdir(parents=True, exist_ok=True)
     cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula,
-            rep.residual, [tail_mass(s, R) for s in traj.snapshots[1:-1]],
+            rep.residual, rep.tail_mass,
             rep.ineq_checked, rep.ineq_satisfied]
     np.savetxt(
         out / "virial_report.csv", np.column_stack(cols), fmt=["%.17g"] * 7 + ["%d"] * 2,

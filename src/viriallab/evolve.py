@@ -17,18 +17,19 @@ through the splitting error, which |u| weights; a node the solution has not
 reached, such as the singular node next to x = 0 under data far from it,
 does not set the step.
 
-What a step needs of its grid is computed once: the squared wavenumbers of
-the half spectrum and V are cached per (L, N, stagger, model), the Fourier
-propagator is filled as cos + i sin on the half spectrum and mirrored, and
-both half phases are cos + i sin in one buffer.  A split run steps Fields
-and reads the trigger's gradient norm from one FFT through Parseval
-(`functionals.kinetic_energy`).  A Cayley run steps the coefficient vector v,
-builds a Field only for a snapshot, reads ||v'|| along the P1 elements and
-aborts on a non-finite sup|v|; as the phase flow keeps |u| fixed, a step with
-the dt of the step before takes that step's trailing half-phase factor as
-its leading one.  The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v is
-2 (M + i dt/2 K)^{-1} M v - v: one solve with the SuperLU factor cached per
-dt, and no matvec with K.
+The squared wavenumbers of the half spectrum and V are cached per (L, N,
+stagger, model).  A run steps one vector in place, the samples (split path)
+or the coefficient vector v (Cayley path), and builds a Field only for a
+snapshot.  The half phases are cos + i sin in one buffer; as the phase flow
+keeps |u| fixed, a step with the dt of the step before takes that step's
+trailing factor as its leading one.  The split flow transforms in one
+spectrum buffer with the Fourier propagator (cos + i sin on the half
+spectrum, mirrored), rebuilt only when dt changes, and reads the trigger's
+gradient norm through Parseval from one FFT into that buffer.  The Cayley
+path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
+(M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the
+SuperLU factor cached per dt and no matvec with K.  A non-finite sup|u|
+aborts the run.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
@@ -64,6 +65,7 @@ from .functionals import (
     energy,
     kinetic_energy,
     mass,
+    parseval_kinetic_energy,
     potential_on_grid,
     require_geometry,
     vertex_form,
@@ -137,23 +139,45 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _phase(u: np.ndarray, dt: float, V, nonlinearity_on: bool, out: np.ndarray) -> np.ndarray:
-    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in the complex buffer `out`."""
-    nl = np.square(u.real**2 + u.imag**2) if nonlinearity_on else 0.0
-    th = (dt / 2.0) * (nl - V)
+def _phase(u: np.ndarray, dt: float, V, nonlinearity_on: bool, out: np.ndarray, th: np.ndarray):
+    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in `out`, the angle in `th`."""
+    if nonlinearity_on:
+        np.square(u.real, out=th)
+        th += np.square(u.imag, out=out.imag)
+        np.square(th, out=th)
+    else:
+        th.fill(0.0)
+    th -= V
+    th *= dt / 2.0
     np.cos(th, out=out.real)
     np.sin(th, out=out.imag)
     return out
 
 
-def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool, fac=None) -> np.ndarray:
-    """Strang composition of half-step phase, linear flow `linear` and half-step
-    phase in one buffer: `fac`, if given, holds vec's leading phase factor and
-    receives the trailing one."""
-    if fac is None:
-        fac = _phase(vec, dt, V, nonlinearity_on, np.empty_like(vec))
-    w = linear(vec * fac)
-    return w * _phase(w, dt, V, nonlinearity_on, fac)
+def _stepper(n: int, V, nonlinearity_on: bool, flow):
+    """Strang step (vec, dt) -> vec, overwriting vec: half-step phase, linear flow
+    `flow(vec, dt)`, half-step phase.  Each call takes the vector the call before
+    returned, so a step with that call's dt reuses its trailing phase factor."""
+    fac, th, last_dt = np.empty(n, dtype=complex), np.empty(n), None
+
+    def step(vec: np.ndarray, dt: float) -> np.ndarray:
+        nonlocal last_dt
+        if dt != last_dt:
+            if dt == 0.0 or not np.isfinite(dt):
+                raise ValueError("dt must be a nonzero finite number")
+            _phase(vec, dt, V, nonlinearity_on, fac, th)
+            last_dt = dt
+        vec *= fac
+        vec = flow(vec, dt)
+        vec *= _phase(vec, dt, V, nonlinearity_on, fac, th)
+        return vec
+
+    return step
+
+
+def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool) -> np.ndarray:
+    """One `_stepper` step of a copy of vec with the linear flow `linear`."""
+    return _stepper(len(vec), V, nonlinearity_on, lambda v, dt: linear(v))(vec.copy(), dt)
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,33 +192,49 @@ def _grid_kernels(L: float, N: int, stagger: bool, model: ModelSpec) -> tuple:
     return k2, (V if np.any(V) else 0.0)
 
 
+def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i k^2 dt) in `out` from k^2 on the half spectrum; k^2 is even, so
+    the negative wavenumbers mirror it."""
+    n = len(k2) - 1
+    arg = -dt * k2
+    np.cos(arg, out=out.real[: n + 1])
+    np.sin(arg, out=out.imag[: n + 1])
+    out[n + 1 :] = out[n - 1 : 0 : -1]
+    return out
+
+
+def _split_stepper(template: LineField, model: ModelSpec):
+    """(step, grad) on vectors of template's grid: the `_stepper` step with the
+    exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt changes,
+    and `_grad_norm` of a vector's Field, bit for bit, through the same buffer."""
+    if template.N & (template.N - 1):
+        raise ValueError("split-step needs N a power of two")
+    if not model.uses_spectral():
+        raise ValueError("split-step handles only the free and inverse_power variants")
+    k2, V = _grid_kernels(template.L, template.N, template.stagger, model)
+    (spec, prop), prop_dt = np.empty((2, template.N), dtype=complex), None
+
+    def flow(u: np.ndarray, dt: float) -> np.ndarray:
+        nonlocal prop_dt
+        if dt != prop_dt:
+            _propagator(k2, dt, prop)
+            prop_dt = dt
+        np.fft.fft(u, out=spec)
+        np.multiply(spec, prop, out=spec)
+        return np.fft.ifft(spec, out=u)
+
+    def grad(u: np.ndarray) -> float:
+        return float(np.sqrt(2.0 * parseval_kinetic_energy(template, np.fft.fft(u, out=spec))))
+
+    return _stepper(template.N, V, model.nonlinearity_on, flow), grad
+
+
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
     """One Strang step for the smooth line variants: exact pointwise phase,
     exact Fourier linear propagator, phase again.  Pointwise modulus is
     invariant under the phase substeps and discrete mass under the linear
     one, so mass is conserved to roundoff."""
-    if dt == 0.0 or not np.isfinite(dt):
-        raise ValueError("dt must be a nonzero finite number")
-    if f.N & (f.N - 1):
-        raise ValueError("split-step needs N a power of two")
-    if not model.uses_spectral():
-        raise ValueError("split-step handles only the free and inverse_power variants")
-    k2, V = _grid_kernels(f.L, f.N, f.stagger, model)
-    # exp(-i k^2 dt) on the half spectrum; k^2 is even, so the negative
-    # wavenumbers mirror it
-    n = f.N // 2
-    prop = np.empty(f.N, dtype=complex)
-    arg = -dt * k2
-    np.cos(arg, out=prop.real[: n + 1])
-    np.sin(arg, out=prop.imag[: n + 1])
-    prop[n + 1 :] = prop[n - 1 : 0 : -1]
-
-    def linear(u):
-        spec = np.fft.fft(u)
-        spec *= prop
-        return np.fft.ifft(spec)
-
-    return f.with_values(_strang(f.values, dt, V, linear, model.nonlinearity_on))
+    return f.with_values(_split_stepper(f, model)[0](f.values.copy(), dt))
 
 
 @dataclass
@@ -225,7 +265,7 @@ class AssembledOperator:
     def grad_norm(self, vec: np.ndarray) -> float:
         """||u'|| along the P1 elements, `_grad_norm` of `from_vector(vec)` bit for bit."""
         diff = np.diff(np.append(vec, 0.0)[self._chain], axis=-1)
-        return float(np.sqrt(2.0 * (0.5 * float(np.sum(np.abs(diff) ** 2) / self.template.h))))
+        return float(np.sqrt(2.0 * (0.5 * float(np.vdot(diff, diff).real / self.template.h))))
 
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
         """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec, LU factors cached per dt.
@@ -303,27 +343,15 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
 
 
 def _cayley_stepper(H: AssembledOperator):
-    """Cayley Strang step (vec, dt) -> vec on H's coefficient vector; each call takes the vector
-    the call before returned, so equal-dt steps share a half phase (module docstring)."""
-    fac, last_dt = np.empty(len(H.Mdiag), dtype=complex), None
-
-    def step(vec: np.ndarray, dt: float) -> np.ndarray:
-        nonlocal last_dt
-        if dt != last_dt:
-            _phase(vec, dt, 0.0, H.model.nonlinearity_on, fac)
-            last_dt = dt
-        return _strang(vec, dt, 0.0, lambda v: H.cayley_solve(v, dt), H.model.nonlinearity_on, fac)
-
-    return step
+    """(step, grad) on H's coefficient vector: the Cayley `_stepper` step, `H.grad_norm`."""
+    return _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve), H.grad_norm
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     """Strang step with the Cayley (Crank-Nicolson) linear propagator:
     half-step quintic phase, exactly norm-preserving linear solve, half-step
     phase."""
-    if dt == 0.0 or not np.isfinite(dt):
-        raise ValueError("dt must be a nonzero finite number")
-    return H.from_vector(_cayley_stepper(H)(H.to_vector(f), dt), f)
+    return H.from_vector(_cayley_stepper(H)[0](H.to_vector(f), dt), f)
 
 
 def _grad_norm(f: Field, model: ModelSpec) -> float:
@@ -356,16 +384,12 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger."""
     require_vertex_layout(u0, model)
-    use_split = model.uses_spectral()
-    if use_split:
-        H, state = None, u0.copy()
-        advance, values = (lambda u, dt: step_splitstep(u, dt, model)), (lambda u: u.values)
-        grad, snapshot = (lambda u: _grad_norm(u, model)), (lambda u: u.copy())
+    if model.uses_spectral():
+        H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
+        (advance, grad), snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
     else:
-        H = assemble_hamiltonian(u0, model)
-        state, advance, values = H.to_vector(u0), _cayley_stepper(H), (lambda v: v)
-        grad, snapshot = H.grad_norm, H.from_vector
-    V = _grid_kernels(u0.L, u0.N, u0.stagger, model)[1] if use_split else 0.0
+        H, V = assemble_hamiltonian(u0, model), 0.0
+        (advance, grad), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
     absV = np.abs(V) if np.ndim(V) else None
 
     grad0 = _grad_norm(u0, model)
@@ -385,7 +409,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         if nstep == 0:
             dt = min(dt, cfg.dt_init)
-        elif not use_split:
+        elif H is not None:
             dt = _quantize_dt(dt, cfg.dt_max)
         # underflow is judged on the step control's dt, before the step is
         # fitted to T_end; the step that reaches T_end lands on it, and keeps
@@ -397,14 +421,10 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         rest = cfg.T_end - t
         if rest < dt - cfg.dt_min:
             dt = rest
-        try:
-            state = advance(state, dt)
-        except ValueError as exc:  # a Field rejects non-finite values after an overflow
-            verdict = BlowupVerdict("aborted", diagnostic=str(exc))
-            break
-        modulus = np.abs(values(state))
+        state = advance(state, dt)
+        modulus = np.abs(state)
         amp = float(np.max(modulus, initial=0.0))
-        if not np.isfinite(amp):  # an overflow the coefficient vector carries
+        if not np.isfinite(amp):  # an overflow
             verdict = BlowupVerdict("aborted", diagnostic="non-finite field values")
             break
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt

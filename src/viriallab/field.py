@@ -230,13 +230,14 @@ def spectral_wavenumbers(f: LineField) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(f.N, d=f.h)
 
 
-def derivative(f: Field, method: str) -> np.ndarray:
-    """Samples of the spatial derivative, shaped like f.values: second-order
-    finite differences along each edge or the line ("fd"), or the Fourier
-    multiplier on a line field with N a power of two ("spectral").  Any
-    other method, or a spectral derivative on another grid, is a ValueError."""
+def derivative(f: Field, method: str, u: np.ndarray | None = None) -> np.ndarray:
+    """Samples of the spatial derivative of f.values, or of each array of the
+    block u (sample arrays on f's grid along leading axes), shaped like them:
+    finite differences of second order along each edge or the line ("fd"), or the
+    Fourier multiplier on a line with N a power of two ("spectral"); else ValueError."""
+    u = f.values if u is None else u
     if method == "fd":
-        return np.gradient(f.values, f.h, axis=-1, edge_order=2)
+        return np.gradient(u, f.h, axis=-1, edge_order=2)
     if method != "spectral":
         raise ValueError(f"unknown derivative method {method!r}")
     if not isinstance(f, LineField):
@@ -245,7 +246,12 @@ def derivative(f: Field, method: str) -> np.ndarray:
         raise ValueError("spectral derivative needs N a power of two")
     ik = 1j * spectral_wavenumbers(f)
     ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
-    return np.fft.ifft(ik * np.fft.fft(f.values))
+    return np.fft.ifft(ik * np.fft.fft(u))
+
+
+def grid_sum(grid: Field, a: np.ndarray) -> np.ndarray:
+    """Sum of a over the grid axes of `grid`, one value per leading index."""
+    return np.sum(a, axis=tuple(range(-np.ndim(grid.values), 0)))
 
 
 def p1_chain(f: Field, a: np.ndarray, zero) -> np.ndarray:
@@ -288,5 +294,9 @@ def tail_quad_weights(f: Field, R: float) -> np.ndarray:
 
 def tail_mass(f: Field, R: float) -> float:
     """L^2 norm of the field restricted to the region beyond R."""
-    wt = tail_quad_weights(f, R)
-    return float(np.sqrt(np.sum(wt * np.abs(f.values) ** 2)))
+    return float(tail_mass_block(f, f.values, R))
+
+
+def tail_mass_block(grid: Field, u: np.ndarray, R: float) -> np.ndarray:
+    """`tail_mass` of each sample array in the block u on the grid of `grid`."""
+    return np.sqrt(grid_sum(grid, tail_quad_weights(grid, R) * np.abs(u) ** 2))

@@ -21,6 +21,7 @@ from .field import (
     GraphField,
     LineField,
     derivative,
+    grid_sum,
     lp_norm,
     p1_chain,
     spectral_wavenumbers,
@@ -153,8 +154,9 @@ def mass(f: Field) -> float:
     return lp_norm(f, 2) ** 2
 
 
-def _grad(f: Field, model: ModelSpec) -> np.ndarray:
-    return derivative(f, "spectral" if model.uses_spectral() else "fd")
+def grad_block(grid: Field, u: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """The model's `derivative` of each sample array in the block u on grid."""
+    return derivative(grid, "spectral" if model.uses_spectral() else "fd", u)
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,11 +181,15 @@ def kinetic_energy(f: Field, model: ModelSpec) -> float:
         require_geometry(f, model)
         if f.N & (f.N - 1):
             raise ValueError("spectral derivative needs N a power of two")
-        spec = np.fft.fft(f.values)
-        power = spec.real**2 + spec.imag**2
-        return 0.5 * f.h / f.N * float(np.dot(_parseval_k2(f.L, f.N), power))
+        return parseval_kinetic_energy(f, np.fft.fft(f.values))
     diff = np.diff(p1_chain(f, f.values, 0.0), axis=-1)
-    return 0.5 * float(np.sum(np.abs(diff) ** 2) / f.h)
+    return 0.5 * float(np.vdot(diff, diff).real / f.h)
+
+
+def parseval_kinetic_energy(f: LineField, spec: np.ndarray) -> float:
+    """The spectral `kinetic_energy` of the samples whose FFT is spec."""
+    power = spec.real**2 + spec.imag**2
+    return 0.5 * f.h / f.N * float(np.dot(_parseval_k2(f.L, f.N), power))
 
 
 def vertex_form(f: Field, model: ModelSpec) -> tuple[list, float]:
@@ -201,30 +207,31 @@ def vertex_form(f: Field, model: ModelSpec) -> tuple[list, float]:
     return list(range(0, f.J * (f.M + 1), f.M + 1)), 1.0 / model.vertex.gamma
 
 
-def _vertex_energy(f: Field, model: ModelSpec) -> float:
-    """P(u) of `vertex_form`."""
+def _vertex_energy(f: Field, u: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """P(u) of `vertex_form` for each sample array in the block u on f's grid."""
     nodes, g = vertex_form(f, model)
-    return g * float(np.abs(np.sum(f.values.ravel()[nodes])) ** 2)
+    flat = u.reshape(u.shape[: u.ndim - np.ndim(f.values)] + (-1,))
+    return g * np.square(np.abs(np.sum(flat[..., nodes], axis=-1)))
 
 
 def p_functional(f: GraphField, vc: VertexCondition) -> float:
     """Vertex energy P: 0 (Kirchhoff), gamma |f1(0)|^2 (delta),
     |sum_j f_j(0)|^2 / gamma (delta')."""
-    return _vertex_energy(f, ModelSpec.graph(vc))
+    return float(_vertex_energy(f, f.values, ModelSpec.graph(vc)))
 
 
-def _smooth_moment(f: Field, model: ModelSpec, R: float | None = None) -> float:
-    """int V |u|^2 for the smooth potential V (0 for the variants without
-    one), with the weight (R/x) chi_R'(x) when R is given."""
+def _smooth_moment(f: Field, u: np.ndarray, model: ModelSpec, R: float | None = None):
+    """int V |u|^2 for the smooth potential V (0 for the variants without one),
+    with the weight (R/x) chi_R'(x) when R is given, of each array of the block u."""
     if model.variant != "inverse_power":
         return 0.0
     w = f.quad_weights if R is None else f.quad_weights * weight.zeta_over_s(f.x / R)
-    return float(np.sum(w * potential_on_grid(model, f.x) * np.abs(f.values) ** 2))
+    return grid_sum(f, w * potential_on_grid(model, f.x) * np.abs(u) ** 2)
 
 
 def potential_energy(f: Field, model: ModelSpec) -> float:
     """The potential/vertex part of the energy, 0.5 int V |u|^2 + 0.5 P."""
-    return 0.5 * (_smooth_moment(f, model) + _vertex_energy(f, model))
+    return 0.5 * float(_smooth_moment(f, f.values, model) + _vertex_energy(f, f.values, model))
 
 
 def energy(f: Field, model: ModelSpec) -> float:
@@ -237,20 +244,30 @@ def energy(f: Field, model: ModelSpec) -> float:
 
 def virial_I(f: Field, R: float) -> float:
     """Weighted variance int chi_R(x) |u|^2."""
-    return float(np.sum(f.quad_weights * weight.chi_R(f.x, R, 0) * np.abs(f.values) ** 2))
+    return float(virial_I_block(f, f.values, R))
+
+
+def virial_I_block(grid: Field, u: np.ndarray, R: float) -> np.ndarray:
+    """`virial_I` of each sample array in the block u on the grid of `grid`."""
+    return grid_sum(grid, grid.quad_weights * weight.chi_R(grid.x, R, 0) * np.abs(u) ** 2)
 
 
 def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
     """First-derivative formula 2 Im int chi_R'(x) conj(u) du."""
-    du = _grad(f, model or ModelSpec.free())
-    integrand = weight.chi_R(f.x, R, 1) * np.conj(f.values) * du
-    return 2.0 * float(np.imag(np.sum(f.quad_weights * integrand)))
+    du = grad_block(f, f.values, model or ModelSpec.free())
+    return float(virial_I_prime_block(f, f.values, du, R))
 
 
-def _potential_rhs(f: Field, R: float, model: ModelSpec) -> float:
-    """The variant's term in the localized virial identity with w = chi_R:
-    2 mu int (R/x) chi_R'(x) V |u|^2 + 2 w''(0) P, and w''(0) = 2."""
-    return 2.0 * model.mu * _smooth_moment(f, model, R) + 4.0 * _vertex_energy(f, model)
+def virial_I_prime_block(grid: Field, u: np.ndarray, du: np.ndarray, R: float) -> np.ndarray:
+    """`virial_I_prime` of each sample array in the block u, du its `grad_block`."""
+    integrand = weight.chi_R(grid.x, R, 1) * np.conj(u) * du
+    return 2.0 * np.imag(grid_sum(grid, grid.quad_weights * integrand))
+
+
+def _potential_rhs(f: Field, u: np.ndarray, R: float, model: ModelSpec):
+    """The variant's term in the localized virial identity with w = chi_R, of
+    each array of the block u: 2 mu int (R/x) chi_R'(x) V |u|^2 + 2 w''(0) P, w''(0) = 2."""
+    return 2.0 * model.mu * _smooth_moment(f, u, model, R) + 4.0 * _vertex_energy(f, u, model)
 
 
 def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
@@ -259,21 +276,26 @@ def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
     This is rhs(model) - rhs(free form) - 16 (E_model - E_free) on the same
     field: the term the blow-up estimates discard by sign.
     """
-    return _potential_rhs(f, R, model) - 16.0 * potential_energy(f, model)
+    return float(_potential_rhs(f, f.values, R, model)) - 16.0 * potential_energy(f, model)
 
 
 def virial_rhs(f: Field, R: float, model: ModelSpec) -> float:
     """Right-hand side of the matching localized virial identity with
     w = chi_R: 4 int w''|du|^2 - (4/3) int w''|u|^6 - int w''''|u|^2 plus the
     variant's extra term (potential, vertex value, or vertex functional)."""
-    x, wq, u, dux = f.x, f.quad_weights, f.values, _grad(f, model)
+    return float(virial_rhs_block(f, f.values, grad_block(f, f.values, model), R, model))
+
+
+def virial_rhs_block(grid: Field, u: np.ndarray, du: np.ndarray, R: float, model: ModelSpec):
+    """`virial_rhs` of each sample array in the block u, du its `grad_block`."""
+    x, wq = grid.x, grid.quad_weights
     w2 = weight.chi_R(x, R, 2)
     w4 = weight.chi_R(x, R, 4)
-    val = 4.0 * np.sum(wq * w2 * np.abs(dux) ** 2)
+    val = 4.0 * grid_sum(grid, wq * w2 * np.abs(du) ** 2)
     if model.nonlinearity_on:
-        val -= 4.0 / 3.0 * np.sum(wq * w2 * np.abs(u) ** 6)
-    val -= np.sum(wq * w4 * np.abs(u) ** 2)
-    return float(val) + _potential_rhs(f, R, model)
+        val -= 4.0 / 3.0 * grid_sum(grid, wq * w2 * np.abs(u) ** 6)
+    val -= grid_sum(grid, wq * w4 * np.abs(u) ** 2)
+    return val + _potential_rhs(grid, u, R, model)
 
 
 @dataclass

@@ -15,8 +15,9 @@ import numpy as np
 
 from . import weight
 from .evolve import Trajectory
-from .field import Field, tail_mass
-from .functionals import ModelSpec, energy, kinetic_energy, mass, virial_I, virial_I_prime, virial_rhs
+from .field import Field, tail_mass, tail_mass_block
+from .functionals import ModelSpec, energy, grad_block, kinetic_energy, mass, virial_I
+from .functionals import virial_I_block, virial_I_prime_block, virial_rhs_block
 
 
 def a0() -> float:
@@ -36,6 +37,7 @@ class VirialReport:
     Isecond_fd: np.ndarray
     rhs_formula: np.ndarray
     residual: np.ndarray
+    tail_mass: np.ndarray
     ineq_checked: np.ndarray
     ineq_satisfied: np.ndarray
     eta: float
@@ -49,15 +51,37 @@ class VirialReport:
         return int(np.sum(bad))
 
 
+BLOCK_VALUES = 2**15
+
+
+def _blocks(snapshots):
+    """The snapshots' samples in stacks of at most BLOCK_VALUES grid values (one
+    snapshot at least), so that memory does not grow with the snapshot count."""
+    size = max(1, BLOCK_VALUES // np.size(snapshots[0].values))
+    for i in range(0, len(snapshots), size):
+        yield np.stack([s.values for s in snapshots[i : i + size]])
+
+
+def _series(snapshots, R: float, model: ModelSpec, E: float, eta_val: float) -> list:
+    """[I', tail mass, checked, satisfied, rhs] of each snapshot over `_blocks`, with
+    each chi_R order, the tail weights and the derivative once per block."""
+    grid, cols = snapshots[0], []
+    for u in _blocks(snapshots):
+        du = grad_block(grid, u, model)
+        cols.append((virial_I_prime_block(grid, u, du, R), virial_rhs_block(grid, u, du, R, model),
+                     tail_mass_block(grid, u, R)))
+    Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
+    checked = tail <= a0()
+    bound = 16.0 * E + 2.0 * eta_val + INEQ_SLACK * (1.0 + abs(E))
+    return [Ip, tail, checked, ~checked | (rhs <= bound), rhs]
+
+
 def inequality_flags(
     snapshots, R: float, model: ModelSpec, E: float, eta_val: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot (checked, satisfied, rhs) for the decay inequality
     rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0."""
-    bound = 16.0 * E + 2.0 * eta_val + INEQ_SLACK * (1.0 + abs(E))
-    rhs = np.array([virial_rhs(s, R, model) for s in snapshots])
-    checked = np.array([tail_mass(s, R) for s in snapshots]) <= a0()
-    return checked, ~checked | (rhs <= bound), rhs
+    return tuple(_series(snapshots, R, model, E, eta_val)[2:])
 
 
 def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
@@ -71,13 +95,11 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     if np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("snapshots are not uniformly spaced")
 
-    I = np.array([virial_I(s, R) for s in traj.snapshots])
+    I = np.concatenate([virial_I_block(traj.snapshots[0], u, R) for u in _blocks(traj.snapshots)])
     Ifd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt**2
     E = float(traj.energy_series[0])
     eta_val = weight.eta(R, float(traj.mass_series[0]))
-    interior = traj.snapshots[1:-1]
-    checked, satisfied, rhs = inequality_flags(interior, R, model, E, eta_val)
-    Ip = np.array([virial_I_prime(s, R, model) for s in interior])
+    Ip, tail, checked, satisfied, rhs = _series(traj.snapshots[1:-1], R, model, E, eta_val)
     return VirialReport(
         R=R,
         times=np.asarray(traj.times)[1:-1],
@@ -86,6 +108,7 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
         Isecond_fd=Ifd,
         rhs_formula=rhs,
         residual=np.abs(Ifd - rhs),
+        tail_mass=tail,
         ineq_checked=checked,
         ineq_satisfied=satisfied,
         eta=eta_val,

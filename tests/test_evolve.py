@@ -593,6 +593,138 @@ class TestVectorGradNorm:
             assert H.grad_norm(vec) == ev._grad_norm(H.from_vector(vec, layout), model)
 
 
+def reference_split_run(u0, model, cfg):
+    """The split path of `run` as it was when it stepped Fields: `step_splitstep`
+    and a Field on every step, so the propagator and both half phases are built
+    anew on each step, and the trigger's gradient norm from `kinetic_energy`;
+    kept as the reference for the vector loop.  Returns (verdict, steps, times,
+    snapshots)."""
+    V = fn.potential_on_grid(model, u0.x)
+    absV = np.abs(V) if np.any(V) else None
+    grad0 = ev._grad_norm(u0, model)
+    times, snapshots = [0.0], [u0.copy()]
+    u, t, nstep = u0.copy(), 0.0, 0
+    modulus = np.abs(u.values)
+    amp = float(np.max(modulus, initial=0.0))
+    verdict = ev.BlowupVerdict("completed")
+    while t < cfg.T_end * (1.0 - 1e-14):
+        rate = amp**4 if model.nonlinearity_on else 0.0
+        if absV is not None:
+            rate += float(np.max(absV, where=modulus > ev.V_SUPPORT_FRACTION * amp, initial=0.0))
+        dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
+        if nstep == 0:
+            dt = min(dt, cfg.dt_init)
+        if dt < cfg.dt_min:
+            verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
+            break
+        rest = cfg.T_end - t
+        if rest < dt - cfg.dt_min:
+            dt = rest
+        u = ev.step_splitstep(u, dt, model)
+        modulus = np.abs(u.values)
+        amp = float(np.max(modulus, initial=0.0))
+        t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
+        nstep += 1
+        trigger = ev._trigger(cfg, grad0, amp, ev._grad_norm(u, model))
+        if trigger is not None:
+            verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
+            break
+        if nstep % cfg.snapshot_stride == 0:
+            times.append(t)
+            snapshots.append(u.copy())
+    if t > times[-1]:
+        times.append(t)
+        snapshots.append(u.copy())
+    return verdict, nstep, np.array(times), snapshots
+
+
+def staggered(f):
+    return LineField.from_function(f, 8.0, 2**9, stagger=True)
+
+
+# split runs whose dt changes on every step (the phase rate limits it: the
+# free bump focuses, the inverse-power data sit over x = 0), and runs at
+# dt_max after a dt_init step, with a last step fitted to T_end
+SPLIT_RATE_LIMITED = [
+    pytest.param(LineField.from_function(focusing_bump, 8.0, 2**9), fn.ModelSpec.free(),
+                 dict(grad_blowup_factor=1.2, T_end=0.3), id="free-focusing"),
+    pytest.param(staggered(focusing_bump), fn.ModelSpec.inverse_power(1.0, 0.5), {},
+                 id="invpow-over-origin"),
+]
+SPLIT_EQUAL_DT = [
+    pytest.param(LineField.from_function(lambda x: np.exp(-(x**2)), 8.0, 2**9),
+                 fn.ModelSpec.free(), dict(phase_tol=1e6, T_end=0.0305), id="free-equal-dt"),
+    pytest.param(staggered(lambda x: np.exp(-((x - 1.0) ** 2))), fn.ModelSpec.inverse_power(1.0, 0.5),
+                 dict(phase_tol=1e6, T_end=0.0305), id="invpow-equal-dt"),
+]
+
+
+def split_run_config(**kw):
+    base = dict(dt_init=1e-4, dt_max=1e-3, phase_tol=1e-3, T_end=0.1, snapshot_stride=7)
+    return ev.SolverConfig(**(base | kw))
+
+
+class TestSplitVectorLoop:
+    """The split path of `run`, one vector stepped in place, against the loop
+    that stepped Fields."""
+
+    @pytest.mark.parametrize("f,model,extra", SPLIT_RATE_LIMITED + SPLIT_EQUAL_DT)
+    def test_matches_field_loop(self, f, model, extra):
+        cfg = split_run_config(**extra)
+        traj = ev.run(f, model, cfg)
+        verdict, steps, times, snapshots = reference_split_run(f, model, cfg)
+        assert traj.verdict == verdict
+        assert traj.steps == steps
+        assert np.array_equal(traj.times, times)
+        assert len(traj.snapshots) == len(snapshots) >= 3
+        rate_limited = cfg.phase_tol < 1.0
+        if rate_limited:
+            # no two steps share a dt, so no half phase is shared: bit for bit
+            assert traj.dt_max < cfg.dt_max
+            for new, ref in zip(traj.snapshots, snapshots):
+                assert np.array_equal(new.values, ref.values)
+        else:
+            for new, ref in zip(traj.snapshots, snapshots):
+                assert rel_err(new.values, ref.values) <= 1e-13
+
+    @pytest.mark.parametrize("f,model,extra", SPLIT_RATE_LIMITED + SPLIT_EQUAL_DT)
+    def test_propagator_and_leading_phase_rebuilt_when_dt_changes(
+        self, f, model, extra, monkeypatch
+    ):
+        # the propagator once per dt level, one phase factor per step, and one
+        # more (the leading factor) on the first step and on every step whose
+        # dt differs from the step before
+        step_dts, prop_dts, phase_dts = [], [], []
+        stepper, propagator, phase = ev._stepper, ev._propagator, ev._phase
+        monkeypatch.setattr(ev, "_stepper", lambda n, V, on, flow: stepper(
+            n, V, on, lambda v, dt: step_dts.append(dt) or flow(v, dt)))
+        monkeypatch.setattr(
+            ev, "_propagator", lambda k2, dt, out: prop_dts.append(dt) or propagator(k2, dt, out)
+        )
+        monkeypatch.setattr(
+            ev, "_phase", lambda u, dt, *a: phase_dts.append(dt) or phase(u, dt, *a)
+        )
+        traj = ev.run(f, model, split_run_config(**extra))
+        assert len(step_dts) == traj.steps and len(set(step_dts)) >= 3
+        changed = [i == 0 or dt != step_dts[i - 1] for i, dt in enumerate(step_dts)]
+        assert all(changed) == (extra.get("phase_tol") != 1e6)
+        assert prop_dts == [dt for dt, c in zip(step_dts, changed) if c]
+        expected = []
+        for dt, c in zip(step_dts, changed):
+            expected += [dt, dt] if c else [dt]
+        assert phase_dts == expected
+
+    @pytest.mark.parametrize("N", [2**6, 2**9, 2**12])
+    def test_grad_matches_kinetic_energy_bitwise(self, N):
+        rng = np.random.default_rng(4)
+        for model, stagger in SPECTRAL_CASES[:2]:
+            f = rough_field(N, stagger)
+            grad = ev._split_stepper(f, model)[1]
+            for _ in range(20):
+                vec = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                assert grad(vec) == ev._grad_norm(f.with_values(vec), model)
+
+
 class TestRun:
     def test_zero_data_completes(self):
         f = LineField.from_function(lambda x: np.zeros_like(x), 8.0, 2**6)
@@ -661,11 +793,15 @@ class TestRun:
             ev.SolverConfig(T_end=float("inf"))  # a run that never ends
 
     def test_overflow_aborts(self, monkeypatch):
-        # the field constructors reject the non-finite values of an overflow
-        def overflow(f, dt, model):
-            return f.with_values(np.full(f.N, np.inf))
+        # no Field is built per step on the split path either: the finiteness
+        # check on sup|u| catches the overflow
+        split = ev._split_stepper
 
-        monkeypatch.setattr(ev, "step_splitstep", overflow)
+        def overflowing(template, model):
+            grad = split(template, model)[1]
+            return (lambda vec, dt: np.full_like(vec, np.inf)), grad
+
+        monkeypatch.setattr(ev, "_split_stepper", overflowing)
         traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
@@ -764,10 +900,12 @@ class TestRun:
         assert ev.run(rough_graph(3, not shared), model, cfg).verdict.status == "completed"
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(f, dt, model):
+        split = ev._split_stepper
+
+        def broken(vec, dt):
             raise TypeError("bug in a step")
 
-        monkeypatch.setattr(ev, "step_splitstep", broken)
+        monkeypatch.setattr(ev, "_split_stepper", lambda f, model: (broken, split(f, model)[1]))
         with pytest.raises(TypeError):
             ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from viriallab import functionals as fn
 from viriallab import soliton as sol
 from viriallab import virial_analysis as va
 from viriallab import weight as w
-from viriallab.field import LineField, tail_mass
+from viriallab.field import LineField, field_from_grid, tail_mass, tail_mass_block
 
 
 def gaussian_field(L=20.0, N=2**12, amp=1.0):
@@ -176,3 +177,120 @@ class TestInequalityFlagsMatchReference:
             for a, b in zip(new, ref):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not np.any(new[1]) and np.all(new[0])
+
+
+def noisy_snapshots(template, count, seed=0):
+    """`count` fields on the grid of `template`: a smooth bump plus noise in
+    every node, equal vertex values on a shared graph grid and the Dirichlet
+    zero at a graph's far node."""
+    rng = np.random.default_rng(seed)
+    shape = np.shape(template.values)
+    out = []
+    for _ in range(count):
+        vals = np.exp(-(template.x**2) / 8.0) * (1.0 + 0.3j) + 0.1 * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        if len(shape) == 2:
+            if template.shared_vertex:
+                vals[:, 0] = vals[0, 0]
+            vals[:, -1] = 0.0
+        out.append(template.with_values(vals))
+    return out
+
+
+def graph_grid(shared):
+    return {"kind": "graph", "J": 3, "Ledge": 8.0, "M": 200, "shared_vertex": shared}
+
+
+# the grids of every variant's virial quantities: the spectral line (plain
+# and staggered), the delta line, and 3-edge graphs with one shared vertex
+# value (Dirac delta) and one per edge (delta prime)
+BLOCK_CASES = [
+    pytest.param({"kind": "line", "L": 10.0, "N": 256}, fn.ModelSpec.free(), id="spectral-line"),
+    pytest.param({"kind": "line", "L": 10.0, "N": 256, "stagger": True},
+                 fn.ModelSpec.inverse_power(1.0, 0.5), id="spectral-line-staggered"),
+    pytest.param({"kind": "line", "L": 10.0, "N": 256}, fn.ModelSpec.delta(1.3), id="delta-line"),
+    pytest.param(graph_grid(True), fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=0.7)),
+                 id="graph-shared"),
+    pytest.param(graph_grid(False), fn.ModelSpec.graph(fn.VertexCondition("delta_prime", gamma=2.0)),
+                 id="graph-unshared"),
+]
+
+
+def uniform_trajectory(snaps, model):
+    """The snapshots as a trajectory with uniform spacing 0.01."""
+    n = len(snaps)
+    return ev.Trajectory(
+        times=0.01 * np.arange(n), snapshots=snaps,
+        mass_series=np.array([fn.mass(s) for s in snaps]),
+        energy_series=np.array([fn.energy(s, model) for s in snaps]),
+        grad_series=np.zeros(n), verdict=ev.BlowupVerdict("completed"), model=model,
+        config=ev.SolverConfig(),
+    )
+
+
+class TestBlockFunctionals:
+    """The virial quantities over blocks of snapshots against the one-Field
+    functions, bit for bit."""
+
+    @pytest.mark.parametrize("grid,model", BLOCK_CASES)
+    def test_block_functions_match_per_field(self, grid, model):
+        template = field_from_grid(grid)
+        snaps = noisy_snapshots(template, 6)
+        R = 3.0
+        u = np.stack([s.values for s in snaps])
+        du = fn.grad_block(template, u, model)
+        per_field = {
+            "I": [fn.virial_I(s, R) for s in snaps],
+            "Ip": [fn.virial_I_prime(s, R, model) for s in snaps],
+            "rhs": [fn.virial_rhs(s, R, model) for s in snaps],
+            "tail": [tail_mass(s, R) for s in snaps],
+        }
+        # two leading axes: (2, 3) snapshots
+        u2, du2 = u.reshape((2, 3) + u.shape[1:]), du.reshape((2, 3) + u.shape[1:])
+        for block, dblock in ((u, du), (u2, du2)):
+            got = {
+                "I": fn.virial_I_block(template, block, R),
+                "Ip": fn.virial_I_prime_block(template, block, dblock, R),
+                "rhs": fn.virial_rhs_block(template, block, dblock, R, model),
+                "tail": tail_mass_block(template, block, R),
+            }
+            for name, ref in per_field.items():
+                assert got[name].shape == block.shape[: block.ndim - u.ndim + 1]
+                assert np.array_equal(got[name].ravel(), ref), name
+
+    @pytest.mark.parametrize("grid,model", BLOCK_CASES)
+    @pytest.mark.parametrize("per_block", [1, 3, 7], ids=["size-1", "ragged", "one-block"])
+    def test_report_matches_per_field(self, grid, model, per_block, monkeypatch):
+        # seven snapshots in blocks of 1, of 3 (3 + 3 + 1 for I, 3 + 2 for
+        # the interior) or in one block
+        template = field_from_grid(grid)
+        snaps = noisy_snapshots(template, 7, seed=1)
+        monkeypatch.setattr(va, "BLOCK_VALUES", per_block * np.size(template.values))
+        R = 3.0
+        rep = va.report(uniform_trajectory(snaps, model), R, model)
+        interior = snaps[1:-1]
+        assert np.array_equal(rep.I, [fn.virial_I(s, R) for s in interior])
+        assert np.array_equal(rep.Iprime_formula, [fn.virial_I_prime(s, R, model) for s in interior])
+        assert np.array_equal(rep.rhs_formula, [fn.virial_rhs(s, R, model) for s in interior])
+        assert np.array_equal(rep.tail_mass, [tail_mass(s, R) for s in interior])
+        E, m = fn.energy(snaps[0], model), fn.mass(snaps[0])
+        for R_k in (0.1, R, 1e3):  # none, some and every snapshot checked
+            args = (interior, R_k, model, E, w.eta(R_k, m))
+            for a, b in zip(va.inequality_flags(*args), reference_inequality_flags(*args)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_report_peak_memory_does_not_grow_with_snapshots(self):
+        template = field_from_grid({"kind": "line", "L": 20.0, "N": 4096})
+        model = fn.ModelSpec.free()
+        peaks = []
+        for n in (10, 80):
+            traj = uniform_trajectory(noisy_snapshots(template, n), model)
+            tracemalloc.start()
+            try:
+                va.report(traj, 8.0, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one stack of all 80 snapshots alone would take 5.2 MB
+        assert peaks[1] <= 1.2 * peaks[0]
