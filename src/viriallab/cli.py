@@ -11,7 +11,6 @@ directory virial-report reads.  All outputs are deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import pathlib
@@ -25,7 +24,7 @@ from . import soliton as sol
 from . import virial_analysis as va
 from . import weight
 from .evolve import _fmt
-from .field import LineField, field_from_grid, lp_norm, read_snapshot, write_snapshot
+from .field import LineField, field_from_grid, lp_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,8 +65,11 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
         if not gs.converged:
             raise ScenarioError("ground-state initial data did not converge")
         return gs.field
-    if kind == "file":
-        return read_snapshot(data["path"], template)
+    if kind == "file":  # the samples in the grid's shape, as `np.save` wrote them
+        values = np.load(data["path"], allow_pickle=False)
+        if np.shape(values) != template.values.shape:
+            raise ValueError(f"{data['path']}: shape {np.shape(values)} != {template.values.shape}")
+        return template.with_values(values)
     raise ScenarioError(f"unknown initial_data kind {kind!r}")
 
 
@@ -97,7 +99,7 @@ def _scenario_pieces(sc: dict):
         u0 = _build_initial(sc["initial_data"], template, model)
         fn.potential_energy(u0, model)  # the model must fit the grid
         ev.require_vertex_layout(u0, model)
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OSError, EOFError) as exc:
         raise ScenarioError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
 
@@ -160,6 +162,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_virial_report(args) -> int:
+    if not args.tol > 0:
+        print("error: --tol must be positive", file=sys.stderr)
+        return EXIT_BADARGS
     src = _out_path(args.trajectory, args.trajectory)  # where simulate --out wrote it
     try:
         traj = ev.load_trajectory(src)
@@ -238,10 +243,10 @@ def cmd_blowup_scan(args) -> int:
         )
     out = _out_path(args.out, "scan.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["lambda", "energy", "verdict", "t_detect"])
-        wr.writerows(rows)
+    np.savetxt(
+        out, np.array(rows, dtype=object), fmt="%s", delimiter=",", newline="\r\n",
+        header="lambda,energy,verdict,t_detect", comments="",
+    )
     return EXIT_OK
 
 
@@ -264,6 +269,7 @@ def cmd_ground_state(args) -> int:
         return EXIT_BADARGS
     record = {
         "model": args.model,
+        "grid": template.grid_spec(),
         "omega": args.omega,
         "gamma": args.gamma,
         "mu": args.mu,
@@ -282,7 +288,7 @@ def cmd_ground_state(args) -> int:
         record["energy"] = fn.energy(gs.field, model)
     out = _out_path(args.out, "ground_state")
     out.mkdir(parents=True, exist_ok=True)
-    write_snapshot(gs.field, out / "profile.csv")
+    np.save(out / "profile.npy", gs.field.values)
     with open(out / "record.json", "w") as fh:
         json.dump(record, fh, indent=2)
     if not gs.converged:

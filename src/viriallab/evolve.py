@@ -63,7 +63,6 @@ from .field import (
 from .functionals import (
     ModelSpec,
     energy,
-    kinetic_energy,
     mass,
     parseval_kinetic_energy,
     potential_on_grid,
@@ -175,11 +174,6 @@ def _stepper(n: int, V, nonlinearity_on: bool, flow):
     return step
 
 
-def _strang(vec: np.ndarray, dt: float, V, linear, nonlinearity_on: bool) -> np.ndarray:
-    """One `_stepper` step of a copy of vec with the linear flow `linear`."""
-    return _stepper(len(vec), V, nonlinearity_on, lambda v, dt: linear(v))(vec.copy(), dt)
-
-
 @functools.lru_cache(maxsize=8)
 def _grid_kernels(L: float, N: int, stagger: bool, model: ModelSpec) -> tuple:
     """Read-only step kernels of one line grid: the squared wavenumbers of
@@ -206,7 +200,7 @@ def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 def _split_stepper(template: LineField, model: ModelSpec):
     """(step, grad) on vectors of template's grid: the `_stepper` step with the
     exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt changes,
-    and `_grad_norm` of a vector's Field, bit for bit, through the same buffer."""
+    and sqrt(2 kinetic_energy) of a vector's Field, bit for bit, through that buffer."""
     if template.N & (template.N - 1):
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
@@ -263,7 +257,7 @@ class AssembledOperator:
         return like.with_values(np.append(vec, 0.0)[self.unknown])
 
     def grad_norm(self, vec: np.ndarray) -> float:
-        """||u'|| along the P1 elements, `_grad_norm` of `from_vector(vec)` bit for bit."""
+        """||u'|| along the P1 elements, sqrt(2 kinetic_energy) of `from_vector(vec)`."""
         diff = np.diff(np.append(vec, 0.0)[self._chain], axis=-1)
         return float(np.sqrt(2.0 * (0.5 * float(np.vdot(diff, diff).real / self.template.h))))
 
@@ -354,10 +348,6 @@ def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     return H.from_vector(_cayley_stepper(H)[0](H.to_vector(f), dt), f)
 
 
-def _grad_norm(f: Field, model: ModelSpec) -> float:
-    return float(np.sqrt(2.0 * kinetic_energy(f, model)))
-
-
 def _quantize_dt(dt_target: float, dt_max: float) -> float:
     """Snap to dt_max / 2^k so the Cayley LU factors get reused."""
     if dt_target >= dt_max:
@@ -392,9 +382,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         (advance, grad), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
     absV = np.abs(V) if np.ndim(V) else None
 
-    grad0 = _grad_norm(u0, model)
-    times = [0.0]
-    snapshots = [u0.copy()]
+    grad0 = gradn = grad(state)
+    times, snapshots, grads = [0.0], [u0.copy()], [grad0]
     t, nstep, dt_lo, dt_hi = 0.0, 0, np.inf, 0.0
     modulus = np.abs(u0.values)
     amp = float(np.max(modulus, initial=0.0))
@@ -430,26 +419,29 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-        trigger = _trigger(cfg, grad0, amp, grad(state))
+        gradn = grad(state)
+        trigger = _trigger(cfg, grad0, amp, gradn)
         if trigger is not None:
             verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break
         if nstep % cfg.snapshot_stride == 0:
             times.append(t)
             snapshots.append(snapshot(state))
-    if t > times[-1]:
+            grads.append(gradn)
+    # an aborted run has overwritten its last finite state
+    if t > times[-1] and verdict.status != "aborted":
         times.append(t)
         snapshots.append(snapshot(state))
+        grads.append(gradn)
 
     m = np.array([mass(s) for s in snapshots])
     e = np.array([energy(s, model) for s in snapshots])
-    g = np.array([_grad_norm(s, model) for s in snapshots])
     return Trajectory(
         times=np.array(times),
         snapshots=snapshots,
         mass_series=m,
         energy_series=e,
-        grad_series=g,
+        grad_series=np.array(grads),
         verdict=verdict,
         model=model,
         config=cfg,

@@ -13,6 +13,10 @@ so `x` and `quad_weights` of shape (M+1,) broadcast against `values` of
 shape (J, M+1)), `with_values` and `sampled`.  `GraphField.values` is a
 read-only view of the one (J, M+1) array each field owns; `vertex_values`
 and `edge_values` are writable views of its first column and the rest.
+
+Samples enter and leave the package in one layout, `values` as `np.save`
+writes it: (N,) or (J, M+1), one row of a trajectory's snapshots.npy; they
+come back through `with_values` on the grid's zero field, checks and all.
 """
 
 from __future__ import annotations
@@ -190,29 +194,6 @@ def field_from_grid(spec: dict) -> Field:
     raise ValueError(f"unknown grid kind {spec['kind']!r}")
 
 
-def write_snapshot(f: Field, path) -> None:
-    """CSV of the samples, one row per node: columns x,re,im on a line and
-    edge,x,re,im on a graph, numbers at full double precision."""
-    vals = f.values
-    cols = [np.broadcast_to(f.x, vals.shape).ravel(), vals.real.ravel(), vals.imag.ravel()]
-    head = "x,re,im"
-    if vals.ndim == 2:
-        cols.insert(0, np.repeat(np.arange(vals.shape[0]), vals.shape[1]))
-        head = "edge," + head
-    np.savetxt(
-        path, np.column_stack(cols), fmt="%.17g", delimiter=",", newline="\r\n",
-        header=head, comments="",
-    )
-
-
-def read_snapshot(path, template: Field) -> Field:
-    """Field on the grid of `template` from a `write_snapshot` file (the
-    last two columns are re, im)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    vals = data[:, -2] + 1j * data[:, -1]
-    return template.with_values(vals.reshape(np.shape(template.values)))
-
-
 def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p norm; graphs sum p-th powers over edges."""
     if p < 1:
@@ -220,10 +201,6 @@ def lp_norm(f: Field, p: float) -> float:
     if np.isinf(p):
         return float(np.max(np.abs(f.values), initial=0.0))
     return float(np.sum(f.quad_weights * np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 def spectral_wavenumbers(f: LineField) -> np.ndarray:
@@ -242,7 +219,7 @@ def derivative(f: Field, method: str, u: np.ndarray | None = None) -> np.ndarray
         raise ValueError(f"unknown derivative method {method!r}")
     if not isinstance(f, LineField):
         raise ValueError("spectral derivative needs a line field")
-    if not _is_pow2(f.N):
+    if f.N & (f.N - 1):
         raise ValueError("spectral derivative needs N a power of two")
     ik = 1j * spectral_wavenumbers(f)
     ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode

@@ -11,7 +11,7 @@ from viriallab import functionals as fn
 from viriallab import soliton as sol
 from viriallab import virial_analysis as va
 from viriallab import weight as w
-from viriallab.field import tail_mass
+from viriallab.field import field_from_grid, tail_mass
 
 
 def quick_scenario(tmp_path, name="quick", lam=1.0, T=0.05, model=None):
@@ -101,7 +101,7 @@ class TestSimulate:
         edits = [
             lambda sc: sc["initial_data"].pop("lam"),
             lambda sc: sc["model"].pop("variant"),
-            lambda sc: sc.update(initial_data={"kind": "file", "path": str(tmp_path / "no.csv")}),
+            lambda sc: sc.update(initial_data={"kind": "file", "path": str(tmp_path / "no.npy")}),
             lambda sc: sc["solver"].update(T_end=float("nan")),
             lambda sc: sc["solver"].update(snapshot_stride=2.5),
             lambda sc: sc["grid"].update(L=float("nan")),
@@ -143,6 +143,69 @@ class TestSimulate:
         sc["grid"]["shared_vertex"] = False
         p.write_text(json.dumps(sc))
         assert cli.main(["simulate", str(p)]) == 0
+
+    def test_ground_state_profile_as_file_data(self, tmp_path):
+        # profile.npy of `ground-state` fed back as initial data runs bit for
+        # bit as the same profile computed in memory
+        gs = tmp_path / "gs"
+        assert cli.main(["ground-state", "--model", "delta", "--gamma", "1", "--out", str(gs)]) == 0
+        rec = json.loads((gs / "record.json").read_text())
+        assert rec["grid"] == {"kind": "line", "L": 16.0, "N": 4096, "stagger": False}
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc.update(model={"variant": "delta", "gamma": 1.0}, grid=rec["grid"])
+        runs = {
+            "file": {"kind": "file", "path": str(gs / "profile.npy")},
+            "memory": {"kind": "ground_state"},
+        }
+        for name, data in runs.items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(sc | {"initial_data": data}))
+            assert cli.main(["simulate", str(p), "--out", str(tmp_path / name)]) == 0
+        for out in ("snapshots.npy", "series.csv", "summary.json"):
+            new, ref = tmp_path / "file" / out, tmp_path / "memory" / out
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_graph_file_data_roundtrip(self, tmp_path):
+        # graph samples, (J, M+1) with the vertex first, through np.save and
+        # back as initial data
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc.update(
+            model={"variant": "graph", "vertex": {"kind": "dirac_delta", "gamma": 1.0}},
+            initial_data={"kind": "gaussian", "a": 0.8, "center": 1.0},
+            grid={"kind": "graph", "J": 3, "Ledge": 10.0, "M": 100},
+        )
+        u0 = cli._scenario_pieces(sc)[2]
+        np.save(tmp_path / "u0.npy", u0.values)
+        for name, data in [("gauss", sc["initial_data"]),
+                           ("file", {"kind": "file", "path": str(tmp_path / "u0.npy")})]:
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(sc | {"initial_data": data}))
+            assert cli.main(["simulate", str(p), "--out", str(tmp_path / name)]) == 0
+        first = np.load(tmp_path / "file" / "snapshots.npy", allow_pickle=False)
+        assert first.shape[1:] == (3, 101)
+        for out in ("snapshots.npy", "series.csv", "summary.json"):
+            new, ref = tmp_path / "file" / out, tmp_path / "gauss" / out
+            assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("write", [
+        lambda p, u: np.save(p, u[::2]),
+        lambda p, u: np.save(p, u.reshape(2, -1)),
+        lambda p, u: (np.save(p, u), p.write_bytes(p.read_bytes()[:-16])),
+        lambda p, u: p.write_bytes(b""),
+        lambda p, u: p.write_text("x,re,im\r\n0,1,0\r\n"),
+        lambda p, u: np.save(p, np.array([u, None], dtype=object), allow_pickle=True),
+    ], ids=["wrong_shape", "graph_shape", "truncated_file", "empty_file", "not_npy",
+            "pickled_object"])
+    def test_bad_file_data(self, tmp_path, capsys, write):
+        sc = json.loads(quick_scenario(tmp_path).read_text())
+        u = np.exp(-np.linspace(-4.0, 4.0, 1024) ** 2).astype(complex)
+        write(tmp_path / "u0.npy", u)
+        sc["initial_data"] = {"kind": "file", "path": str(tmp_path / "u0.npy")}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "bad")]) == 2
+        assert "error: bad scenario: " in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_bundled_scenarios_roundtrip(self):
         names = [
@@ -228,6 +291,14 @@ class TestVirialReport:
         assert cli.main(["virial-report", str(out), "--R", "inf"]) == 2
         assert not (out / "virial_summary.json").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tol(self, tmp_path, tol):
+        # rejected before the trajectory is read, so nothing is written
+        out = self.run_quick(tmp_path)
+        assert cli.main(["virial-report", str(out), "--R", "8", "--tol", tol]) == 2
+        assert not (out / "virial_summary.json").exists()
+        assert not (out / "virial_report.csv").exists()
+
     def test_relative_trajectory_under_output_root(self, tmp_path, monkeypatch):
         # the README workflow with relative paths: virial-report finds what
         # simulate wrote under $VIRIALLAB_OUT, not under the working directory
@@ -300,6 +371,22 @@ class TestGroundState:
         rec = json.loads((out / "record.json").read_text())
         assert rec["converged"]
         assert rec["mass"] == pytest.approx(np.sqrt(3.0) * np.pi / 2.0, rel=1e-3)
+
+    @pytest.mark.parametrize("argv", [
+        "--model delta", "--model inverse_power --gamma -0.5",
+    ])
+    def test_profile_npy(self, tmp_path, argv):
+        # the samples in the grid's shape, loadable without pickles, and the
+        # grid they live on in record.json
+        out = tmp_path / "gs"
+        assert cli.main(["ground-state", *argv.split(), "--out", str(out)]) == 0
+        prof = np.load(out / "profile.npy", allow_pickle=False)
+        rec = json.loads((out / "record.json").read_text())
+        assert prof.dtype == complex and prof.shape == (4096,)
+        template = field_from_grid(rec["grid"])
+        assert template.grid_spec()["stagger"] == ("inverse_power" in argv)
+        assert fn.mass(template.with_values(prof)) == rec["mass"]
+        assert not (out / "profile.csv").exists()
 
     def test_delta_jump_recorded(self, tmp_path):
         out = tmp_path / "gsd"

@@ -77,6 +77,11 @@ class TestSplitStep:
             ev.step_splitstep(g, 1e-3, fn.ModelSpec.free())
 
 
+def grad_norm(f, model):
+    """The gradient norm sqrt(2 kinetic_energy) that the trigger reads."""
+    return float(np.sqrt(2.0 * fn.kinetic_energy(f, model)))
+
+
 def ref_strang(vec, dt, V, linear, nonlinearity_on):
     """The Strang composition with the complex-exponential phase
     exp(i dt/2 (|u|^4 - V)) that the cos/sin phase replaced."""
@@ -188,7 +193,7 @@ class TestKernelPins:
         for pot in (V, 0.0):
             for on in (True, False):
                 for dt in (1e-2, -1e-2):
-                    new = ev._strang(f.values, dt, pot, lambda u: u, on)
+                    new = ev._stepper(f.N, pot, on, lambda u, dt: u)(f.values.copy(), dt)
                     assert rel_err(new, ref_strang(f.values, dt, pot, lambda u: u, on)) <= 1e-12
 
     def test_step_cn_matches_reference(self):
@@ -513,7 +518,7 @@ def reference_cayley_run(u0, model, cfg):
     `kinetic_energy`; kept as the reference for the coefficient-vector loop.
     Returns (verdict, steps, times, snapshots)."""
     H = ev.assemble_hamiltonian(u0, model)
-    grad0 = ev._grad_norm(u0, model)
+    grad0 = grad_norm(u0, model)
     times, snapshots = [0.0], [u0.copy()]
     u, t, nstep = u0.copy(), 0.0, 0
     amp = float(np.max(np.abs(u.values), initial=0.0))
@@ -536,7 +541,7 @@ def reference_cayley_run(u0, model, cfg):
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         amp = float(np.max(np.abs(u.values), initial=0.0))
-        trigger = ev._trigger(cfg, grad0, amp, ev._grad_norm(u, model))
+        trigger = ev._trigger(cfg, grad0, amp, grad_norm(u, model))
         if trigger is not None:
             verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break
@@ -590,7 +595,7 @@ class TestVectorGradNorm:
         n = len(H.Mdiag)
         for _ in range(50):
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert H.grad_norm(vec) == ev._grad_norm(H.from_vector(vec, layout), model)
+            assert H.grad_norm(vec) == grad_norm(H.from_vector(vec, layout), model)
 
 
 def reference_split_run(u0, model, cfg):
@@ -601,7 +606,7 @@ def reference_split_run(u0, model, cfg):
     snapshots)."""
     V = fn.potential_on_grid(model, u0.x)
     absV = np.abs(V) if np.any(V) else None
-    grad0 = ev._grad_norm(u0, model)
+    grad0 = grad_norm(u0, model)
     times, snapshots = [0.0], [u0.copy()]
     u, t, nstep = u0.copy(), 0.0, 0
     modulus = np.abs(u.values)
@@ -625,7 +630,7 @@ def reference_split_run(u0, model, cfg):
         amp = float(np.max(modulus, initial=0.0))
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
-        trigger = ev._trigger(cfg, grad0, amp, ev._grad_norm(u, model))
+        trigger = ev._trigger(cfg, grad0, amp, grad_norm(u, model))
         if trigger is not None:
             verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
             break
@@ -676,6 +681,8 @@ class TestSplitVectorLoop:
         assert traj.verdict == verdict
         assert traj.steps == steps
         assert np.array_equal(traj.times, times)
+        # the series records the gradient norm the trigger read, bit for bit
+        assert list(traj.grad_series) == [grad_norm(u, model) for u in traj.snapshots]
         assert len(traj.snapshots) == len(snapshots) >= 3
         rate_limited = cfg.phase_tol < 1.0
         if rate_limited:
@@ -722,7 +729,7 @@ class TestSplitVectorLoop:
             grad = ev._split_stepper(f, model)[1]
             for _ in range(20):
                 vec = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                assert grad(vec) == ev._grad_norm(f.with_values(vec), model)
+                assert grad(vec) == grad_norm(f.with_values(vec), model)
 
 
 class TestRun:
@@ -806,6 +813,28 @@ class TestRun:
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
 
+    def test_overflow_after_unsaved_step_aborts(self, monkeypatch):
+        # step 3 of a stride-100 run overflows: the state stepped in place is
+        # no longer finite, so no final snapshot is stored
+        split, calls = ev._split_stepper, []
+
+        def overflowing(template, model):
+            step, grad = split(template, model)
+
+            def advance(vec, dt):
+                calls.append(dt)
+                return np.full_like(vec, np.inf) if len(calls) == 3 else step(vec, dt)
+
+            return advance, grad
+
+        monkeypatch.setattr(ev, "_split_stepper", overflowing)
+        u0 = soliton_field(N=2**8)
+        with np.errstate(invalid="ignore"):
+            traj = ev.run(u0, fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01, snapshot_stride=100))
+        assert traj.verdict.status == "aborted"
+        assert traj.steps == 2 and len(traj.snapshots) == 1
+        assert np.array_equal(traj.snapshots[0].values, u0.values)
+
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
     def test_cayley_vector_loop_matches_field_loop(self, f, model, extra):
         cfg = cayley_run_config(**extra)
@@ -817,6 +846,8 @@ class TestRun:
         assert traj.verdict == verdict
         assert traj.steps == steps
         assert np.array_equal(traj.times, times)
+        # the series records the gradient norm the trigger read, bit for bit
+        assert list(traj.grad_series) == [grad_norm(u, model) for u in traj.snapshots]
         assert len(traj.snapshots) == len(snapshots)
         for new, ref in zip(traj.snapshots, snapshots):
             assert rel_err(new.values, ref.values) <= 1e-12
@@ -855,6 +886,21 @@ class TestRun:
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
         assert traj.steps == 0 and len(traj.snapshots) == 1
+
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES[:2])
+    def test_cayley_overflow_after_unsaved_step_aborts(self, f, model, extra, monkeypatch):
+        solve, calls = ev.AssembledOperator.cayley_solve, []
+
+        def overflowing(H, vec, dt):
+            calls.append(dt)
+            return np.full_like(vec, np.inf) if len(calls) == 3 else solve(H, vec, dt)
+
+        monkeypatch.setattr(ev.AssembledOperator, "cayley_solve", overflowing)
+        with np.errstate(invalid="ignore"):
+            traj = ev.run(f, model, cayley_run_config(**(extra | {"snapshot_stride": 100})))
+        assert traj.verdict.status == "aborted"
+        assert traj.steps == 2 and len(traj.snapshots) == 1
+        assert np.array_equal(traj.snapshots[0].values, f.values)
 
     @pytest.mark.parametrize(
         "geometry,T_end", [("line", 1.11), ("line", 2.0), ("graph", 1.11)]

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -15,7 +14,6 @@ from viriallab.field import (
     lp_norm,
     tail_mass,
     tail_quad_weights,
-    write_snapshot,
 )
 
 
@@ -246,29 +244,15 @@ class TestSampling:
             )
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-def csv_writer_snapshot(f, path):
-    """The row-by-row csv.writer snapshot format, kept as the byte reference."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        if isinstance(f, LineField):
-            wr.writerow(["x", "re", "im"])
-            for x, v in zip(f.x, f.values):
-                wr.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
-        else:
-            wr.writerow(["edge", "x", "re", "im"])
-            for j in range(f.J):
-                for x, v in zip(f.x, f.values[j]):
-                    wr.writerow([str(j), _fmt(x), _fmt(v.real), _fmt(v.imag)])
-
-
-class TestSnapshotIO:
+class TestNpyLayout:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bytes_match_csv_writer(self, kind, tmp_path):
+    def test_roundtrip_through_np_save(self, kind, tmp_path):
+        # the one on-disk layout of samples: `values` in the grid's shape,
+        # read back onto the grid's zero field with allow_pickle=False
         f = one_field(kind, lambda x: np.exp(-(x**2)) * np.exp(0.3j * x) / 3.0)
-        write_snapshot(f, tmp_path / "new.csv")
-        csv_writer_snapshot(f, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        np.save(tmp_path / "u.npy", f.values)
+        back = np.load(tmp_path / "u.npy", allow_pickle=False)
+        assert back.shape == f.values.shape and back.dtype == complex
+        g = field_from_grid(f.grid_spec()).with_values(back)
+        assert type(g) is type(f) and g.grid_spec() == f.grid_spec()
+        assert np.array_equal(g.values, f.values)
