@@ -66,9 +66,21 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
             raise ScenarioError("ground-state initial data did not converge")
         return gs.field
     if kind == "file":  # the samples in the grid's shape, as `np.save` wrote them
-        values = np.load(data["path"], allow_pickle=False)
+        path = pathlib.Path(data["path"])
+        values = np.load(path, allow_pickle=False)
         if np.shape(values) != template.values.shape:
-            raise ValueError(f"{data['path']}: shape {np.shape(values)} != {template.values.shape}")
+            raise ValueError(f"{path}: shape {np.shape(values)} != {template.values.shape}")
+        # the nodes `sampled` pins to zero: a graph's Dirichlet far nodes,
+        # whose values the first Cayley step would drop
+        if np.any(values[template.sampled(np.ones_like).values == 0]):
+            raise ScenarioError(f"{path}: nonzero value at a Dirichlet far node")
+        # a `ground-state` profile names its grid in the record.json beside it
+        record = path.with_name("record.json")
+        grid = json.loads(record.read_text())["grid"] if record.exists() else None
+        if grid is not None and field_from_grid(grid).grid_spec() != template.grid_spec():
+            raise ScenarioError(
+                f"{path}: {record} names grid {grid}, the scenario {template.grid_spec()}"
+            )
         return template.with_values(values)
     raise ScenarioError(f"unknown initial_data kind {kind!r}")
 

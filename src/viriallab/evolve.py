@@ -15,7 +15,13 @@ sup|u|^4 + max |V| over the nodes where |u| > V_SUPPORT_FRACTION * sup|u|
 (c = 1e-3).  The V phase is exact at every node, so V costs accuracy only
 through the splitting error, which |u| weights; a node the solution has not
 reached, such as the singular node next to x = 0 under data far from it,
-does not set the step.
+does not set the step.  After the first step that dt is rounded down onto a
+ladder of rungs dt_max * 2^(-k/rungs), so a blow-up run, whose target dt
+falls on every step, keeps one dt over many steps and rebuilds its flow and
+leading half phase only when it moves to a new rung.  The split path takes
+SPLIT_DT_RUNGS = 8 rungs per octave (a step at most 2^(1/8) shorter than its
+target); the Cayley path one per octave, because each rung there costs a
+SuperLU factor of a few MB that the heap does not give back.
 
 The squared wavenumbers of the half spectrum and V are cached per (L, N,
 stagger, model).  A run steps one vector in place, the samples (split path)
@@ -34,10 +40,10 @@ aborts the run.
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
 snapshot), summary.json (grid, model, solver config, verdict, drifts,
-n_snapshots, the steps taken with their least and largest dt, and the LU
-factorizations) and snapshots.npy, every snapshot in one uncompressed
-complex128 array written by `numpy.save` and read back with
-allow_pickle=False.
+n_snapshots, the steps taken with their least and largest dt and the
+number of distinct dt, and the LU factorizations) and snapshots.npy, every
+snapshot in one uncompressed complex128 array written by `numpy.save` and
+read back with allow_pickle=False.
 """
 
 from __future__ import annotations
@@ -121,13 +127,15 @@ class Trajectory:
     verdict: BlowupVerdict
     model: ModelSpec
     config: SolverConfig
-    # how many steps `run` took, their least and largest dt, and the SuperLU
-    # factors it built (0 on the split path); None when not recorded (and
-    # dt_min, dt_max also when no step was taken)
+    # how many steps `run` took, their least and largest dt, the number of
+    # distinct dt among them, and the SuperLU factors it built (0 on the split
+    # path); None when not recorded (and dt_min, dt_max also when no step was
+    # taken)
     steps: int | None = None
     dt_min: float | None = None
     dt_max: float | None = None
     lu_factorizations: int | None = None
+    dt_levels: int | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -348,12 +356,21 @@ def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     return H.from_vector(_cayley_stepper(H)[0](H.to_vector(f), dt), f)
 
 
-def _quantize_dt(dt_target: float, dt_max: float) -> float:
-    """Snap to dt_max / 2^k so the Cayley LU factors get reused."""
+def _quantize_dt(dt_target: float, dt_max: float, rungs: int = 1) -> float:
+    """The largest rung dt_max / 2^(k/rungs), k = 0, 1, ..., at most dt_target
+    (dt_max when dt_target >= dt_max), so equal rungs share the flow and the
+    leading half phase (and on the Cayley path the LU factor).  With rungs = 1
+    the rungs dt_max / 2^k are exact powers of two apart."""
     if dt_target >= dt_max:
         return dt_max
-    k = int(np.ceil(np.log2(dt_max / dt_target)))
-    return dt_max / 2.0**k
+    k = int(np.ceil(rungs * np.log2(dt_max / dt_target)))
+    dt = dt_max / 2.0 ** (k / rungs)
+    # log2 rounded down across a rung boundary
+    return dt if dt <= dt_target else dt_max / 2.0 ** ((k + 1) / rungs)
+
+
+# rungs per octave of the split path's dt ladder (the Cayley path takes 1)
+SPLIT_DT_RUNGS = 8
 
 
 # nodes where |u| <= V_SUPPORT_FRACTION * sup|u| do not let |V| limit the step
@@ -377,14 +394,15 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
         (advance, grad), snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
+        rungs = SPLIT_DT_RUNGS
     else:
-        H, V = assemble_hamiltonian(u0, model), 0.0
+        H, V, rungs = assemble_hamiltonian(u0, model), 0.0, 1
         (advance, grad), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
     absV = np.abs(V) if np.ndim(V) else None
 
     grad0 = gradn = grad(state)
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
-    t, nstep, dt_lo, dt_hi = 0.0, 0, np.inf, 0.0
+    t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
     modulus = np.abs(u0.values)
     amp = float(np.max(modulus, initial=0.0))
     verdict = BlowupVerdict("completed")
@@ -396,10 +414,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         if absV is not None:
             rate += float(np.max(absV, where=modulus > V_SUPPORT_FRACTION * amp, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
-        if nstep == 0:
-            dt = min(dt, cfg.dt_init)
-        elif H is not None:
-            dt = _quantize_dt(dt, cfg.dt_max)
+        dt = min(dt, cfg.dt_init) if nstep == 0 else _quantize_dt(dt, cfg.dt_max, rungs)
         # underflow is judged on the step control's dt, before the step is
         # fitted to T_end; the step that reaches T_end lands on it, and keeps
         # dt (and its LU factor) when T_end - t differs from dt by rounding,
@@ -418,7 +433,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
             break
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
-        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        levels.add(dt)
         gradn = grad(state)
         trigger = _trigger(cfg, grad0, amp, gradn)
         if trigger is not None:
@@ -446,9 +461,10 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         model=model,
         config=cfg,
         steps=nstep,
-        dt_min=float(dt_lo) if nstep else None,
-        dt_max=float(dt_hi) if nstep else None,
+        dt_min=float(min(levels)) if levels else None,
+        dt_max=float(max(levels)) if levels else None,
         lu_factorizations=0 if H is None else len(H._lu_cache),
+        dt_levels=len(levels),
     )
 
 
@@ -489,6 +505,7 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
         "dt_min": traj.dt_min,
         "dt_max": traj.dt_max,
         "lu_factorizations": traj.lu_factorizations,
+        "dt_levels": traj.dt_levels,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -527,4 +544,5 @@ def load_trajectory(indir) -> Trajectory:
         dt_min=summary.get("dt_min"),
         dt_max=summary.get("dt_max"),
         lu_factorizations=summary.get("lu_factorizations"),
+        dt_levels=summary.get("dt_levels"),
     )

@@ -62,18 +62,20 @@ def _blocks(snapshots):
         yield np.stack([s.values for s in snapshots[i : i + size]])
 
 
-def _series(snapshots, R: float, model: ModelSpec, E: float, eta_val: float) -> list:
-    """[I', tail mass, checked, satisfied, rhs] of each snapshot over `_blocks`, with
-    each chi_R order, the tail weights and the derivative once per block."""
+def _series(snapshots, R: float, model: ModelSpec, E: float, eta_val: float,
+            prime: bool = False) -> tuple:
+    """(checked, satisfied, rhs, tail mass) of each snapshot over `_blocks`, and
+    I' after them when `prime`, with each chi_R order, the tail weights and the
+    derivative once per block."""
     grid, cols = snapshots[0], []
     for u in _blocks(snapshots):
         du = grad_block(grid, u, model)
-        cols.append((virial_I_prime_block(grid, u, du, R), virial_rhs_block(grid, u, du, R, model),
-                     tail_mass_block(grid, u, R)))
-    Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
+        Ip = (virial_I_prime_block(grid, u, du, R),) if prime else ()
+        cols.append((virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R), *Ip))
+    rhs, tail, *Ip = (np.concatenate(c) for c in zip(*cols))
     checked = tail <= a0()
     bound = 16.0 * E + 2.0 * eta_val + INEQ_SLACK * (1.0 + abs(E))
-    return [Ip, tail, checked, ~checked | (rhs <= bound), rhs]
+    return (checked, ~checked | (rhs <= bound), rhs, tail, *Ip)
 
 
 def inequality_flags(
@@ -81,7 +83,7 @@ def inequality_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot (checked, satisfied, rhs) for the decay inequality
     rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0."""
-    return tuple(_series(snapshots, R, model, E, eta_val)[2:])
+    return _series(snapshots, R, model, E, eta_val)[:3]
 
 
 def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
@@ -99,7 +101,7 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     Ifd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt**2
     E = float(traj.energy_series[0])
     eta_val = weight.eta(R, float(traj.mass_series[0]))
-    Ip, tail, checked, satisfied, rhs = _series(traj.snapshots[1:-1], R, model, E, eta_val)
+    checked, satisfied, rhs, tail, Ip = _series(traj.snapshots[1:-1], R, model, E, eta_val, True)
     return VirialReport(
         R=R,
         times=np.asarray(traj.times)[1:-1],

@@ -187,6 +187,44 @@ class TestSimulate:
             new, ref = tmp_path / "file" / out, tmp_path / "gauss" / out
             assert new.read_bytes() == ref.read_bytes()
 
+    def test_graph_file_data_nonzero_far_node(self, tmp_path, capsys):
+        # the first Cayley step would drop a value at a Dirichlet far node
+        # (x = Ledge), so the loader rejects it
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc.update(
+            model={"variant": "graph", "vertex": {"kind": "kirchhoff"}},
+            grid={"kind": "graph", "J": 3, "Ledge": 10.0, "M": 100},
+            initial_data={"kind": "file", "path": str(tmp_path / "u0.npy")},
+        )
+        u = np.exp(-np.linspace(0.0, 4.0, 101) ** 2) * np.ones((3, 1))
+        u[:, -1] = 0.0
+        u[1, -1] = 0.5
+        np.save(tmp_path / "u0.npy", u.astype(complex))
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "far")]) == 2
+        assert "nonzero value at a Dirichlet far node" in capsys.readouterr().err
+        assert not (tmp_path / "far").exists()
+        u[1, -1] = 0.0
+        np.save(tmp_path / "u0.npy", u.astype(complex))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "far")]) == 0
+
+    def test_profile_on_other_grid_rejected(self, tmp_path, capsys):
+        # a staggered profile on an unstaggered grid of the same shape would
+        # shift every sample by h/2; the record.json beside it names its grid
+        gs = tmp_path / "gs"
+        args = ["ground-state", "--model", "inverse_power", "--gamma", "-0.5", "--out", str(gs)]
+        assert cli.main(args) == 0
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc["initial_data"] = {"kind": "file", "path": str(gs / "profile.npy")}
+        for stagger, code in [(False, 2), (True, 0)]:
+            sc["grid"] = {"kind": "line", "L": 16.0, "N": 4096, "stagger": stagger}
+            p = tmp_path / f"stagger_{stagger}.json"
+            p.write_text(json.dumps(sc))
+            assert cli.main(["simulate", str(p), "--out", str(tmp_path / p.stem)]) == code
+        assert "record.json names grid" in capsys.readouterr().err
+        assert not (tmp_path / "stagger_False").exists()
+
     @pytest.mark.parametrize("write", [
         lambda p, u: np.save(p, u[::2]),
         lambda p, u: np.save(p, u.reshape(2, -1)),

@@ -601,9 +601,9 @@ class TestVectorGradNorm:
 def reference_split_run(u0, model, cfg):
     """The split path of `run` as it was when it stepped Fields: `step_splitstep`
     and a Field on every step, so the propagator and both half phases are built
-    anew on each step, and the trigger's gradient norm from `kinetic_energy`;
-    kept as the reference for the vector loop.  Returns (verdict, steps, times,
-    snapshots)."""
+    anew on each step, dt on `run`'s ladder, and the trigger's gradient norm
+    from `kinetic_energy`; kept as the reference for the vector loop.  Returns
+    (verdict, steps, times, snapshots)."""
     V = fn.potential_on_grid(model, u0.x)
     absV = np.abs(V) if np.any(V) else None
     grad0 = grad_norm(u0, model)
@@ -619,6 +619,8 @@ def reference_split_run(u0, model, cfg):
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         if nstep == 0:
             dt = min(dt, cfg.dt_init)
+        else:
+            dt = ev._quantize_dt(dt, cfg.dt_max, ev.SPLIT_DT_RUNGS)
         if dt < cfg.dt_min:
             verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
             break
@@ -647,8 +649,8 @@ def staggered(f):
     return LineField.from_function(f, 8.0, 2**9, stagger=True)
 
 
-# split runs whose dt changes on every step (the phase rate limits it: the
-# free bump focuses, the inverse-power data sit over x = 0), and runs at
+# split runs whose target dt changes on every step (the phase rate limits it:
+# the free bump focuses, the inverse-power data sit over x = 0), and runs at
 # dt_max after a dt_init step, with a last step fitted to T_end
 SPLIT_RATE_LIMITED = [
     pytest.param(LineField.from_function(focusing_bump, 8.0, 2**9), fn.ModelSpec.free(),
@@ -669,6 +671,45 @@ def split_run_config(**kw):
     return ev.SolverConfig(**(base | kw))
 
 
+class TestQuantizeDt:
+    DT_MAX = [1e-3, 0.1, 3e-4]
+
+    @staticmethod
+    def targets(dt_max, rungs):
+        # random targets over 40 octaves, and every rung with its neighbours
+        # one ulp away
+        rung = dt_max / 2.0 ** (np.arange(1, 40 * rungs) / rungs)
+        rand = dt_max * 2.0 ** -np.random.default_rng(3).uniform(0.0, 40.0, 2000)
+        return np.concatenate([rand, rung, np.nextafter(rung, 0.0), np.nextafter(rung, 1.0)])
+
+    @pytest.mark.parametrize("rungs", [1, ev.SPLIT_DT_RUNGS])
+    @pytest.mark.parametrize("dt_max", DT_MAX)
+    def test_largest_rung_at_most_target(self, dt_max, rungs):
+        for target in self.targets(dt_max, rungs):
+            dt = ev._quantize_dt(target, dt_max, rungs)
+            assert target * 2.0 ** (-1.0 / rungs) * (1.0 - 1e-15) < dt <= target
+        assert ev._quantize_dt(dt_max, dt_max, rungs) == dt_max
+        assert ev._quantize_dt(2.0 * dt_max, dt_max, rungs) == dt_max
+
+    @pytest.mark.parametrize("dt_max", DT_MAX)
+    def test_rung_snaps_to_itself_or_next_rung(self, dt_max):
+        rungs = ev.SPLIT_DT_RUNGS
+        rung = dt_max / 2.0 ** (np.arange(40 * rungs + 1) / rungs)
+        for k in range(40 * rungs):
+            assert ev._quantize_dt(rung[k], dt_max, rungs) in (rung[k], rung[k + 1])
+            # so a run whose target crosses a rung steps on that rung or the next
+            below = ev._quantize_dt(np.nextafter(rung[k], 0.0), dt_max, rungs)
+            assert below == rung[k + 1]
+
+    @pytest.mark.parametrize("dt_max", DT_MAX)
+    def test_octave_ladder_is_powers_of_two(self, dt_max):
+        # the Cayley path's rungs dt_max / 2^k, exact, so its runs keep their dt
+        for target in self.targets(dt_max, 1):
+            dt = ev._quantize_dt(target, dt_max)
+            k = round(np.log2(dt_max / dt))
+            assert dt == dt_max / 2.0**k == ev._quantize_dt(target, dt_max, 1)
+
+
 class TestSplitVectorLoop:
     """The split path of `run`, one vector stepped in place, against the loop
     that stepped Fields."""
@@ -684,15 +725,9 @@ class TestSplitVectorLoop:
         # the series records the gradient norm the trigger read, bit for bit
         assert list(traj.grad_series) == [grad_norm(u, model) for u in traj.snapshots]
         assert len(traj.snapshots) == len(snapshots) >= 3
-        rate_limited = cfg.phase_tol < 1.0
-        if rate_limited:
-            # no two steps share a dt, so no half phase is shared: bit for bit
-            assert traj.dt_max < cfg.dt_max
-            for new, ref in zip(traj.snapshots, snapshots):
-                assert np.array_equal(new.values, ref.values)
-        else:
-            for new, ref in zip(traj.snapshots, snapshots):
-                assert rel_err(new.values, ref.values) <= 1e-13
+        # equal-dt steps share half phases, which the reference builds anew
+        for new, ref in zip(traj.snapshots, snapshots):
+            assert rel_err(new.values, ref.values) <= 1e-13
 
     @pytest.mark.parametrize("f,model,extra", SPLIT_RATE_LIMITED + SPLIT_EQUAL_DT)
     def test_propagator_and_leading_phase_rebuilt_when_dt_changes(
@@ -713,8 +748,10 @@ class TestSplitVectorLoop:
         )
         traj = ev.run(f, model, split_run_config(**extra))
         assert len(step_dts) == traj.steps and len(set(step_dts)) >= 3
+        assert traj.dt_levels == len(set(step_dts))
         changed = [i == 0 or dt != step_dts[i - 1] for i, dt in enumerate(step_dts)]
-        assert all(changed) == (extra.get("phase_tol") != 1e6)
+        # on the dt ladder a rate-limited run, too, keeps dt over most steps
+        assert sum(changed) < len(step_dts) / 2
         assert prop_dts == [dt for dt, c in zip(step_dts, changed) if c]
         expected = []
         for dt, c in zip(step_dts, changed):
@@ -752,13 +789,20 @@ class TestRun:
         diff = final.with_values(np.abs(final.values) - np.abs(f.values))
         assert lp_norm(diff, 2) / lp_norm(f, 2) < 1e-3
 
-    def test_free_blowup_detected(self):
+    def test_free_blowup_detected(self, monkeypatch):
+        # the free_blowup data: dt on the ladder builds the propagator once per
+        # rung (52 times in some 11,300 steps)
+        prop_dts, propagator = [], ev._propagator
+        monkeypatch.setattr(
+            ev, "_propagator", lambda k2, dt, out: prop_dts.append(dt) or propagator(k2, dt, out)
+        )
         f = soliton_field(lam=1.1)
         cfg = ev.SolverConfig(T_end=2.0, snapshot_stride=200, phase_tol=1e-3)
         traj = ev.run(f, fn.ModelSpec.free(), cfg)
         assert traj.verdict.status == "blowup_detected"
         assert traj.verdict.t_detect < 1.0
         assert traj.verdict.trigger in ("gradient_growth", "amplitude_cap", "dt_underflow")
+        assert len(prop_dts) == traj.dt_levels <= 60 and traj.steps > 10_000
 
     @staticmethod
     def invpow_gaussian_run(center, phase_tol, a=1.0, L=10.0, N=512, T_end=0.1, model=None):
@@ -977,16 +1021,19 @@ def saved_line_run(path):
 
 
 class TestPersistence:
-    def test_roundtrip_line(self, tmp_path):
+    def test_roundtrip_line(self, tmp_path, monkeypatch):
+        step_dts, stepper = [], ev._stepper
+        monkeypatch.setattr(ev, "_stepper", lambda n, V, on, flow: stepper(
+            n, V, on, lambda v, dt: step_dts.append(dt) or flow(v, dt)))
         traj = saved_line_run(tmp_path)
         back = ev.load_trajectory(tmp_path)
         assert_same_trajectory(back, traj)
         assert back.verdict.status == traj.verdict.status
-        record = ("steps", "dt_min", "dt_max", "lu_factorizations")
+        record = ("steps", "dt_min", "dt_max", "lu_factorizations", "dt_levels")
         assert [getattr(back, k) for k in record] == [getattr(traj, k) for k in record]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [summary[k] for k in record] == [getattr(traj, k) for k in record]
-        assert traj.steps == 5 * (len(traj.times) - 1)
+        assert traj.steps == len(step_dts) and traj.dt_levels == len(set(step_dts))
         # byte reference: the row-by-row csv.writer form of series.csv
         ref = io.StringIO(newline="")
         wr = csv.writer(ref)
@@ -1015,10 +1062,12 @@ class TestPersistence:
         assert stored.shape == (len(traj.times), 3, 101)
         assert back.lu_factorizations == traj.lu_factorizations == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["lu_factorizations"] == 1
-        del summary["lu_factorizations"]  # a directory written before the count was recorded
+        assert summary["lu_factorizations"] == summary["dt_levels"] == 1
+        # a directory written before the counts were recorded
+        del summary["lu_factorizations"], summary["dt_levels"]
         (tmp_path / "summary.json").write_text(json.dumps(summary))
-        assert ev.load_trajectory(tmp_path).lu_factorizations is None
+        back = ev.load_trajectory(tmp_path)
+        assert back.lu_factorizations is None and back.dt_levels is None
 
     @pytest.mark.parametrize("damage, match", [
         (lambda a, rows: (a[:, :-1], rows), "shape"),
