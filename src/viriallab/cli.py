@@ -74,9 +74,12 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
         # whose values the first Cayley step would drop
         if np.any(values[template.sampled(np.ones_like).values == 0]):
             raise ScenarioError(f"{path}: nonzero value at a Dirichlet far node")
-        # a `ground-state` profile names its grid in the record.json beside it
+        # a `ground-state` profile.npy names its grid in the record.json beside
+        # it (one written before grids were recorded names none)
         record = path.with_name("record.json")
-        grid = json.loads(record.read_text())["grid"] if record.exists() else None
+        grid = None
+        if path.name == "profile.npy" and record.exists():
+            grid = json.loads(record.read_text()).get("grid")
         if grid is not None and field_from_grid(grid).grid_spec() != template.grid_spec():
             raise ScenarioError(
                 f"{path}: {record} names grid {grid}, the scenario {template.grid_spec()}"

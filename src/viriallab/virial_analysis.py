@@ -62,28 +62,26 @@ def _blocks(snapshots):
         yield np.stack([s.values for s in snapshots[i : i + size]])
 
 
-def _series(snapshots, R: float, model: ModelSpec, E: float, eta_val: float,
-            prime: bool = False) -> tuple:
-    """(checked, satisfied, rhs, tail mass) of each snapshot over `_blocks`, and
-    I' after them when `prime`, with each chi_R order, the tail weights and the
-    derivative once per block."""
-    grid, cols = snapshots[0], []
-    for u in _blocks(snapshots):
-        du = grad_block(grid, u, model)
-        Ip = (virial_I_prime_block(grid, u, du, R),) if prime else ()
-        cols.append((virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R), *Ip))
-    rhs, tail, *Ip = (np.concatenate(c) for c in zip(*cols))
+def _decay_flags(rhs, tail, E: float, eta_val: float) -> tuple[np.ndarray, np.ndarray]:
+    """(checked, satisfied) for rhs <= 16 E + 2 eta + slack, checked only where
+    tail_mass <= a0."""
     checked = tail <= a0()
     bound = 16.0 * E + 2.0 * eta_val + INEQ_SLACK * (1.0 + abs(E))
-    return (checked, ~checked | (rhs <= bound), rhs, tail, *Ip)
+    return checked, ~checked | (rhs <= bound)
 
 
 def inequality_flags(
     snapshots, R: float, model: ModelSpec, E: float, eta_val: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot (checked, satisfied, rhs) for the decay inequality
-    rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0."""
-    return _series(snapshots, R, model, E, eta_val)[:3]
+    rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0, with each
+    chi_R order, the tail weights and the derivative once per block."""
+    grid, cols = snapshots[0], []
+    for u in _blocks(snapshots):
+        du = grad_block(grid, u, model)
+        cols.append((virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R)))
+    rhs, tail = (np.concatenate(c) for c in zip(*cols))
+    return (*_decay_flags(rhs, tail, E, eta_val), rhs)
 
 
 def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
@@ -97,11 +95,18 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     if np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("snapshots are not uniformly spaced")
 
-    I = np.concatenate([virial_I_block(traj.snapshots[0], u, R) for u in _blocks(traj.snapshots)])
+    grid = traj.snapshots[0]
+    I = np.concatenate([virial_I_block(grid, u, R) for u in _blocks(traj.snapshots)])
     Ifd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt**2
     E = float(traj.energy_series[0])
     eta_val = weight.eta(R, float(traj.mass_series[0]))
-    checked, satisfied, rhs, tail, Ip = _series(traj.snapshots[1:-1], R, model, E, eta_val, True)
+    cols = []  # as in `inequality_flags`, with I'
+    for u in _blocks(traj.snapshots[1:-1]):
+        du = grad_block(grid, u, model)
+        cols.append((virial_I_prime_block(grid, u, du, R), virial_rhs_block(grid, u, du, R, model),
+                     tail_mass_block(grid, u, R)))
+    Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
+    checked, satisfied = _decay_flags(rhs, tail, E, eta_val)
     return VirialReport(
         R=R,
         times=np.asarray(traj.times)[1:-1],

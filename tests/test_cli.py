@@ -225,6 +225,27 @@ class TestSimulate:
         assert "record.json names grid" in capsys.readouterr().err
         assert not (tmp_path / "stagger_False").exists()
 
+    def test_grid_check_reads_only_profile_record(self, tmp_path):
+        # the record names the grid of profile.npy alone: another .npy beside
+        # it, or a record written before grids were recorded, is checked by
+        # shape only
+        gs = tmp_path / "gs"
+        args = ["ground-state", "--model", "inverse_power", "--gamma", "-0.5", "--out", str(gs)]
+        assert cli.main(args) == 0
+        np.save(gs / "restart.npy", np.load(gs / "profile.npy"))
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc["grid"] = {"kind": "line", "L": 16.0, "N": 4096, "stagger": False}
+        sc["initial_data"] = {"kind": "file", "path": str(gs / "restart.npy")}
+        p = tmp_path / "restart.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "restart")]) == 0
+        record = json.loads((gs / "record.json").read_text())
+        del record["grid"]
+        (gs / "record.json").write_text(json.dumps(record))
+        sc["initial_data"]["path"] = str(gs / "profile.npy")
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "old_record")]) == 0
+
     @pytest.mark.parametrize("write", [
         lambda p, u: np.save(p, u[::2]),
         lambda p, u: np.save(p, u.reshape(2, -1)),

@@ -725,6 +725,9 @@ class TestSplitVectorLoop:
         # the series records the gradient norm the trigger read, bit for bit
         assert list(traj.grad_series) == [grad_norm(u, model) for u in traj.snapshots]
         assert len(traj.snapshots) == len(snapshots) >= 3
+        if cfg.phase_tol < 1.0:
+            # the phase rate holds every step on a rung below dt_max
+            assert traj.dt_max < cfg.dt_max
         # equal-dt steps share half phases, which the reference builds anew
         for new, ref in zip(traj.snapshots, snapshots):
             assert rel_err(new.values, ref.values) <= 1e-13
@@ -750,8 +753,13 @@ class TestSplitVectorLoop:
         assert len(step_dts) == traj.steps and len(set(step_dts)) >= 3
         assert traj.dt_levels == len(set(step_dts))
         changed = [i == 0 or dt != step_dts[i - 1] for i, dt in enumerate(step_dts)]
-        # on the dt ladder a rate-limited run, too, keeps dt over most steps
-        assert sum(changed) < len(step_dts) / 2
+        if extra.get("phase_tol") == 1e6:
+            # dt_init, then dt_max, then the last step fitted to T_end
+            assert sum(changed) == 3
+        else:
+            # the target falls across rungs, yet on the ladder dt holds over
+            # most steps
+            assert 3 < sum(changed) < len(step_dts) / 2
         assert prop_dts == [dt for dt, c in zip(step_dts, changed) if c]
         expected = []
         for dt, c in zip(step_dts, changed):
