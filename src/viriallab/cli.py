@@ -38,8 +38,8 @@ def _out_path(arg: str | None, default: str) -> pathlib.Path:
     return p if p.is_absolute() else root / p
 
 
-class ScenarioError(Exception):
-    pass
+class UsageError(Exception):
+    """A bad argument, scenario or input file: `main` prints it and exits 2."""
 
 
 def _build_initial(data: dict, template, model: fn.ModelSpec):
@@ -63,7 +63,7 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
             tol=float(data.get("tol", 1e-8)),
         )
         if not gs.converged:
-            raise ScenarioError("ground-state initial data did not converge")
+            raise UsageError("ground-state initial data did not converge")
         return gs.field
     if kind == "file":  # the samples in the grid's shape, as `np.save` wrote them
         path = pathlib.Path(data["path"])
@@ -73,7 +73,7 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
         # the nodes `sampled` pins to zero: a graph's Dirichlet far nodes,
         # whose values the first Cayley step would drop
         if np.any(values[template.sampled(np.ones_like).values == 0]):
-            raise ScenarioError(f"{path}: nonzero value at a Dirichlet far node")
+            raise UsageError(f"{path}: nonzero value at a Dirichlet far node")
         # a `ground-state` profile.npy names its grid in the record.json beside
         # it (one written before grids were recorded names none)
         record = path.with_name("record.json")
@@ -81,11 +81,11 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
         if path.name == "profile.npy" and record.exists():
             grid = json.loads(record.read_text()).get("grid")
         if grid is not None and field_from_grid(grid).grid_spec() != template.grid_spec():
-            raise ScenarioError(
+            raise UsageError(
                 f"{path}: {record} names grid {grid}, the scenario {template.grid_spec()}"
             )
         return template.with_values(values)
-    raise ScenarioError(f"unknown initial_data kind {kind!r}")
+    raise UsageError(f"unknown initial_data kind {kind!r}")
 
 
 def load_scenario(path) -> dict:
@@ -93,12 +93,14 @@ def load_scenario(path) -> dict:
         with open(path) as fh:
             sc = json.load(fh)
     except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
+        raise UsageError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"malformed JSON in {path}: line {exc.lineno}") from exc
+        raise UsageError(f"malformed JSON in {path}: line {exc.lineno}") from exc
     for key in ("name", "model", "initial_data", "grid", "solver"):
         if key not in sc:
-            raise ScenarioError(f"scenario missing field {key!r}")
+            raise UsageError(f"scenario missing field {key!r}")
+        if key != "name" and not isinstance(sc[key], dict):
+            raise UsageError(f"scenario field {key!r} is not an object")
     return sc
 
 
@@ -115,14 +117,13 @@ def _scenario_pieces(sc: dict):
         fn.potential_energy(u0, model)  # the model must fit the grid
         ev.require_vertex_layout(u0, model)
     except (KeyError, ValueError, TypeError, OSError, EOFError) as exc:
-        raise ScenarioError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
+        raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
 
 
 def cmd_weight_check(args) -> int:
     if args.samples < 1000:
-        print("error: --samples must be at least 1000", file=sys.stderr)
-        return EXIT_BADARGS
+        raise UsageError("--samples must be at least 1000")
     profile = None
     if args.profile:
         try:
@@ -135,8 +136,7 @@ def cmd_weight_check(args) -> int:
                 z3=float(d["z3"]),
             )
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad profile file: {exc}", file=sys.stderr)
-            return EXIT_BADARGS
+            raise UsageError(f"bad profile file: {exc}") from exc
     rep = weight.verify_profile(args.samples, profile=profile)
     payload = json.dumps(rep.as_dict(), indent=2)
     if args.out:
@@ -152,12 +152,8 @@ def cmd_weight_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-        model, cfg, u0 = _scenario_pieces(sc)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADARGS
+    sc = load_scenario(args.scenario)
+    model, cfg, u0 = _scenario_pieces(sc)
     traj = ev.run(u0, model, cfg)
     R = sc.get("analysis", {}).get("R")
     Rnum = float(R) if isinstance(R, (int, float)) else None
@@ -178,32 +174,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_virial_report(args) -> int:
     if not args.tol > 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_BADARGS
+        raise UsageError("--tol must be positive")
     src = _out_path(args.trajectory, args.trajectory)  # where simulate --out wrote it
     try:
         traj = ev.load_trajectory(src)
     except (OSError, EOFError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot load trajectory at {src}: {exc}", file=sys.stderr)
-        return EXIT_BADARGS
+        raise UsageError(f"cannot load trajectory at {src}: {exc}") from exc
     if args.R == "auto":
         try:
             R, _, eta_tilde = va.find_R(traj.snapshots[0], traj.model)
         except (ValueError, RuntimeError) as exc:
-            print(f"error: auto R selection failed: {exc}", file=sys.stderr)
-            return EXIT_BADARGS
+            raise UsageError(f"auto R selection failed: {exc}") from exc
         print(f"selected R = {_fmt(R)}; eta_tilde = {_fmt(eta_tilde)}")
     else:
         try:
             R = float(args.R)
-        except ValueError:
-            print(f"error: bad R {args.R!r}", file=sys.stderr)
-            return EXIT_BADARGS
+        except ValueError as exc:
+            raise UsageError(f"bad R {args.R!r}") from exc
     try:
         rep = va.report(traj, R, traj.model)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADARGS
+        raise UsageError(str(exc)) from exc
     out = _out_path(args.out, src.name + "_virial") if args.out else src
     out.mkdir(parents=True, exist_ok=True)
     cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula,
@@ -221,12 +212,8 @@ def cmd_virial_report(args) -> int:
         "max_residual": rep.max_residual(),
         "violations": rep.violations(),
     }
-    u0 = traj.snapshots[0]
-    I0 = fn.virial_I(u0, R)
-    if rep.eta_tilde > 0 and I0 > 0:
-        summary["envelope_root"] = va.envelope(
-            I0, fn.virial_I_prime(u0, R, traj.model), rep.eta_tilde
-        )
+    if rep.envelope_root is not None:
+        summary["envelope_root"] = rep.envelope_root
     with open(out / "virial_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     ok = rep.max_residual() < args.tol and rep.violations() == 0
@@ -235,20 +222,17 @@ def cmd_virial_report(args) -> int:
 
 def cmd_blowup_scan(args) -> int:
     if args.steps < 2 or not (0.0 < args.lambda_min < args.lambda_max < np.inf):
-        print("error: need steps >= 2 and 0 < lambda_min < lambda_max < inf", file=sys.stderr)
-        return EXIT_BADARGS
-    try:
-        cfg = ev.SolverConfig(
-            dt_init=1e-3, dt_max=1e-3, phase_tol=1e-3, T_end=args.T_end, snapshot_stride=1000
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADARGS
-    model = fn.ModelSpec.free()
-    template = LineField(L=16.0, N=2**12, values=np.zeros(2**12))
+        raise UsageError("need steps >= 2 and 0 < lambda_min < lambda_max < inf")
+    sc = load_scenario(args.scenario)
+    kind = sc["initial_data"].get("kind")
+    if kind != "scaled_soliton":
+        raise UsageError(f"blowup-scan scans scaled_soliton initial data, not {kind!r}")
+    if args.T_end is not None:
+        sc["solver"]["T_end"] = args.T_end
     rows = []
     for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
-        u0 = sol.scaled_data(float(lam), 1.0, template)
+        sc["initial_data"]["lam"] = float(lam)
+        model, cfg, u0 = _scenario_pieces(sc)
         E = fn.energy(u0, model)
         traj = ev.run(u0, model, cfg)
         t_detect = traj.verdict.t_detect
@@ -280,8 +264,7 @@ def cmd_ground_state(args) -> int:
             )
             gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADARGS
+        raise UsageError(str(exc)) from exc
     record = {
         "model": args.model,
         "grid": template.grid_spec(),
@@ -340,11 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--out")
     vr.set_defaults(func=cmd_virial_report)
 
-    bs = sub.add_parser("blowup-scan", help="scan scaled-soliton amplitudes")
+    bs = sub.add_parser("blowup-scan", help="scan a scenario's scaled-soliton amplitude")
+    bs.add_argument("scenario")
     bs.add_argument("--lambda-min", type=float, dest="lambda_min", required=True)
     bs.add_argument("--lambda-max", type=float, dest="lambda_max", required=True)
     bs.add_argument("--steps", type=int, required=True)
-    bs.add_argument("--T-end", type=float, dest="T_end", default=2.0)
+    bs.add_argument("--T-end", type=float, dest="T_end", help="default: the scenario's")
     bs.add_argument("--out")
     bs.set_defaults(func=cmd_blowup_scan)
 
@@ -365,7 +349,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BADARGS if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BADARGS
 
 
 if __name__ == "__main__":

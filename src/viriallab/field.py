@@ -240,33 +240,23 @@ def p1_chain(f: Field, a: np.ndarray, zero) -> np.ndarray:
     return a
 
 
-def _tail_fraction(lo: np.ndarray, hi: np.ndarray, R: float, symmetric: bool) -> np.ndarray:
-    """Width of each node cell [lo, hi] lying in the tail region
-    {|x| >= R} (symmetric) or {x >= R}."""
-    if symmetric:
-        right = np.clip(hi - np.maximum(lo, R), 0.0, None)
-        left = np.clip(np.minimum(hi, -R) - lo, 0.0, None)
-        inside = right + left
-    else:
-        inside = np.clip(hi - np.maximum(lo, R), 0.0, None)
-    return np.minimum(inside, hi - lo)
-
-
 def tail_quad_weights(f: Field, R: float) -> np.ndarray:
-    """Quadrature weights of the region beyond R (line: |x| >= R).
+    """Quadrature weights of the region |x| >= R.
 
     The node cells are the midpoint cells of the quadrature rule; the cell
     containing the cut contributes the fraction of its width in the tail, so
-    the result is continuous and monotone in R.
+    the result is continuous and monotone in R. A graph's cells lie in
+    [0, Ledge], so only their part right of R counts.
     """
     if R < 0:
         raise ValueError(f"R must be nonnegative, got {R}")
     x, h = f.x, f.h
-    if isinstance(f, LineField):
-        return _tail_fraction(x - h / 2.0, x + h / 2.0, R, symmetric=True)
-    lo = np.clip(x - h / 2.0, 0.0, f.Ledge)
-    hi = np.clip(x + h / 2.0, 0.0, f.Ledge)
-    return _tail_fraction(lo, hi, R, symmetric=False)
+    lo, hi = x - h / 2.0, x + h / 2.0
+    if not isinstance(f, LineField):
+        lo, hi = np.clip(lo, 0.0, f.Ledge), np.clip(hi, 0.0, f.Ledge)
+    right = np.clip(hi - np.maximum(lo, R), 0.0, None)
+    left = np.clip(np.minimum(hi, -R) - lo, 0.0, None)
+    return np.minimum(right + left, hi - lo)
 
 
 def tail_mass(f: Field, R: float) -> float:

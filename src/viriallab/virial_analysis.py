@@ -1,10 +1,11 @@
 """Virial post-processing of trajectories.
 
-Builds the report comparing centered second differences of the weighted
-variance I against the identity right-hand side, evaluates the decay
-inequality rhs <= 16 E + 2 eta wherever the tail mass is small enough,
-selects R by the two admissibility clauses, and computes the quadratic
-envelope root that bounds the contradiction time.
+Builds the report comparing second differences of the weighted variance I
+(the three-point stencil for unequal spacing, so adaptive runs are accepted)
+against the identity right-hand side, evaluates the decay inequality
+rhs <= 16 E + 2 eta wherever the tail mass is small enough, selects R by the
+two admissibility clauses, and computes the quadratic envelope root that
+bounds the contradiction time.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class VirialReport:
     ineq_satisfied: np.ndarray
     eta: float
     eta_tilde: float
+    envelope_root: float | None  # from I and I' of snapshot 0; None unless eta_tilde, I(0) > 0
 
     def max_residual(self) -> float:
         return float(np.max(self.residual)) if len(self.residual) else 0.0
@@ -84,42 +86,43 @@ def inequality_flags(
     return (*_decay_flags(rhs, tail, E, eta_val), rhs)
 
 
-def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
-    """Identity check on the interior snapshots of a uniformly spaced
-    trajectory: I'' by centered differences of I against the formula rhs."""
-    n = len(traj.snapshots)
-    if n < 3:
-        raise ValueError("need at least 3 snapshots")
-    dts = np.diff(traj.times)
-    dt = dts[0]
-    if np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, dt):
-        raise ValueError("snapshots are not uniformly spaced")
+def second_difference(times: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """I'' at the interior times by the three-point stencil for unequal spacing,
+    2 [(I_{k+1} - I_k)/h2 - (I_k - I_{k-1})/h1] / (h1 + h2), exact on quadratics."""
+    h1, h2 = np.diff(times)[:-1], np.diff(times)[1:]
+    return 2.0 * ((I[2:] - I[1:-1]) / h2 - (I[1:-1] - I[:-2]) / h1) / (h1 + h2)
 
-    grid = traj.snapshots[0]
-    I = np.concatenate([virial_I_block(grid, u, R) for u in _blocks(traj.snapshots)])
-    Ifd = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt**2
+
+def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
+    """Identity check on the interior snapshots: I'' by `second_difference`
+    of I against the formula rhs, in one walk over the snapshot blocks."""
+    if len(traj.snapshots) < 3:
+        raise ValueError("need at least 3 snapshots")
+    grid, cols = traj.snapshots[0], []
+    for u in _blocks(traj.snapshots):  # as in `inequality_flags`, with I and I'
+        du = grad_block(grid, u, model)
+        cols.append((virial_I_block(grid, u, R), virial_I_prime_block(grid, u, du, R),
+                     virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R)))
+    I, Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
+    Ifd = second_difference(np.asarray(traj.times), I)
     E = float(traj.energy_series[0])
     eta_val = weight.eta(R, float(traj.mass_series[0]))
-    cols = []  # as in `inequality_flags`, with I'
-    for u in _blocks(traj.snapshots[1:-1]):
-        du = grad_block(grid, u, model)
-        cols.append((virial_I_prime_block(grid, u, du, R), virial_rhs_block(grid, u, du, R, model),
-                     tail_mass_block(grid, u, R)))
-    Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
-    checked, satisfied = _decay_flags(rhs, tail, E, eta_val)
+    eta_tilde = -8.0 * E - eta_val
+    checked, satisfied = _decay_flags(rhs[1:-1], tail[1:-1], E, eta_val)
     return VirialReport(
         R=R,
         times=np.asarray(traj.times)[1:-1],
         I=I[1:-1],
-        Iprime_formula=Ip,
+        Iprime_formula=Ip[1:-1],
         Isecond_fd=Ifd,
-        rhs_formula=rhs,
-        residual=np.abs(Ifd - rhs),
-        tail_mass=tail,
+        rhs_formula=rhs[1:-1],
+        residual=np.abs(Ifd - rhs[1:-1]),
+        tail_mass=tail[1:-1],
         ineq_checked=checked,
         ineq_satisfied=satisfied,
         eta=eta_val,
-        eta_tilde=-8.0 * E - eta_val,
+        eta_tilde=eta_tilde,
+        envelope_root=envelope(I[0], Ip[0], eta_tilde) if eta_tilde > 0 and I[0] > 0 else None,
     )
 
 

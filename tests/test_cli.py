@@ -100,6 +100,8 @@ class TestSimulate:
         assert cli.main(["simulate", str(p)]) == 2
         edits = [
             lambda sc: sc["initial_data"].pop("lam"),
+            lambda sc: sc.update(initial_data=5),
+            lambda sc: sc.update(solver=[1]),
             lambda sc: sc["model"].pop("variant"),
             lambda sc: sc.update(initial_data={"kind": "file", "path": str(tmp_path / "no.npy")}),
             lambda sc: sc["solver"].update(T_end=float("nan")),
@@ -344,6 +346,23 @@ class TestVirialReport:
         )
         assert summary["envelope_root"] == root
 
+    def test_adaptive_blowup_run_reported(self, tmp_path):
+        # after the first step, free_blowup's steps are rate-limited onto dt
+        # rungs below dt_max, so its snapshots are unevenly spaced; the report
+        # takes them and writes the envelope root
+        sc = json.loads(cli.bundled_scenario_path("free_blowup").read_text())
+        sc["solver"].update(T_end=0.1, snapshot_stride=20)
+        p = tmp_path / "fb.json"
+        p.write_text(json.dumps(sc))
+        out = tmp_path / "fb"
+        assert cli.main(["simulate", str(p), "--out", str(out)]) == 0
+        h = np.diff(ev.load_trajectory(out).times)
+        assert np.max(h[:-1]) / np.min(h[:-1]) > 1.05  # uneven, the last spacing aside
+        assert cli.main(["virial-report", str(out), "--R", "auto"]) == 0
+        summary = json.loads((out / "virial_summary.json").read_text())
+        assert summary["violations"] == 0 and summary["max_residual"] < 1e-2
+        assert summary["envelope_root"] > 0.1
+
     def test_bad_R(self, tmp_path):
         out = self.run_quick(tmp_path)
         assert cli.main(["virial-report", str(out), "--R", "-1"]) == 2
@@ -395,20 +414,47 @@ class TestVirialReport:
         assert "selected R = " in capsys.readouterr().out
 
 
+FREE_BLOWUP = str(cli.bundled_scenario_path("free_blowup"))
+
+
 class TestBlowupScan:
     def test_invalid_steps(self):
         assert cli.main([
-            "blowup-scan", "--lambda-min", "0.9", "--lambda-max", "1.2", "--steps", "1",
+            "blowup-scan", FREE_BLOWUP, "--lambda-min", "0.9", "--lambda-max", "1.2",
+            "--steps", "1",
         ]) == 2
 
     def test_invalid_range(self):
         assert cli.main([
-            "blowup-scan", "--lambda-min", "1.2", "--lambda-max", "0.9", "--steps", "3",
+            "blowup-scan", FREE_BLOWUP, "--lambda-min", "1.2", "--lambda-max", "0.9",
+            "--steps", "3",
         ]) == 2
+
+    @pytest.mark.parametrize("name", ["free_gaussian", "graph_gaussian"])
+    def test_other_initial_data_rejected(self, tmp_path, capsys, name):
+        out = tmp_path / "scan.csv"
+        assert cli.main([
+            "blowup-scan", str(cli.bundled_scenario_path(name)), "--lambda-min", "0.9",
+            "--lambda-max", "1.2", "--steps", "2", "--out", str(out),
+        ]) == 2
+        assert "error: blowup-scan scans scaled_soliton initial data, not 'gaussian'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_non_object_initial_data_rejected(self, tmp_path, capsys):
+        sc = json.loads(quick_scenario(tmp_path).read_text())
+        sc["initial_data"] = 5
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main([
+            "blowup-scan", str(p), "--lambda-min", "0.9", "--lambda-max", "1.2", "--steps", "2",
+        ]) == 2
+        assert "error: scenario field 'initial_data' is not an object" in capsys.readouterr().err
 
     def test_scan_and_determinism(self, tmp_path):
         args = [
-            "blowup-scan", "--lambda-min", "0.9", "--lambda-max", "1.3",
+            "blowup-scan", FREE_BLOWUP, "--lambda-min", "0.9", "--lambda-max", "1.3",
             "--steps", "2", "--T-end", "0.4",
             "--out", str(tmp_path / "scan1.csv"),
         ]
@@ -488,5 +534,9 @@ class TestGroundState:
     "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end -1",
     "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end nan",
 ])
-def test_bad_arguments_exit_2_before_solving(argv):
-    assert cli.main(argv.split()) == 2
+def test_bad_arguments_exit_2_before_solving(argv, monkeypatch):
+    # blowup-scan scans a valid scenario, so only the bad option can exit 2
+    args = argv.split()
+    args[1:1] = [FREE_BLOWUP] if args[0] == "blowup-scan" else []
+    monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+    assert cli.main(args) == 2

@@ -206,6 +206,24 @@ class TestTailMass:
         with pytest.raises(ValueError):
             tail_mass(gaussian_line(N=16), -1.0)
 
+    @pytest.mark.parametrize("J,Ledge,M", [(3, 8.0, 200), (2, 5.0, 50), (3, 112.0, 300)])
+    def test_graph_weights_equal_one_sided_formula(self, J, Ledge, M):
+        # a graph's cells lie in [0, Ledge], so the |x| >= R weights equal the
+        # {x >= R} cell fractions bit for bit, signs of zero included, at R = 0
+        # (the vertex node), at every node and cell edge, just off them, and
+        # beyond Ledge
+        g = GraphField.from_function(lambda x: np.exp(-x), J, Ledge, M)
+        lo, hi = np.clip(g.x - g.h / 2.0, 0.0, Ledge), np.clip(g.x + g.h / 2.0, 0.0, Ledge)
+        cuts = np.concatenate([g.x, lo, hi])
+        Rs = np.concatenate([
+            [0.0, Ledge, 2.0 * Ledge], np.linspace(0.0, 1.2 * Ledge, 200),
+            cuts, np.nextafter(cuts, np.inf),
+        ])
+        for R in Rs:
+            ref = np.minimum(np.clip(hi - np.maximum(lo, R), 0.0, None), hi - lo)
+            got = tail_quad_weights(g, R)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
 
 class TestSampling:
     def test_zero_function(self):

@@ -76,16 +76,55 @@ class TestReport:
         E = traj.energy_series[0]
         assert rep.eta_tilde == pytest.approx(-8 * E - rep.eta, abs=1e-12)
 
-    def test_rejects_sparse_or_nonuniform(self):
+    def test_rejects_sparse_accepts_uneven(self):
         traj = smooth_free_run(dt=1e-3, stride=200)
         assert len(traj.snapshots) < 3
         with pytest.raises(ValueError):
             va.report(traj, 4.0, fn.ModelSpec.free())
+        # uneven spacing is no error: I'' comes from the unequal-spacing stencil
         traj2 = smooth_free_run(dt=1e-3, stride=10)
         traj2.times = traj2.times.copy()
         traj2.times[2] += 1e-4
-        with pytest.raises(ValueError):
-            va.report(traj2, 4.0, fn.ModelSpec.free())
+        rep = va.report(traj2, 4.0, fn.ModelSpec.free())
+        I = np.array([fn.virial_I(s, 4.0) for s in traj2.snapshots])
+        assert np.array_equal(rep.Isecond_fd, va.second_difference(traj2.times, I))
+        assert np.array_equal(rep.residual, np.abs(rep.Isecond_fd - rep.rhs_formula))
+
+    def test_envelope_root_from_snapshot_0(self):
+        # the per-Field I(0) and I'(0) give the same root bit for bit; with
+        # E > 0 (so eta_tilde < 0) there is none
+        traj = short_bundled_run("free_blowup", 0.03)
+        u0, model = traj.snapshots[0], traj.model
+        rep = va.report(traj, 256.0, model)
+        assert rep.eta_tilde > 0
+        assert rep.envelope_root == va.envelope(
+            fn.virial_I(u0, 256.0), fn.virial_I_prime(u0, 256.0, model), rep.eta_tilde
+        )
+        assert va.report(smooth_free_run(1e-3, 10), 8.0, model).envelope_root is None
+
+
+class TestSecondDifference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_on_quadratic_with_uneven_spacing(self, seed):
+        # adjacent spacings in ratios up to 8 both ways; the stencil is exact on
+        # quadratics, so only the rounding of I, divided by about h1 h2, remains
+        rng = np.random.default_rng(seed)
+        h = 0.05 * 8.0 ** np.concatenate([[0.5, -0.5, 0.5], rng.uniform(-0.5, 0.5, 20)])
+        t = np.concatenate([[0.0], np.cumsum(h)])
+        a, b, c = rng.uniform(-2.0, 2.0, 3)
+        I = a + b * t + c * t**2
+        assert np.max(h[1:] / h[:-1]) == pytest.approx(8.0)
+        assert np.min(h[1:] / h[:-1]) == pytest.approx(1.0 / 8.0)
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(I)) / np.min(h[1:] * h[:-1])
+        assert np.max(np.abs(va.second_difference(t, I) - 2.0 * c)) <= tol
+
+    def test_equal_spacing_matches_centered(self):
+        traj = smooth_free_run(dt=1e-3, stride=10)
+        I = np.array([fn.virial_I(s, 8.0) for s in traj.snapshots])
+        dt = traj.times[1] - traj.times[0]
+        assert np.allclose(np.diff(traj.times), dt, rtol=1e-12, atol=0.0)
+        centered = (I[2:] - 2.0 * I[1:-1] + I[:-2]) / dt**2
+        assert np.allclose(va.second_difference(traj.times, I), centered, rtol=1e-12, atol=0.0)
 
 
 class TestFindR:
@@ -262,13 +301,16 @@ class TestBlockFunctionals:
     @pytest.mark.parametrize("grid,model", BLOCK_CASES)
     @pytest.mark.parametrize("per_block", [1, 3, 7], ids=["size-1", "ragged", "one-block"])
     def test_report_matches_per_field(self, grid, model, per_block, monkeypatch):
-        # seven snapshots in blocks of 1, of 3 (3 + 3 + 1 for I, 3 + 2 for
-        # the interior) or in one block
+        # seven snapshots in blocks of 1, of 3 (3 + 3 + 1, one walk for every
+        # column) or in one block
         template = field_from_grid(grid)
         snaps = noisy_snapshots(template, 7, seed=1)
         monkeypatch.setattr(va, "BLOCK_VALUES", per_block * np.size(template.values))
+        walks, blocks = [], va._blocks
+        monkeypatch.setattr(va, "_blocks", lambda s: walks.append(len(s)) or blocks(s))
         R = 3.0
         rep = va.report(uniform_trajectory(snaps, model), R, model)
+        assert walks == [7]
         interior = snaps[1:-1]
         assert np.array_equal(rep.I, [fn.virial_I(s, R) for s in interior])
         assert np.array_equal(rep.Iprime_formula, [fn.virial_I_prime(s, R, model) for s in interior])
