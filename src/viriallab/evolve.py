@@ -15,13 +15,11 @@ sup|u|^4 + max |V| over the nodes where |u| > V_SUPPORT_FRACTION * sup|u|
 (c = 1e-3).  The V phase is exact at every node, so V costs accuracy only
 through the splitting error, which |u| weights; a node the solution has not
 reached, such as the singular node next to x = 0 under data far from it,
-does not set the step.  After the first step that dt is rounded down onto a
-ladder of rungs dt_max * 2^(-k/rungs), so a blow-up run, whose target dt
-falls on every step, keeps one dt over many steps and rebuilds its flow and
-leading half phase only when it moves to a new rung.  The split path takes
-SPLIT_DT_RUNGS = 8 rungs per octave (a step at most 2^(1/8) shorter than its
-target); the Cayley path one per octave, because each rung there costs a
-SuperLU factor of a few MB that the heap does not give back.
+does not set the step.  After the first step that dt is rounded down onto
+one ladder, dt_max * 2^(-k/8) (DT_RUNGS = 8), so a blow-up run, whose target
+dt falls on every step, keeps one dt over many steps and rebuilds its flow
+(propagator or LU factor, that of the last dt only) and leading half phase
+about 50 times.
 
 The squared wavenumbers of the half spectrum and V are cached per (L, N,
 stagger, model).  A run steps one vector in place, the samples (split path)
@@ -34,7 +32,7 @@ spectrum, mirrored), rebuilt only when dt changes, and reads the trigger's
 gradient norm through Parseval from one FFT into that buffer.  The Cayley
 path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
 (M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the
-SuperLU factor cached per dt and no matvec with K.  A non-finite sup|u|
+SuperLU factor of the current dt and no matvec with K.  A non-finite sup|u|
 aborts the run.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
@@ -52,7 +50,7 @@ import dataclasses
 import functools
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,9 +248,10 @@ class AssembledOperator:
     K: sp.csc_matrix
     Mdiag: np.ndarray
     unknown: np.ndarray
-    _lu_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        # (dt, LU factor) of the last dt, and the number of factors built
+        self._lu, self.lu_factorizations = (None, None), 0
         # the first flat node holding each coefficient
         self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
         self._chain = p1_chain(self.template, self.unknown, len(self.Mdiag))
@@ -270,17 +269,17 @@ class AssembledOperator:
         return float(np.sqrt(2.0 * (0.5 * float(np.vdot(diff, diff).real / self.template.h))))
 
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
-        """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec, LU factors cached per dt.
+        """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec; the SuperLU factor is rebuilt only
+        when dt changes, as the split propagator is.
 
         M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is
         2 (M + i dt/2 K)^{-1} M vec - vec: one solve and no matvec with K."""
-        key = float(dt)
-        lu = self._lu_cache.get(key)
-        if lu is None:
+        if dt != self._lu[0]:
+            self._lu = (None, None)  # drop the old factor before building the new one
             A = sp.diags(self.Mdiag).astype(complex) + 0.5j * dt * self.K
-            lu = splu(A.tocsc())
-            self._lu_cache[key] = lu
-        out = lu.solve(self.Mdiag * vec)
+            self._lu = (dt, splu(A.tocsc()))
+            self.lu_factorizations += 1
+        out = self._lu[1].solve(self.Mdiag * vec)
         out *= 2.0
         out -= vec
         return out
@@ -356,21 +355,20 @@ def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     return H.from_vector(_cayley_stepper(H)[0](H.to_vector(f), dt), f)
 
 
-def _quantize_dt(dt_target: float, dt_max: float, rungs: int = 1) -> float:
-    """The largest rung dt_max / 2^(k/rungs), k = 0, 1, ..., at most dt_target
-    (dt_max when dt_target >= dt_max), so equal rungs share the flow and the
-    leading half phase (and on the Cayley path the LU factor).  With rungs = 1
-    the rungs dt_max / 2^k are exact powers of two apart."""
+# rungs per octave of the dt ladder
+DT_RUNGS = 8
+
+
+def _quantize_dt(dt_target: float, dt_max: float) -> float:
+    """The largest rung dt_max / 2^(k/DT_RUNGS), k = 0, 1, ..., at most dt_target
+    (dt_max when dt_target >= dt_max), so equal rungs share the flow, the
+    leading half phase and, on the Cayley path, the LU factor."""
     if dt_target >= dt_max:
         return dt_max
-    k = int(np.ceil(rungs * np.log2(dt_max / dt_target)))
-    dt = dt_max / 2.0 ** (k / rungs)
+    k = int(np.ceil(DT_RUNGS * np.log2(dt_max / dt_target)))
+    dt = dt_max / 2.0 ** (k / DT_RUNGS)
     # log2 rounded down across a rung boundary
-    return dt if dt <= dt_target else dt_max / 2.0 ** ((k + 1) / rungs)
-
-
-# rungs per octave of the split path's dt ladder (the Cayley path takes 1)
-SPLIT_DT_RUNGS = 8
+    return dt if dt <= dt_target else dt_max / 2.0 ** ((k + 1) / DT_RUNGS)
 
 
 # nodes where |u| <= V_SUPPORT_FRACTION * sup|u| do not let |V| limit the step
@@ -394,9 +392,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
         (advance, grad), snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
-        rungs = SPLIT_DT_RUNGS
     else:
-        H, V, rungs = assemble_hamiltonian(u0, model), 0.0, 1
+        H, V = assemble_hamiltonian(u0, model), 0.0
         (advance, grad), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
     absV = np.abs(V) if np.ndim(V) else None
 
@@ -414,7 +411,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         if absV is not None:
             rate += float(np.max(absV, where=modulus > V_SUPPORT_FRACTION * amp, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
-        dt = min(dt, cfg.dt_init) if nstep == 0 else _quantize_dt(dt, cfg.dt_max, rungs)
+        dt = min(dt, cfg.dt_init) if nstep == 0 else _quantize_dt(dt, cfg.dt_max)
         # underflow is judged on the step control's dt, before the step is
         # fitted to T_end; the step that reaches T_end lands on it, and keeps
         # dt (and its LU factor) when T_end - t differs from dt by rounding,
@@ -463,7 +460,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         steps=nstep,
         dt_min=float(min(levels)) if levels else None,
         dt_max=float(max(levels)) if levels else None,
-        lu_factorizations=0 if H is None else len(H._lu_cache),
+        lu_factorizations=0 if H is None else H.lu_factorizations,
         dt_levels=len(levels),
     )
 

@@ -147,15 +147,17 @@ def selection_clauses(u0: Field, model: ModelSpec, R: float) -> tuple[bool, bool
     return _clauses(u0, R, *_invariants(u0, model))
 
 
+# find_R needs E < -ENERGY_FLOOR ||u0'||^2 (the ground state, E = 0, reads -1.6e-14)
+ENERGY_FLOOR = 1e-12
+
+
 def find_R(u0: Field, model: ModelSpec, max_doublings: int = 60) -> tuple[float, float, float]:
     """Smallest R on the ladder 2^j satisfying both selection clauses.
 
-    Requires negative energy; returns (R, eta, eta_tilde)."""
+    Requires E < -ENERGY_FLOOR ||u0'||^2; returns (R, eta, eta_tilde)."""
     E, m, grad_sq = _invariants(u0, model)
-    if E >= 0:
-        raise ValueError(
-            f"energy must be negative for the blow-up argument, got {E:.6g}"
-        )
+    if not E < -ENERGY_FLOOR * grad_sq:
+        raise ValueError(f"energy must be negative beyond rounding, got {E:.6g}")
     R = 1.0
     for _ in range(max_doublings + 1):
         c1, c2, eta_tilde = _clauses(u0, R, E, m, grad_sq)

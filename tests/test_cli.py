@@ -363,6 +363,19 @@ class TestVirialReport:
         assert summary["violations"] == 0 and summary["max_residual"] < 1e-2
         assert summary["envelope_root"] > 0.1
 
+    def test_auto_R_rejects_ground_state(self, tmp_path, capsys):
+        # free_soliton is the ground state, E = 0, which computes to -2.2e-14:
+        # negative only by rounding, so no R is selected and nothing is written
+        sc = json.loads(cli.bundled_scenario_path("free_soliton").read_text())
+        sc["solver"].update(T_end=0.05, snapshot_stride=10)
+        p = tmp_path / "fs.json"
+        p.write_text(json.dumps(sc))
+        out = tmp_path / "fs"
+        assert cli.main(["simulate", str(p), "--out", str(out)]) == 0
+        assert cli.main(["virial-report", str(out), "--R", "auto"]) == 2
+        assert "beyond rounding" in capsys.readouterr().err
+        assert not (out / "virial_summary.json").exists()
+
     def test_bad_R(self, tmp_path):
         out = self.run_quick(tmp_path)
         assert cli.main(["virial-report", str(out), "--R", "-1"]) == 2

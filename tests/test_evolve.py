@@ -437,6 +437,22 @@ class TestCayleyStep:
         err = lp_norm(f.with_values(f.values - f0.values), 2) / lp_norm(f0, 2)
         assert err < 1e-9
 
+    @pytest.mark.parametrize("graph", [False, True], ids=["delta-line", "graph-3-edge"])
+    def test_alternating_dt_matches_fresh_operator(self, graph):
+        # H keeps the LU factor of its last dt only: alternating two dt
+        # refactors on every step, and each step equals one on a fresh H
+        if graph:
+            f = GraphField.from_function(focusing_bump, 3, 8.0, 128)
+            model = fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=1.0))
+        else:
+            f, model = soliton_field(L=12.0, N=2**9, lam=1.05), fn.ModelSpec.delta(0.8)
+        H, dts = ev.assemble_hamiltonian(f, model), [1e-3, 2.5e-4] * 4
+        for i, dt in enumerate(dts):
+            fresh = ev.step_cn(f, dt, ev.assemble_hamiltonian(f, model))
+            f = ev.step_cn(f, dt, H)
+            assert np.array_equal(f.values, fresh.values)
+            assert H.lu_factorizations == i + 1
+
 
 VERTEX_CONDITIONS = [
     fn.VertexCondition("kirchhoff"),
@@ -515,8 +531,9 @@ class TestCayleyPins:
 def reference_cayley_run(u0, model, cfg):
     """The Cayley path of `run` as it was when it stepped Fields: `step_cn`
     and a Field on every step, the trigger's gradient norm from
-    `kinetic_energy`; kept as the reference for the coefficient-vector loop.
-    Returns (verdict, steps, times, snapshots)."""
+    `kinetic_energy`, dt snapped by `_quantize_dt` onto `run`'s one ladder;
+    kept as the reference for the coefficient-vector loop.  Returns (verdict,
+    steps, times, snapshots)."""
     H = ev.assemble_hamiltonian(u0, model)
     grad0 = grad_norm(u0, model)
     times, snapshots = [0.0], [u0.copy()]
@@ -617,10 +634,7 @@ def reference_split_run(u0, model, cfg):
         if absV is not None:
             rate += float(np.max(absV, where=modulus > ev.V_SUPPORT_FRACTION * amp, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
-        if nstep == 0:
-            dt = min(dt, cfg.dt_init)
-        else:
-            dt = ev._quantize_dt(dt, cfg.dt_max, ev.SPLIT_DT_RUNGS)
+        dt = min(dt, cfg.dt_init) if nstep == 0 else ev._quantize_dt(dt, cfg.dt_max)
         if dt < cfg.dt_min:
             verdict = ev.BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
             break
@@ -682,32 +696,24 @@ class TestQuantizeDt:
         rand = dt_max * 2.0 ** -np.random.default_rng(3).uniform(0.0, 40.0, 2000)
         return np.concatenate([rand, rung, np.nextafter(rung, 0.0), np.nextafter(rung, 1.0)])
 
-    @pytest.mark.parametrize("rungs", [1, ev.SPLIT_DT_RUNGS])
+    @pytest.mark.parametrize("rungs", [ev.DT_RUNGS])
     @pytest.mark.parametrize("dt_max", DT_MAX)
     def test_largest_rung_at_most_target(self, dt_max, rungs):
         for target in self.targets(dt_max, rungs):
-            dt = ev._quantize_dt(target, dt_max, rungs)
+            dt = ev._quantize_dt(target, dt_max)
             assert target * 2.0 ** (-1.0 / rungs) * (1.0 - 1e-15) < dt <= target
-        assert ev._quantize_dt(dt_max, dt_max, rungs) == dt_max
-        assert ev._quantize_dt(2.0 * dt_max, dt_max, rungs) == dt_max
+        assert ev._quantize_dt(dt_max, dt_max) == dt_max
+        assert ev._quantize_dt(2.0 * dt_max, dt_max) == dt_max
 
     @pytest.mark.parametrize("dt_max", DT_MAX)
     def test_rung_snaps_to_itself_or_next_rung(self, dt_max):
-        rungs = ev.SPLIT_DT_RUNGS
+        rungs = ev.DT_RUNGS
         rung = dt_max / 2.0 ** (np.arange(40 * rungs + 1) / rungs)
         for k in range(40 * rungs):
-            assert ev._quantize_dt(rung[k], dt_max, rungs) in (rung[k], rung[k + 1])
+            assert ev._quantize_dt(rung[k], dt_max) in (rung[k], rung[k + 1])
             # so a run whose target crosses a rung steps on that rung or the next
-            below = ev._quantize_dt(np.nextafter(rung[k], 0.0), dt_max, rungs)
+            below = ev._quantize_dt(np.nextafter(rung[k], 0.0), dt_max)
             assert below == rung[k + 1]
-
-    @pytest.mark.parametrize("dt_max", DT_MAX)
-    def test_octave_ladder_is_powers_of_two(self, dt_max):
-        # the Cayley path's rungs dt_max / 2^k, exact, so its runs keep their dt
-        for target in self.targets(dt_max, 1):
-            dt = ev._quantize_dt(target, dt_max)
-            k = round(np.log2(dt_max / dt))
-            assert dt == dt_max / 2.0**k == ev._quantize_dt(target, dt_max, 1)
 
 
 class TestSplitVectorLoop:
@@ -924,6 +930,24 @@ class TestRun:
         for i, dt in enumerate(step_dts):
             expected += [dt, dt] if i == 0 or dt != step_dts[i - 1] else [dt]
         assert phase_dts == expected
+
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
+    def test_one_lu_factor_per_dt_change(self, f, model, extra, monkeypatch):
+        # H keeps the factor of its last dt only: one on the first step and one
+        # on every step whose dt differs from the step before; on the delta'
+        # star dt rises again, so that is more factors than distinct dt
+        lus, step_dts, solve = [], [], ev.AssembledOperator.cayley_solve
+        monkeypatch.setattr(ev, "splu", lambda A: lus.append(1) or splu(A))
+        monkeypatch.setattr(
+            ev.AssembledOperator, "cayley_solve",
+            lambda H, vec, dt: step_dts.append(dt) or solve(H, vec, dt),
+        )
+        traj = ev.run(f, model, cayley_run_config(**extra))
+        changes = sum(a != b for a, b in zip(step_dts, step_dts[1:]))
+        assert len(step_dts) == traj.steps
+        assert len(lus) == traj.lu_factorizations == 1 + changes
+        if model.variant == "graph" and not model.vertex.is_continuity_type:
+            assert traj.lu_factorizations > traj.dt_levels
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES[:2])

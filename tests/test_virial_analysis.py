@@ -154,6 +154,17 @@ class TestFindR:
         with pytest.raises(ValueError):
             va.find_R(u0, fn.ModelSpec.free())
 
+    def test_rejects_rounding_level_negative_energy(self):
+        # the ground state (lam = 1) has E = 0, which computes to -2.2e-14, about
+        # -1.6e-14 of ||u0'||^2: no R is selected for it; lam = 1.1 reads
+        # -0.23 of ||u0'||^2 and passes
+        model = fn.ModelSpec.free()
+        u0 = self.soliton_data(1.0)
+        assert -1e-13 < fn.energy(u0, model) < 0
+        with pytest.raises(ValueError, match="beyond rounding"):
+            va.find_R(u0, model)
+        assert va.find_R(self.soliton_data(1.1), model)[2] > 0
+
     def test_ladder_exhaustion(self):
         u0 = self.soliton_data(1.1)
         with pytest.raises(RuntimeError):
