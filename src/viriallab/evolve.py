@@ -28,12 +28,17 @@ snapshot.  The half phases are cos + i sin in one buffer; as the phase flow
 keeps |u| fixed, a step with the dt of the step before takes that step's
 trailing factor as its leading one.  The split flow transforms in one
 spectrum buffer with the Fourier propagator (cos + i sin on the half
-spectrum, mirrored), rebuilt only when dt changes, and reads the trigger's
-gradient norm through Parseval from one FFT into that buffer.  The Cayley
-path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
-(M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the
-SuperLU factor of the current dt and no matvec with K.  A non-finite sup|u|
-aborts the run.
+spectrum, mirrored), rebuilt only when dt changes, so a step takes two FFTs:
+its gradient norm comes from the energy identity, ||u_x||^2 = 2 E(0) +
+h (sum |u|^6 / 3 - sum V |u|^2), sums over the modulus the step control
+takes anyway, off the FFT norm only by the energy drift.  The FFT norm
+(Parseval, one FFT) runs on snapshot steps, the last state and where that
+norm or sup|u| crosses its threshold, and alone decides the trigger: the
+identity can delay a detection, when the energy rises, never fire one.  The
+Cayley path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
+(M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the SuperLU
+factor of the current dt and no matvec with K.  A non-finite sup|u| aborts
+the run.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
@@ -107,6 +112,8 @@ class BlowupVerdict:
     t_detect: float | None = None
     trigger: str | None = None  # gradient_growth | amplitude_cap | dt_underflow
     diagnostic: str | None = None
+    # evidence, not compared: ||u_x|| / ||u0_x||, sup|u| or the rejected dt
+    trigger_value: float | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         if self.status not in ("completed", "blowup_detected", "aborted"):
@@ -204,9 +211,10 @@ def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _split_stepper(template: LineField, model: ModelSpec):
-    """(step, grad) on vectors of template's grid: the `_stepper` step with the
-    exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt changes,
-    and sqrt(2 kinetic_energy) of a vector's Field, bit for bit, through that buffer."""
+    """(step, grad, norm) on vectors of template's grid: the `_stepper` step with
+    the exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt
+    changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and
+    norm(vec, |vec|), that norm from the energy identity at E(template), no FFT."""
     if template.N & (template.N - 1):
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
@@ -226,7 +234,17 @@ def _split_stepper(template: LineField, model: ModelSpec):
     def grad(u: np.ndarray) -> float:
         return float(np.sqrt(2.0 * parseval_kinetic_energy(template, np.fft.fft(u, out=spec))))
 
-    return _stepper(template.N, V, model.nonlinearity_on, flow), grad
+    def c(modulus: np.ndarray) -> float:  # ||u_x||^2 - 2 E
+        m2 = np.square(modulus)
+        s = float(np.dot(np.square(m2), m2)) / 3.0 if model.nonlinearity_on else 0.0
+        return template.h * (s - (float(np.dot(V, m2)) if np.ndim(V) else 0.0))
+
+    g0sq, c0 = grad(template.values) ** 2, c(np.abs(template.values))
+
+    def norm(u: np.ndarray, modulus: np.ndarray) -> float:
+        return float(np.sqrt(max(g0sq + (c(modulus) - c0), 0.0)))
+
+    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, norm
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -344,8 +362,10 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
 
 
 def _cayley_stepper(H: AssembledOperator):
-    """(step, grad) on H's coefficient vector: the Cayley `_stepper` step, `H.grad_norm`."""
-    return _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve), H.grad_norm
+    """(step, grad, norm) on H's coefficient vector: the Cayley `_stepper` step,
+    and `H.grad_norm` as both norms, its P1 difference a tenth of a step's cost."""
+    step = _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve)
+    return step, H.grad_norm, lambda vec, modulus: H.grad_norm(vec)
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
@@ -387,15 +407,19 @@ def _trigger(cfg: SolverConfig, grad0: float, amp: float, gradn: float) -> str |
 
 def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
-    snapshots every snapshot_stride steps, or stop at a blow-up trigger."""
+    snapshots every snapshot_stride steps, or stop at a blow-up trigger.
+
+    Each step reads the stepper's cheap `norm`; the exact `grad` runs where a
+    value is recorded or that norm or sup|u| crosses its threshold, and it
+    alone decides the trigger and fills grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
-        (advance, grad), snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
+        stepper, snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
     else:
         H, V = assemble_hamiltonian(u0, model), 0.0
-        (advance, grad), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
-    absV = np.abs(V) if np.ndim(V) else None
+        stepper, state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
+    (advance, grad, norm), absV = stepper, (np.abs(V) if np.ndim(V) else None)
 
     grad0 = gradn = grad(state)
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
@@ -417,7 +441,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         # dt (and its LU factor) when T_end - t differs from dt by rounding,
         # at most dt_min
         if dt < cfg.dt_min:
-            verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger="dt_underflow")
+            verdict = BlowupVerdict("blowup_detected", t, "dt_underflow", trigger_value=dt)
             break
         rest = cfg.T_end - t
         if rest < dt - cfg.dt_min:
@@ -431,12 +455,15 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         levels.add(dt)
-        gradn = grad(state)
-        trigger = _trigger(cfg, grad0, amp, gradn)
-        if trigger is not None:
-            verdict = BlowupVerdict("blowup_detected", t_detect=t, trigger=trigger)
-            break
-        if nstep % cfg.snapshot_stride == 0:
+        gradn, saved = None, nstep % cfg.snapshot_stride == 0
+        if saved or amp > cfg.amp_cap or norm(state, modulus) > cfg.grad_blowup_factor * grad0:
+            gradn = grad(state)
+            trigger = _trigger(cfg, grad0, amp, gradn)
+            if trigger is not None:
+                value = amp if trigger == "amplitude_cap" else gradn / grad0
+                verdict = BlowupVerdict("blowup_detected", t, trigger, trigger_value=value)
+                break
+        if saved:
             times.append(t)
             snapshots.append(snapshot(state))
             grads.append(gradn)
@@ -444,7 +471,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     if t > times[-1] and verdict.status != "aborted":
         times.append(t)
         snapshots.append(snapshot(state))
-        grads.append(gradn)
+        grads.append(grad(state) if gradn is None else gradn)
 
     m = np.array([mass(s) for s in snapshots])
     e = np.array([energy(s, model) for s in snapshots])

@@ -782,6 +782,45 @@ class TestSplitVectorLoop:
                 vec = rng.standard_normal(N) + 1j * rng.standard_normal(N)
                 assert grad(vec) == grad_norm(f.with_values(vec), model)
 
+    def test_fft_norm_only_where_recorded(self, monkeypatch):
+        # the energy identity reads the gradient norm on every step; the FFT
+        # norm runs for the identity's reference state, the initial state, the
+        # snapshots and any step where the identity crosses the factor
+        calls, parseval = [], ev.parseval_kinetic_energy
+        monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
+        f, model, extra = SPLIT_RATE_LIMITED[0].values
+        traj = ev.run(f, model, split_run_config(**extra))
+        assert len(calls) <= len(traj.snapshots) + 2 and len(calls) < traj.steps / 5
+
+    @pytest.mark.parametrize("f,model,extra", SPLIT_RATE_LIMITED)
+    def test_identity_norm_matches_fft_norm(self, f, model, extra):
+        # the two differ by the discrete energy drift only: 9e-8 and 5e-7
+        # relative at most on these runs
+        traj = ev.run(f, model, split_run_config(**extra))
+        norm = ev._split_stepper(f, model)[2]
+        for u, g in zip(traj.snapshots, traj.grad_series):
+            assert abs(norm(u.values, np.abs(u.values)) - g) <= 1e-6 * g
+
+    def test_identity_crossing_alone_does_not_fire(self, monkeypatch):
+        # the energy falls on this run, so the identity's norm is above the FFT
+        # norm: a factor just above the largest FFT ratio of any step is
+        # crossed by the identity only, and the run completes, as the
+        # reference, which reads the FFT norm on every step, does
+        f, model, extra = SPLIT_RATE_LIMITED[0].values
+        every = ev.run(f, model, split_run_config(**(extra | {"snapshot_stride": 1})))
+        g = every.grad_series
+        factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
+        norm = ev._split_stepper(f, model)[2]
+        est = max(norm(u.values, np.abs(u.values)) for u in every.snapshots)
+        assert est > factor * g[0]
+        calls, parseval = [], ev.parseval_kinetic_energy
+        monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
+        cfg = split_run_config(**(extra | {"grad_blowup_factor": factor}))
+        traj = ev.run(f, model, cfg)
+        assert traj.verdict.status == reference_split_run(f, model, cfg)[0].status == "completed"
+        # the crossing steps took the FFT norm beyond the snapshots'
+        assert len(calls) > len(traj.snapshots) + 1
+
 
 class TestRun:
     def test_zero_data_completes(self):
@@ -817,6 +856,36 @@ class TestRun:
         assert traj.verdict.t_detect < 1.0
         assert traj.verdict.trigger in ("gradient_growth", "amplitude_cap", "dt_underflow")
         assert len(prop_dts) == traj.dt_levels <= 60 and traj.steps > 10_000
+
+    @pytest.mark.parametrize("trigger,case,knob", [
+        ("amplitude_cap", 0, {"amp_cap": 1.33}),
+        ("dt_underflow", 1, {"dt_min": 9e-5}),
+        ("gradient_growth", 1, {"grad_blowup_factor": 1.05, "T_end": 0.3}),
+    ])
+    def test_trigger_value_recorded(self, trigger, case, knob, tmp_path):
+        # the reading that fired, on the state stored last: sup|u|, the dt the
+        # step control rejected (a rung), or the FFT gradient ratio; the
+        # verdict equals the reference's, which records no value
+        f, model, extra = SPLIT_RATE_LIMITED[case].values
+        cfg = split_run_config(**(extra | knob))
+        traj = ev.run(f, model, cfg)
+        v, last = traj.verdict, traj.snapshots[-1]
+        assert v == reference_split_run(f, model, cfg)[0]
+        assert v.status == "blowup_detected" and v.t_detect == traj.times[-1]
+        assert v.trigger == trigger
+        if trigger == "amplitude_cap":
+            assert v.trigger_value == np.max(np.abs(last.values)) > cfg.amp_cap
+        elif trigger == "dt_underflow":
+            assert v.trigger_value == ev._quantize_dt(v.trigger_value, cfg.dt_max) < cfg.dt_min
+        else:
+            assert v.trigger_value == traj.grad_series[-1] / traj.grad_series[0] > 1.05
+        ev.save_trajectory(traj, tmp_path)
+        assert ev.load_trajectory(tmp_path).verdict.trigger_value == v.trigger_value
+        # a directory written before the value was recorded
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        del summary["verdict"]["trigger_value"]
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert ev.load_trajectory(tmp_path).verdict.trigger_value is None
 
     @staticmethod
     def invpow_gaussian_run(center, phase_tol, a=1.0, L=10.0, N=512, T_end=0.1, model=None):
@@ -863,8 +932,7 @@ class TestRun:
         split = ev._split_stepper
 
         def overflowing(template, model):
-            grad = split(template, model)[1]
-            return (lambda vec, dt: np.full_like(vec, np.inf)), grad
+            return (lambda vec, dt: np.full_like(vec, np.inf)), *split(template, model)[1:]
 
         monkeypatch.setattr(ev, "_split_stepper", overflowing)
         traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
@@ -877,13 +945,13 @@ class TestRun:
         split, calls = ev._split_stepper, []
 
         def overflowing(template, model):
-            step, grad = split(template, model)
+            step, *norms = split(template, model)
 
             def advance(vec, dt):
                 calls.append(dt)
                 return np.full_like(vec, np.inf) if len(calls) == 3 else step(vec, dt)
 
-            return advance, grad
+            return advance, *norms
 
         monkeypatch.setattr(ev, "_split_stepper", overflowing)
         u0 = soliton_field(N=2**8)
@@ -1027,7 +1095,7 @@ class TestRun:
         def broken(vec, dt):
             raise TypeError("bug in a step")
 
-        monkeypatch.setattr(ev, "_split_stepper", lambda f, model: (broken, split(f, model)[1]))
+        monkeypatch.setattr(ev, "_split_stepper", lambda f, model: (broken, *split(f, model)[1:]))
         with pytest.raises(TypeError):
             ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
 
