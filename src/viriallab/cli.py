@@ -152,14 +152,17 @@ def cmd_weight_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import hashlib  # loads OpenSSL, 3.6 MB resident: only simulate needs it
+
     sc = load_scenario(args.scenario)
+    sha = hashlib.sha256(pathlib.Path(args.scenario).read_bytes()).hexdigest()
     model, cfg, u0 = _scenario_pieces(sc)
     traj = ev.run(u0, model, cfg)
     R = sc.get("analysis", {}).get("R")
     Rnum = float(R) if isinstance(R, (int, float)) else None
     out = _out_path(args.out, sc["name"])
     out.mkdir(parents=True, exist_ok=True)
-    ev.save_trajectory(traj, out, R=Rnum)
+    ev.save_trajectory(traj, out, R=Rnum, scenario_sha256=sha)
     if traj.verdict.status == "completed":
         return EXIT_OK
     if traj.verdict.status == "blowup_detected":

@@ -38,15 +38,17 @@ identity can delay a detection, when the energy rises, never fire one.  The
 Cayley path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
 (M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the SuperLU
 factor of the current dt and no matvec with K.  A non-finite sup|u| aborts
-the run.
+the run.  scipy is imported only where a sparse matrix is built (`splu`,
+`p1_form`, `assemble_hamiltonian`, `cayley_solve`), so a split-path run
+never loads it.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
 energy, gradient norm and optionally the tail mass, one row per
 snapshot), summary.json (grid, model, solver config, verdict, drifts,
 n_snapshots, the steps taken with their least and largest dt and the
-number of distinct dt, and the LU factorizations) and snapshots.npy, every
-snapshot in one uncompressed complex128 array written by `numpy.save` and
-read back with allow_pickle=False.
+number of distinct dt, the LU factorizations and the `provenance`) and
+snapshots.npy, every snapshot in one uncompressed complex128 array written
+by `numpy.save` and read back with allow_pickle=False.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ import dataclasses
 import functools
 import json
 import pathlib
+import platform
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .field import (
     Field,
@@ -78,6 +80,17 @@ from .functionals import (
     require_geometry,
     vertex_form,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def splu(A):
+    """scipy's SuperLU factor of A, scipy imported on the first call: only
+    the Cayley path and the assembled form build sparse matrices."""
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg.splu(A)
 
 
 @dataclass(frozen=True)
@@ -211,10 +224,11 @@ def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _split_stepper(template: LineField, model: ModelSpec):
-    """(step, grad, norm) on vectors of template's grid: the `_stepper` step with
-    the exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt
-    changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and
-    norm(vec, |vec|), that norm from the energy identity at E(template), no FFT."""
+    """(step, grad, norm_from) on vectors of template's grid: the `_stepper` step
+    with the exact Fourier flow in a spectrum buffer, the propagator rebuilt when
+    dt changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and
+    norm_from(grad0, |u0|), which gives norm(vec, |vec|), that norm from the
+    energy identity at the reference state u0 of gradient norm grad0, no FFT."""
     if template.N & (template.N - 1):
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
@@ -239,12 +253,11 @@ def _split_stepper(template: LineField, model: ModelSpec):
         s = float(np.dot(np.square(m2), m2)) / 3.0 if model.nonlinearity_on else 0.0
         return template.h * (s - (float(np.dot(V, m2)) if np.ndim(V) else 0.0))
 
-    g0sq, c0 = grad(template.values) ** 2, c(np.abs(template.values))
+    def norm_from(grad0: float, modulus0: np.ndarray):
+        g0sq, c0 = grad0**2, c(modulus0)
+        return lambda u, modulus: float(np.sqrt(max(g0sq + (c(modulus) - c0), 0.0)))
 
-    def norm(u: np.ndarray, modulus: np.ndarray) -> float:
-        return float(np.sqrt(max(g0sq + (c(modulus) - c0), 0.0)))
-
-    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, norm
+    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, norm_from
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -293,6 +306,8 @@ class AssembledOperator:
         M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is
         2 (M + i dt/2 K)^{-1} M vec - vec: one solve and no matvec with K."""
         if dt != self._lu[0]:
+            import scipy.sparse as sp
+
             self._lu = (None, None)  # drop the old factor before building the new one
             A = sp.diags(self.Mdiag).astype(complex) + 0.5j * dt * self.K
             self._lu = (dt, splu(A.tocsc()))
@@ -309,6 +324,8 @@ def p1_form(template: Field) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     each node of template.values: one per line node; on a graph one per edge
     node, edge by edge, one vertex coefficient 0 when template.shared_vertex,
     and the count n of coefficients at the eliminated Dirichlet far nodes."""
+    import scipy.sparse as sp
+
     if isinstance(template, LineField):
         unknown, n = np.arange(template.N), template.N
     else:
@@ -353,6 +370,8 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
     indicator of `vertex_form`'s nodes."""
     if model.uses_spectral():
         raise ValueError("form assembly covers the delta and graph variants")
+    import scipy.sparse as sp
+
     layout = vertex_layout(template, model)
     K, Mdiag, unknown = p1_form(layout)
     nodes, g = vertex_form(layout, model)
@@ -362,10 +381,11 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
 
 
 def _cayley_stepper(H: AssembledOperator):
-    """(step, grad, norm) on H's coefficient vector: the Cayley `_stepper` step,
-    and `H.grad_norm` as both norms, its P1 difference a tenth of a step's cost."""
+    """(step, grad, norm_from) on H's coefficient vector, as `_split_stepper`'s:
+    the Cayley `_stepper` step, and `H.grad_norm` as both norms, its P1
+    difference a tenth of a step's cost, whatever the reference state."""
     step = _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve)
-    return step, H.grad_norm, lambda vec, modulus: H.grad_norm(vec)
+    return step, H.grad_norm, lambda grad0, modulus0: lambda vec, modulus: H.grad_norm(vec)
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
@@ -409,9 +429,10 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger.
 
-    Each step reads the stepper's cheap `norm`; the exact `grad` runs where a
-    value is recorded or that norm or sup|u| crosses its threshold, and it
-    alone decides the trigger and fills grad_series."""
+    Each step reads the cheap `norm` the stepper builds from grad0 and |u0|
+    (no FFT beyond grad0's own); the exact `grad` runs where a value is
+    recorded or that norm or sup|u| crosses its threshold, and it alone
+    decides the trigger and fills grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
@@ -419,12 +440,13 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     else:
         H, V = assemble_hamiltonian(u0, model), 0.0
         stepper, state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
-    (advance, grad, norm), absV = stepper, (np.abs(V) if np.ndim(V) else None)
+    (advance, grad, norm_from), absV = stepper, (np.abs(V) if np.ndim(V) else None)
 
     grad0 = gradn = grad(state)
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
     t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
     modulus = np.abs(u0.values)
+    norm = norm_from(grad0, modulus)
     amp = float(np.max(modulus, initial=0.0))
     verdict = BlowupVerdict("completed")
 
@@ -496,8 +518,33 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
-    """Write series.csv, snapshots.npy and summary.json.
+@functools.cache
+def _versions() -> tuple:
+    """The viriallab, numpy, scipy and Python versions, read once per process
+    (the metadata lookup takes 1.7 ms).  scipy's comes from its installed
+    metadata, so that recording it does not import scipy; importlib.metadata
+    (1.7 MB resident) is imported here, as only a saved run needs it."""
+    import importlib.metadata
+
+    from . import __version__
+
+    scipy = importlib.metadata.version("scipy")
+    return __version__, np.__version__, scipy, platform.python_version()
+
+
+def _provenance(scenario_sha256: str | None = None) -> dict:
+    """`_versions`, and the SHA-256 of the scenario file when given."""
+    out = dict(zip(("viriallab", "numpy", "scipy", "python"), _versions()))
+    if scenario_sha256 is not None:
+        out["scenario_sha256"] = scenario_sha256
+    return out
+
+
+def save_trajectory(
+    traj: Trajectory, outdir, R: float | None = None, scenario_sha256: str | None = None
+) -> None:
+    """Write series.csv, snapshots.npy and summary.json, the summary with the
+    run's `provenance` last.
 
     snapshots.npy is one uncompressed complex128 array of shape
     (n_snapshots, *grid shape): (n, N) on a line, (n, J, M+1) on a graph
@@ -530,6 +577,7 @@ def save_trajectory(traj: Trajectory, outdir, R: float | None = None) -> None:
         "dt_max": traj.dt_max,
         "lu_factorizations": traj.lu_factorizations,
         "dt_levels": traj.dt_levels,
+        "provenance": _provenance(scenario_sha256),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -261,9 +261,10 @@ def tail_quad_weights(f: Field, R: float) -> np.ndarray:
 
 def tail_mass(f: Field, R: float) -> float:
     """L^2 norm of the field restricted to the region beyond R."""
-    return float(tail_mass_block(f, f.values, R))
+    return float(tail_mass_block(f, f.values, tail_quad_weights(f, R)))
 
 
-def tail_mass_block(grid: Field, u: np.ndarray, R: float) -> np.ndarray:
-    """`tail_mass` of each sample array in the block u on the grid of `grid`."""
-    return np.sqrt(grid_sum(grid, tail_quad_weights(grid, R) * np.abs(u) ** 2))
+def tail_mass_block(grid: Field, u: np.ndarray, tail_weights: np.ndarray) -> np.ndarray:
+    """`tail_mass` of each sample array in the block u on the grid of `grid`,
+    tail_weights its `tail_quad_weights` at R."""
+    return np.sqrt(grid_sum(grid, tail_weights * np.abs(u) ** 2))

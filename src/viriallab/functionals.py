@@ -220,13 +220,12 @@ def p_functional(f: GraphField, vc: VertexCondition) -> float:
     return float(_vertex_energy(f, f.values, ModelSpec.graph(vc)))
 
 
-def _smooth_moment(f: Field, u: np.ndarray, model: ModelSpec, R: float | None = None):
+def _smooth_moment(f: Field, u: np.ndarray, model: ModelSpec):
     """int V |u|^2 for the smooth potential V (0 for the variants without one),
-    with the weight (R/x) chi_R'(x) when R is given, of each array of the block u."""
+    of each array of the block u."""
     if model.variant != "inverse_power":
         return 0.0
-    w = f.quad_weights if R is None else f.quad_weights * weight.zeta_over_s(f.x / R)
-    return grid_sum(f, w * potential_on_grid(model, f.x) * np.abs(u) ** 2)
+    return grid_sum(f, f.quad_weights * potential_on_grid(model, f.x) * np.abs(u) ** 2)
 
 
 def potential_energy(f: Field, model: ModelSpec) -> float:
@@ -242,32 +241,75 @@ def energy(f: Field, model: ModelSpec) -> float:
     return e
 
 
+class VirialWeights:
+    """The weights of the virial block functions on one grid at one R, for one
+    model: each is evaluated when first read and then kept, so that a walk
+    over snapshot blocks evaluates every chi_R order, the potential's weight
+    and the tail weights once."""
+
+    def __init__(self, grid: Field, R: float, model: ModelSpec | None = None):
+        self.grid, self.R, self.model = grid, R, model or ModelSpec.free()
+
+    @functools.cached_property
+    def quad(self) -> np.ndarray:
+        return self.grid.quad_weights
+
+    @functools.cached_property
+    def chi0(self) -> np.ndarray:  # the quadrature times chi_R
+        return self.quad * weight.chi_R(self.grid.x, self.R, 0)
+
+    @functools.cached_property
+    def chi1(self) -> np.ndarray:  # chi_R' alone
+        return weight.chi_R(self.grid.x, self.R, 1)
+
+    @functools.cached_property
+    def chi2(self) -> np.ndarray:  # the quadrature times chi_R''
+        return self.quad * weight.chi_R(self.grid.x, self.R, 2)
+
+    @functools.cached_property
+    def chi4(self) -> np.ndarray:  # the quadrature times chi_R''''
+        return self.quad * weight.chi_R(self.grid.x, self.R, 4)
+
+    @functools.cached_property
+    def smooth(self) -> np.ndarray | None:
+        """The quadrature times (R/x) chi_R'(x) V; None without a smooth V."""
+        if self.model.variant != "inverse_power":
+            return None
+        w = self.quad * weight.zeta_over_s(self.grid.x / self.R)
+        return w * potential_on_grid(self.model, self.grid.x)
+
+    @functools.cached_property
+    def tail(self) -> np.ndarray:
+        return tail_quad_weights(self.grid, self.R)
+
+
 def virial_I(f: Field, R: float) -> float:
     """Weighted variance int chi_R(x) |u|^2."""
-    return float(virial_I_block(f, f.values, R))
+    return float(virial_I_block(VirialWeights(f, R), f.values))
 
 
-def virial_I_block(grid: Field, u: np.ndarray, R: float) -> np.ndarray:
-    """`virial_I` of each sample array in the block u on the grid of `grid`."""
-    return grid_sum(grid, grid.quad_weights * weight.chi_R(grid.x, R, 0) * np.abs(u) ** 2)
+def virial_I_block(w: VirialWeights, u: np.ndarray) -> np.ndarray:
+    """`virial_I` of each sample array in the block u on the grid of w."""
+    return grid_sum(w.grid, w.chi0 * np.abs(u) ** 2)
 
 
 def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
     """First-derivative formula 2 Im int chi_R'(x) conj(u) du."""
     du = grad_block(f, f.values, model or ModelSpec.free())
-    return float(virial_I_prime_block(f, f.values, du, R))
+    return float(virial_I_prime_block(VirialWeights(f, R), f.values, du))
 
 
-def virial_I_prime_block(grid: Field, u: np.ndarray, du: np.ndarray, R: float) -> np.ndarray:
+def virial_I_prime_block(w: VirialWeights, u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """`virial_I_prime` of each sample array in the block u, du its `grad_block`."""
-    integrand = weight.chi_R(grid.x, R, 1) * np.conj(u) * du
-    return 2.0 * np.imag(grid_sum(grid, grid.quad_weights * integrand))
+    integrand = w.chi1 * np.conj(u) * du
+    return 2.0 * np.imag(grid_sum(w.grid, w.quad * integrand))
 
 
-def _potential_rhs(f: Field, u: np.ndarray, R: float, model: ModelSpec):
+def _potential_rhs(w: VirialWeights, u: np.ndarray):
     """The variant's term in the localized virial identity with w = chi_R, of
     each array of the block u: 2 mu int (R/x) chi_R'(x) V |u|^2 + 2 w''(0) P, w''(0) = 2."""
-    return 2.0 * model.mu * _smooth_moment(f, u, model, R) + 4.0 * _vertex_energy(f, u, model)
+    moment = 0.0 if w.smooth is None else grid_sum(w.grid, w.smooth * np.abs(u) ** 2)
+    return 2.0 * w.model.mu * moment + 4.0 * _vertex_energy(w.grid, u, w.model)
 
 
 def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
@@ -276,26 +318,26 @@ def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
     This is rhs(model) - rhs(free form) - 16 (E_model - E_free) on the same
     field: the term the blow-up estimates discard by sign.
     """
-    return float(_potential_rhs(f, f.values, R, model)) - 16.0 * potential_energy(f, model)
+    rhs = _potential_rhs(VirialWeights(f, R, model), f.values)
+    return float(rhs) - 16.0 * potential_energy(f, model)
 
 
 def virial_rhs(f: Field, R: float, model: ModelSpec) -> float:
     """Right-hand side of the matching localized virial identity with
     w = chi_R: 4 int w''|du|^2 - (4/3) int w''|u|^6 - int w''''|u|^2 plus the
     variant's extra term (potential, vertex value, or vertex functional)."""
-    return float(virial_rhs_block(f, f.values, grad_block(f, f.values, model), R, model))
+    du = grad_block(f, f.values, model)
+    return float(virial_rhs_block(VirialWeights(f, R, model), f.values, du))
 
 
-def virial_rhs_block(grid: Field, u: np.ndarray, du: np.ndarray, R: float, model: ModelSpec):
-    """`virial_rhs` of each sample array in the block u, du its `grad_block`."""
-    x, wq = grid.x, grid.quad_weights
-    w2 = weight.chi_R(x, R, 2)
-    w4 = weight.chi_R(x, R, 4)
-    val = 4.0 * grid_sum(grid, wq * w2 * np.abs(du) ** 2)
-    if model.nonlinearity_on:
-        val -= 4.0 / 3.0 * grid_sum(grid, wq * w2 * np.abs(u) ** 6)
-    val -= grid_sum(grid, wq * w4 * np.abs(u) ** 2)
-    return val + _potential_rhs(grid, u, R, model)
+def virial_rhs_block(w: VirialWeights, u: np.ndarray, du: np.ndarray):
+    """`virial_rhs` for w's model of each sample array in the block u, du its
+    `grad_block`."""
+    val = 4.0 * grid_sum(w.grid, w.chi2 * np.abs(du) ** 2)
+    if w.model.nonlinearity_on:
+        val -= 4.0 / 3.0 * grid_sum(w.grid, w.chi2 * np.abs(u) ** 6)
+    val -= grid_sum(w.grid, w.chi4 * np.abs(u) ** 2)
+    return val + _potential_rhs(w, u)
 
 
 @dataclass

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .evolve import assemble_hamiltonian, p1_form
 from .field import Field, LineField, spectral_wavenumbers
@@ -82,6 +80,8 @@ def _standing_wave(u, w, H, flow, K, V, omega, tol, warm_up):
     stalls on the near-neutral dilation mode of the mass-critical
     nonlinearity.  Then damped Newton with the Jacobian K + diag(w (V + omega
     - 5 u^4)).  Returns (u, residual, iterations, converged)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
 
     def residual_vec(u):
         return H(u) + (V + omega) * u - u**5
@@ -139,6 +139,9 @@ def _offset_guess(model, template, omega):
 def _assembled_ground_state(model, template, omega, tol) -> GroundState:
     """Delta/graph variants on the assembled form operator, from the offset
     soliton when it exists, else from Q with the warm-up."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     H = assemble_hamiltonian(template, model)
     K, Md = H.K, H.Mdiag
     lu = splu((sp.diags(Md) + _TAU * (K + omega * sp.diags(Md))).tocsc())

@@ -17,8 +17,8 @@ import numpy as np
 from . import weight
 from .evolve import Trajectory
 from .field import Field, tail_mass, tail_mass_block
-from .functionals import ModelSpec, energy, grad_block, kinetic_energy, mass, virial_I
-from .functionals import virial_I_block, virial_I_prime_block, virial_rhs_block
+from .functionals import ModelSpec, VirialWeights, energy, grad_block, kinetic_energy, mass
+from .functionals import virial_I, virial_I_block, virial_I_prime_block, virial_rhs_block
 
 
 def a0() -> float:
@@ -77,11 +77,13 @@ def inequality_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-snapshot (checked, satisfied, rhs) for the decay inequality
     rhs <= 16 E + 2 eta + slack, checked only where tail_mass <= a0, with each
-    chi_R order, the tail weights and the derivative once per block."""
+    chi_R order and the tail weights evaluated once and the derivative once
+    per block."""
     grid, cols = snapshots[0], []
+    w = VirialWeights(grid, R, model)
     for u in _blocks(snapshots):
         du = grad_block(grid, u, model)
-        cols.append((virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R)))
+        cols.append((virial_rhs_block(w, u, du), tail_mass_block(grid, u, w.tail)))
     rhs, tail = (np.concatenate(c) for c in zip(*cols))
     return (*_decay_flags(rhs, tail, E, eta_val), rhs)
 
@@ -99,10 +101,11 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
     grid, cols = traj.snapshots[0], []
+    w = VirialWeights(grid, R, model)
     for u in _blocks(traj.snapshots):  # as in `inequality_flags`, with I and I'
         du = grad_block(grid, u, model)
-        cols.append((virial_I_block(grid, u, R), virial_I_prime_block(grid, u, du, R),
-                     virial_rhs_block(grid, u, du, R, model), tail_mass_block(grid, u, R)))
+        cols.append((virial_I_block(w, u), virial_I_prime_block(w, u, du),
+                     virial_rhs_block(w, u, du), tail_mass_block(grid, u, w.tail)))
     I, Ip, rhs, tail = (np.concatenate(c) for c in zip(*cols))
     Ifd = second_difference(np.asarray(traj.times), I)
     E = float(traj.energy_series[0])

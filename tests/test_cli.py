@@ -1,10 +1,18 @@
 import csv
+import hashlib
+import importlib.metadata
 import io
 import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import viriallab
 from viriallab import cli
 from viriallab import evolve as ev
 from viriallab import functionals as fn
@@ -35,6 +43,17 @@ def quick_scenario(tmp_path, name="quick", lam=1.0, T=0.05, model=None):
 def out_root(tmp_path, monkeypatch):
     monkeypatch.setenv("VIRIALLAB_OUT", str(tmp_path / "out"))
     return tmp_path
+
+
+def same_run(a, b) -> bool:
+    """Two simulate directories hold the same run: equal bytes in snapshots.npy
+    and series.csv, and summary.json equal apart from the scenario hash."""
+    if any((a / f).read_bytes() != (b / f).read_bytes() for f in ("snapshots.npy", "series.csv")):
+        return False
+    sa, sb = (json.loads((d / "summary.json").read_text()) for d in (a, b))
+    for s in (sa, sb):
+        del s["provenance"]["scenario_sha256"]
+    return sa == sb
 
 
 class TestWeightCheck:
@@ -83,6 +102,31 @@ class TestSimulate:
         assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "series.csv").exists()
         assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_summary_records_provenance(self, tmp_path):
+        p = quick_scenario(tmp_path)
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 0
+        prov = json.loads((tmp_path / "run" / "summary.json").read_text())["provenance"]
+        assert prov == {
+            "viriallab": viriallab.__version__, "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"),
+            "python": platform.python_version(),
+            "scenario_sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+        }
+
+    def test_load_without_provenance(self, tmp_path):
+        # a directory written before provenance was recorded loads as before
+        p = quick_scenario(tmp_path)
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 0
+        summary_path = tmp_path / "run" / "summary.json"
+        ref = ev.load_trajectory(tmp_path / "run")
+        summary = json.loads(summary_path.read_text())
+        del summary["provenance"]
+        summary_path.write_text(json.dumps(summary, indent=2))
+        old = ev.load_trajectory(tmp_path / "run")
+        assert old.verdict == ref.verdict and old.steps == ref.steps
+        assert np.array_equal(old.times, ref.times)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(old.snapshots, ref.snapshots))
 
     def test_blowup_exit_code(self, tmp_path):
         p = quick_scenario(tmp_path, name="blow", lam=1.3, T=2.0)
@@ -163,9 +207,7 @@ class TestSimulate:
             p = tmp_path / f"{name}.json"
             p.write_text(json.dumps(sc | {"initial_data": data}))
             assert cli.main(["simulate", str(p), "--out", str(tmp_path / name)]) == 0
-        for out in ("snapshots.npy", "series.csv", "summary.json"):
-            new, ref = tmp_path / "file" / out, tmp_path / "memory" / out
-            assert new.read_bytes() == ref.read_bytes()
+        assert same_run(tmp_path / "file", tmp_path / "memory")
 
     def test_graph_file_data_roundtrip(self, tmp_path):
         # graph samples, (J, M+1) with the vertex first, through np.save and
@@ -185,9 +227,7 @@ class TestSimulate:
             assert cli.main(["simulate", str(p), "--out", str(tmp_path / name)]) == 0
         first = np.load(tmp_path / "file" / "snapshots.npy", allow_pickle=False)
         assert first.shape[1:] == (3, 101)
-        for out in ("snapshots.npy", "series.csv", "summary.json"):
-            new, ref = tmp_path / "file" / out, tmp_path / "gauss" / out
-            assert new.read_bytes() == ref.read_bytes()
+        assert same_run(tmp_path / "file", tmp_path / "gauss")
 
     def test_graph_file_data_nonzero_far_node(self, tmp_path, capsys):
         # the first Cayley step would drop a value at a Dirichlet far node
@@ -553,3 +593,52 @@ def test_bad_arguments_exit_2_before_solving(argv, monkeypatch):
     args[1:1] = [FREE_BLOWUP] if args[0] == "blowup-scan" else []
     monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
     assert cli.main(args) == 2
+
+
+# Run in a fresh interpreter: the split path (free and inverse-power lines),
+# trajectory I/O, the virial analysis and `simulate free_gaussian` import no
+# scipy; a delta-line run, which factors a sparse matrix, does.
+SCIPY_BOUNDARY = r"""
+import json, sys
+import viriallab, viriallab.cli
+from viriallab import cli, evolve as ev, virial_analysis as va, weight
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, seen = sys.argv[1], {}
+for name, N in (("free_blowup", 1024), ("invpow_blowup", 8192)):
+    sc = cli.load_scenario(cli.bundled_scenario_path(name))
+    sc["grid"]["N"] = N
+    sc["solver"].update(T_end=0.02, snapshot_stride=5)
+    model, cfg, u0 = cli._scenario_pieces(sc)
+    ev.save_trajectory(ev.run(u0, model, cfg), f"{out}/{name}")
+    traj = ev.load_trajectory(f"{out}/{name}")
+    R = va.find_R(traj.snapshots[0], model)[0]
+    E, m = float(traj.energy_series[0]), float(traj.mass_series[0])
+    va.inequality_flags(traj.snapshots, R, model, E, weight.eta(R, m))
+    va.report(traj, R, model)
+    seen[name] = scipy_modules()
+code = cli.main(["simulate", str(cli.bundled_scenario_path("free_gaussian")), "--out", f"{out}/fg"])
+seen["simulate free_gaussian"] = scipy_modules() if code == 0 else ["exit", code]
+sc = cli.load_scenario(cli.bundled_scenario_path("delta_gaussian"))
+sc["grid"]["N"] = 512
+sc["solver"]["T_end"] = 0.01
+model, cfg, u0 = cli._scenario_pieces(sc)
+ev.run(u0, model, cfg)
+seen["delta"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_where_a_sparse_matrix_is_built(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(viriallab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BOUNDARY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    for step in ("free_blowup", "invpow_blowup", "simulate free_gaussian"):
+        assert seen[step] == [], step
+    assert "scipy.sparse.linalg" in seen["delta"]

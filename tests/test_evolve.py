@@ -784,20 +784,32 @@ class TestSplitVectorLoop:
 
     def test_fft_norm_only_where_recorded(self, monkeypatch):
         # the energy identity reads the gradient norm on every step; the FFT
-        # norm runs for the identity's reference state, the initial state, the
-        # snapshots and any step where the identity crosses the factor
+        # norm runs for the initial state, which is the identity's reference
+        # state too, the snapshots and any step where the identity crosses the
+        # factor
         calls, parseval = [], ev.parseval_kinetic_energy
         monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
         f, model, extra = SPLIT_RATE_LIMITED[0].values
         traj = ev.run(f, model, split_run_config(**extra))
-        assert len(calls) <= len(traj.snapshots) + 2 and len(calls) < traj.steps / 5
+        assert len(calls) <= len(traj.snapshots) and len(calls) < traj.steps / 5
+
+    def test_step_splitstep_takes_one_fft(self, monkeypatch):
+        # the flow's forward transform only: the identity's reference state is
+        # `run`'s, so building the stepper takes no FFT norm
+        calls, fft = [], np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        for f, model in ((soliton_field(N=2**8), fn.ModelSpec.free()),
+                         (rough_field(2**8, True), fn.ModelSpec.inverse_power(1.0, 0.5))):
+            calls.clear()
+            ev.step_splitstep(f, 1e-3, model)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("f,model,extra", SPLIT_RATE_LIMITED)
     def test_identity_norm_matches_fft_norm(self, f, model, extra):
         # the two differ by the discrete energy drift only: 9e-8 and 5e-7
         # relative at most on these runs
         traj = ev.run(f, model, split_run_config(**extra))
-        norm = ev._split_stepper(f, model)[2]
+        norm = ev._split_stepper(f, model)[2](traj.grad_series[0], np.abs(f.values))
         for u, g in zip(traj.snapshots, traj.grad_series):
             assert abs(norm(u.values, np.abs(u.values)) - g) <= 1e-6 * g
 
@@ -810,7 +822,7 @@ class TestSplitVectorLoop:
         every = ev.run(f, model, split_run_config(**(extra | {"snapshot_stride": 1})))
         g = every.grad_series
         factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
-        norm = ev._split_stepper(f, model)[2]
+        norm = ev._split_stepper(f, model)[2](g[0], np.abs(f.values))
         est = max(norm(u.values, np.abs(u.values)) for u in every.snapshots)
         assert est > factor * g[0]
         calls, parseval = [], ev.parseval_kinetic_energy
@@ -819,7 +831,7 @@ class TestSplitVectorLoop:
         traj = ev.run(f, model, cfg)
         assert traj.verdict.status == reference_split_run(f, model, cfg)[0].status == "completed"
         # the crossing steps took the FFT norm beyond the snapshots'
-        assert len(calls) > len(traj.snapshots) + 1
+        assert len(calls) > len(traj.snapshots)
 
 
 class TestRun:

@@ -298,12 +298,13 @@ class TestBlockFunctionals:
         }
         # two leading axes: (2, 3) snapshots
         u2, du2 = u.reshape((2, 3) + u.shape[1:]), du.reshape((2, 3) + u.shape[1:])
+        wts = fn.VirialWeights(template, R, model)
         for block, dblock in ((u, du), (u2, du2)):
             got = {
-                "I": fn.virial_I_block(template, block, R),
-                "Ip": fn.virial_I_prime_block(template, block, dblock, R),
-                "rhs": fn.virial_rhs_block(template, block, dblock, R, model),
-                "tail": tail_mass_block(template, block, R),
+                "I": fn.virial_I_block(wts, block),
+                "Ip": fn.virial_I_prime_block(wts, block, dblock),
+                "rhs": fn.virial_rhs_block(wts, block, dblock),
+                "tail": tail_mass_block(template, block, wts.tail),
             }
             for name, ref in per_field.items():
                 assert got[name].shape == block.shape[: block.ndim - u.ndim + 1]
@@ -319,9 +320,16 @@ class TestBlockFunctionals:
         monkeypatch.setattr(va, "BLOCK_VALUES", per_block * np.size(template.values))
         walks, blocks = [], va._blocks
         monkeypatch.setattr(va, "_blocks", lambda s: walks.append(len(s)) or blocks(s))
+        # each chi_R order once per call, whatever the block count
+        orders, chi_R = [], w.chi_R
+        monkeypatch.setattr(w, "chi_R", lambda x, R, k=0: orders.append(k) or chi_R(x, R, k))
         R = 3.0
         rep = va.report(uniform_trajectory(snaps, model), R, model)
-        assert walks == [7]
+        assert walks == [7] and sorted(orders) == [0, 1, 2, 4]
+        orders.clear()
+        va.inequality_flags(snaps, R, model, 0.0, 0.0)
+        assert sorted(orders) == [2, 4]
+        monkeypatch.setattr(w, "chi_R", chi_R)
         interior = snaps[1:-1]
         assert np.array_equal(rep.I, [fn.virial_I(s, R) for s in interior])
         assert np.array_equal(rep.Iprime_formula, [fn.virial_I_prime(s, R, model) for s in interior])
