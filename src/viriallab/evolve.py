@@ -26,20 +26,26 @@ stagger, model).  A run steps one vector in place, the samples (split path)
 or the coefficient vector v (Cayley path), and builds a Field only for a
 snapshot.  The half phases are cos + i sin in one buffer; as the phase flow
 keeps |u| fixed, a step with the dt of the step before takes that step's
-trailing factor as its leading one.  The split flow transforms in one
-spectrum buffer with the Fourier propagator (cos + i sin on the half
-spectrum, mirrored), rebuilt only when dt changes, so a step takes two FFTs:
-its gradient norm comes from the energy identity, ||u_x||^2 = 2 E(0) +
-h (sum |u|^6 / 3 - sum V |u|^2), sums over the modulus the step control
-takes anyway, off the FFT norm only by the energy drift.  The FFT norm
-(Parseval, one FFT) runs on snapshot steps, the last state and where that
-norm or sup|u| crosses its threshold, and alone decides the trigger: the
-identity can delay a detection, when the energy rises, never fire one.  The
-Cayley path reads ||v'|| along the P1 elements; its flow (M + i dt/2 K)^{-1}
-(M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1} M v - v is one solve with the SuperLU
-factor of the current dt and no matvec with K.  A non-finite sup|u| aborts
-the run.  scipy is imported only where a sparse matrix is built (`splu`,
-`p1_form`, `assemble_hamiltonian`, `cayley_solve`), so a split-path run
+trailing factor as its leading one, and the trailing phase hands its |u|^2 to
+`run` for sup|u|, the V mask and the energy identity ||u'||^2 = 2 E(0) +
+sum w (|u|^6 / 3 - V |u|^2) - g |sum_vertex u|^2 (w the quadrature weights,
+the lumped mass on the Cayley path; g the `vertex_form` term), which gives
+each step's gradient norm off the exact norm only by the energy drift.  The
+exact norm (Parseval from one FFT, or the P1 element differences) runs on
+snapshot steps, the last state and where the identity or sup|u| crosses its
+threshold, and alone decides the trigger: the identity can delay a
+detection, when the energy rises, never fire one.  The split flow transforms
+in one spectrum buffer with the Fourier propagator (cos + i sin on the half
+spectrum, mirrored), rebuilt only when dt changes, so a step takes two FFTs.
+The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1}
+M v - v takes no matvec with K.  Every edge of a star has the same block T of
+M + i dt/2 K, so one SuperLU factor of T, rebuilt when dt changes, solves the
+J edges as the J columns of one call; the vertex coefficients (one when the
+vertex is shared, J for delta') follow from their Schur complement, and each
+edge is corrected along T^{-1} e_0, cut where it underflows.  A line is one
+edge without vertex coefficients.  A non-finite sup|u| aborts the run.
+scipy is imported only where a sparse matrix is built (`splu`, `p1_form`,
+`assemble_hamiltonian`, `AssembledOperator._factor`), so a split-path run
 never loads it.
 
 A stored trajectory is a directory of three files: series.csv (t, mass,
@@ -76,8 +82,8 @@ from .functionals import (
     energy,
     mass,
     parseval_kinetic_energy,
-    potential_on_grid,
     require_geometry,
+    smooth_potential,
     vertex_form,
 )
 
@@ -164,12 +170,15 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _phase(u: np.ndarray, dt: float, V, nonlinearity_on: bool, out: np.ndarray, th: np.ndarray):
-    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in `out`, the angle in `th`."""
+def _phase(
+    u: np.ndarray, dt: float, V, nonlinearity_on: bool,
+    out: np.ndarray, th: np.ndarray, m2: np.ndarray,
+):
+    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in `out`, the angle in `th`, |u|^2 in `m2`."""
+    np.square(u.real, out=m2)
+    m2 += np.square(u.imag, out=out.imag)
     if nonlinearity_on:
-        np.square(u.real, out=th)
-        th += np.square(u.imag, out=out.imag)
-        np.square(th, out=th)
+        np.square(m2, out=th)
     else:
         th.fill(0.0)
     th -= V
@@ -180,24 +189,52 @@ def _phase(u: np.ndarray, dt: float, V, nonlinearity_on: bool, out: np.ndarray, 
 
 
 def _stepper(n: int, V, nonlinearity_on: bool, flow):
-    """Strang step (vec, dt) -> vec, overwriting vec: half-step phase, linear flow
-    `flow(vec, dt)`, half-step phase.  Each call takes the vector the call before
-    returned, so a step with that call's dt reuses its trailing phase factor."""
+    """Strang step (vec, dt, m2=None) -> vec, overwriting vec: half-step phase,
+    linear flow `flow(vec, dt)`, half-step phase, whose |vec|^2 it leaves in m2
+    when given.  Each call takes the vector the call before returned, so a step
+    with that call's dt reuses its trailing phase factor."""
     fac, th, last_dt = np.empty(n, dtype=complex), np.empty(n), None
 
-    def step(vec: np.ndarray, dt: float) -> np.ndarray:
+    def step(vec: np.ndarray, dt: float, m2: np.ndarray | None = None) -> np.ndarray:
         nonlocal last_dt
+        m2 = np.empty(n) if m2 is None else m2
         if dt != last_dt:
             if dt == 0.0 or not np.isfinite(dt):
                 raise ValueError("dt must be a nonzero finite number")
-            _phase(vec, dt, V, nonlinearity_on, fac, th)
+            _phase(vec, dt, V, nonlinearity_on, fac, th, m2)
             last_dt = dt
         vec *= fac
         vec = flow(vec, dt)
-        vec *= _phase(vec, dt, V, nonlinearity_on, fac, th)
+        vec *= _phase(vec, dt, V, nonlinearity_on, fac, th, m2)
         return vec
 
     return step
+
+
+def _identity(w, V, nodes, g: float, nonlinearity_on: bool, n: int):
+    """c(vec, m2) = ||u'||^2 - 2 E of the state vec with |vec|^2 = m2, from the
+    energy: sum w (m2^3 / 3 - V m2) - g |sum vec[nodes]|^2, w the (lumped)
+    quadrature weights and (nodes, g) the point interaction of `vertex_form`."""
+    wV, buf = np.multiply(w, V), np.empty(n)
+
+    def c(vec: np.ndarray, m2: np.ndarray) -> float:
+        np.square(m2, out=buf)
+        val = float(np.dot(np.multiply(buf, w, out=buf), m2)) / 3.0 if nonlinearity_on else 0.0
+        if np.ndim(V):
+            val -= float(np.dot(wV, m2))
+        if len(nodes):
+            val -= g * abs(vec[nodes].sum()) ** 2
+        return val
+
+    return c
+
+
+def _norm_from(c, grad0: float, vec0: np.ndarray, m20: np.ndarray):
+    """norm(vec, m2): the gradient norm from the energy identity ||u'||^2 =
+    grad0^2 + c(vec, m2) - c(vec0, m20) at the reference state vec0 of gradient
+    norm grad0, off the exact norm by the energy drift since vec0."""
+    g0sq, c0 = grad0**2, c(vec0, m20)
+    return lambda vec, m2: float(np.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,9 +244,9 @@ def _grid_kernels(L: float, N: int, stagger: bool, model: ModelSpec) -> tuple:
     everywhere)."""
     f = field_from_grid({"kind": "line", "L": L, "N": N, "stagger": stagger})
     k2 = spectral_wavenumbers(f)[: N // 2 + 1] ** 2
-    V = potential_on_grid(model, f.x)
-    k2.flags.writeable = V.flags.writeable = False
-    return k2, (V if np.any(V) else 0.0)
+    k2.flags.writeable = False
+    V = smooth_potential(f, model)
+    return k2, (0.0 if V is None else V)
 
 
 def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
@@ -224,11 +261,10 @@ def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _split_stepper(template: LineField, model: ModelSpec):
-    """(step, grad, norm_from) on vectors of template's grid: the `_stepper` step
-    with the exact Fourier flow in a spectrum buffer, the propagator rebuilt when
-    dt changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and
-    norm_from(grad0, |u0|), which gives norm(vec, |vec|), that norm from the
-    energy identity at the reference state u0 of gradient norm grad0, no FFT."""
+    """(step, grad, c) on vectors of template's grid: the `_stepper` step with
+    the exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt
+    changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and the
+    `_identity` terms, which give the norm with no FFT."""
     if template.N & (template.N - 1):
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
@@ -248,16 +284,8 @@ def _split_stepper(template: LineField, model: ModelSpec):
     def grad(u: np.ndarray) -> float:
         return float(np.sqrt(2.0 * parseval_kinetic_energy(template, np.fft.fft(u, out=spec))))
 
-    def c(modulus: np.ndarray) -> float:  # ||u_x||^2 - 2 E
-        m2 = np.square(modulus)
-        s = float(np.dot(np.square(m2), m2)) / 3.0 if model.nonlinearity_on else 0.0
-        return template.h * (s - (float(np.dot(V, m2)) if np.ndim(V) else 0.0))
-
-    def norm_from(grad0: float, modulus0: np.ndarray):
-        g0sq, c0 = grad0**2, c(modulus0)
-        return lambda u, modulus: float(np.sqrt(max(g0sq + (c(modulus) - c0), 0.0)))
-
-    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, norm_from
+    c = _identity(template.h, V, [], 0.0, model.nonlinearity_on, template.N)
+    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, c
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -281,11 +309,30 @@ class AssembledOperator:
     unknown: np.ndarray
 
     def __post_init__(self):
-        # (dt, LU factor) of the last dt, and the number of factors built
+        # (dt, (LU factor, vertex coupling)) of the last dt, and the number of
+        # factors built
         self._lu, self.lu_factorizations = (None, None), 0
+        # the right-hand side M vec and the flow's output, reused by every solve:
+        # two fresh arrays per step fragment the heap (up to 3.7 MB more peak
+        # RSS on a 3-edge star of M = 2000)
+        self._work = tuple(np.empty(len(self.Mdiag), dtype=complex) for _ in range(2))
         # the first flat node holding each coefficient
         self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
         self._chain = p1_chain(self.template, self.unknown, len(self.Mdiag))
+        # one row per edge (the line is one edge): its coefficients between the
+        # vertex (the homogeneous node on a line) and the Dirichlet node, and
+        # the vertex coefficients, none on a line
+        rows = np.atleast_2d(self._chain)
+        self._edges, self._vertex = rows[:, 1:-1], np.setdiff1d(rows[:, 0], len(self.Mdiag))
+        # the edges as a strided (J, m) view: row stride w, m of each w taken
+        J, m = self._edges.shape
+        w = int(self._edges[1, 0] - self._edges[0, 0]) if J > 1 else m
+        self._view = (int(self._edges[0, 0]) - (w - m), J, w, m)
+
+    def _edge_view(self, vec: np.ndarray) -> np.ndarray:
+        """The (J, m) view of vec's edge coefficients, `_edges` in place."""
+        o, J, w, m = self._view
+        return vec[o : o + J * w].reshape(J, w)[:, w - m :]
 
     def to_vector(self, f: Field) -> np.ndarray:
         return f.values.ravel()[self._node_of]
@@ -299,23 +346,95 @@ class AssembledOperator:
         diff = np.diff(np.append(vec, 0.0)[self._chain], axis=-1)
         return float(np.sqrt(2.0 * (0.5 * float(np.vdot(diff, diff).real / self.template.h))))
 
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        """(Kb, mb, K_SS, K_IS, K_SI): K and Mdiag of one edge block, and K
+        among the vertex coefficients S, from the edges' first coefficients to
+        S and back; ValueError unless every edge's block equals the first and
+        the edges meet S at their first coefficient only.  K is read by slices
+        and columns (row indexing of a CSC matrix holds 0.2 MB more), once:
+        a slice per factor fragments the heap, 3 MB more peak RSS on a
+        3-edge star of M = 2000."""
+        K, edges, S = self.K, self._edges, self._vertex
+        if not np.array_equal(self._edge_view(np.arange(len(self.Mdiag))), edges):
+            raise ValueError("the edge coefficients are not the strided runs of `_edge_view`")
+        Kb = [K[e[0] : e[-1] + 1, e[0] : e[-1] + 1] for e in edges]
+        mb = self.Mdiag[edges]
+        if any((b - Kb[0]).count_nonzero() for b in Kb[1:]) or np.any(mb != mb[0]):
+            raise ValueError("the edge blocks of M + i dt/2 K differ: one factor cannot solve them")
+        at_S, at_first = K[:, S].toarray(), K[:, edges[:, 0]].toarray()
+        K_SS, K_IS, K_SI = at_S[S], at_S[edges[:, 0]], at_first[S]
+        if K.count_nonzero() != len(Kb) * Kb[0].count_nonzero() + sum(
+            np.count_nonzero(a) for a in (K_SS, K_IS, K_SI)
+        ):
+            raise ValueError("the edges couple beyond their first coefficient")
+        return Kb[0], mb[0], K_SS, K_IS, K_SI
+
+    def _factor(self, dt: float) -> tuple:
+        """(SuperLU factor of the edge block T of M + i dt/2 K, coupling): for
+        the vertex, z = T^{-1} e_0, which decays geometrically away from the
+        vertex, with its subnormal parts set to zero (arithmetic on them is
+        slow) and cut after its last nonzero entry; the couplings C_SI and
+        C_IS; and the inverse Schur complement of the vertex coefficients.
+        Coupling None on a line."""
+        import scipy.sparse as sp
+
+        Kb, mb, K_SS, K_IS, K_SI = self._blocks
+        lu = splu((sp.diags(mb).astype(complex) + 0.5j * dt * Kb).tocsc())
+        if not self._vertex.size:
+            return lu, None
+        e0 = np.zeros(len(mb), dtype=complex)
+        e0[0] = 1.0
+        z = lu.solve(e0)
+        tiny = np.finfo(float).tiny
+        z.real[np.abs(z.real) < tiny] = 0.0
+        z.imag[np.abs(z.imag) < tiny] = 0.0
+        z = z[: np.flatnonzero(z)[-1] + 1].copy()
+        C_SI, C_IS = 0.5j * dt * K_SI, 0.5j * dt * K_IS
+        schur = np.diag(self.Mdiag[self._vertex]) + 0.5j * dt * K_SS
+        schur -= z[0] * (C_SI[:, :, None] * C_IS).sum(axis=1)
+        return lu, (z, C_SI, C_IS, _inverse(schur))
+
     def cayley_solve(self, vec: np.ndarray, dt: float) -> np.ndarray:
-        """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec; the SuperLU factor is rebuilt only
+        """(M + i dt/2 K)^{-1} (M - i dt/2 K) vec in H's output buffer, which the
+        next call overwrites (vec may be that buffer); the factor is rebuilt only
         when dt changes, as the split propagator is.
 
-        M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is
-        2 (M + i dt/2 K)^{-1} M vec - vec: one solve and no matvec with K."""
+        M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is 2 x - vec, x the
+        solution of (M + i dt/2 K) x = M vec: one SuperLU call with the J edges
+        as J columns, then the vertex coefficients from their Schur complement
+        and each edge's correction along z; no matvec with K."""
         if dt != self._lu[0]:
-            import scipy.sparse as sp
-
             self._lu = (None, None)  # drop the old factor before building the new one
-            A = sp.diags(self.Mdiag).astype(complex) + 0.5j * dt * self.K
-            self._lu = (dt, splu(A.tocsc()))
+            self._lu = (dt, self._factor(dt))
             self.lu_factorizations += 1
-        out = self._lu[1].solve(self.Mdiag * vec)
-        out *= 2.0
-        out -= vec
+        (lu, coupling), (b, out) = self._lu[1], self._work
+        np.multiply(self.Mdiag, vec, out=b)
+        Y = lu.solve(self._edge_view(b).T)
+        X = Y.T
+        if coupling is not None:
+            z, C_SI, C_IS, G = coupling
+            xs = (G * (b[self._vertex] - (C_SI * Y[0]).sum(axis=1))).sum(axis=1)
+            X[:, : len(z)] -= (C_IS * xs).sum(axis=1)[:, None] * z
+            out[self._vertex] = 2.0 * xs - vec[self._vertex]
+        X *= 2.0
+        np.subtract(X, self._edge_view(vec), out=self._edge_view(out))
         return out
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """a^{-1} of a small matrix by Gauss-Jordan elimination with partial
+    pivoting, in ufuncs: the Cayley path's small products stay off BLAS and
+    LAPACK, whose first call holds 0.9 MB of OpenBLAS buffers for the rest of
+    the process."""
+    k = len(a)
+    m = np.hstack([a, np.eye(k)])
+    for i in range(k):
+        p = i + int(np.argmax(np.abs(m[i:, i])))
+        m[[i, p]] = m[[p, i]]
+        m[i] /= m[i, i]
+        m -= np.where(np.arange(k) == i, 0.0, m[:, i])[:, None] * m[i]
+    return m[:, k:]
 
 
 def p1_form(template: Field) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -381,11 +500,13 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
 
 
 def _cayley_stepper(H: AssembledOperator):
-    """(step, grad, norm_from) on H's coefficient vector, as `_split_stepper`'s:
-    the Cayley `_stepper` step, and `H.grad_norm` as both norms, its P1
-    difference a tenth of a step's cost, whatever the reference state."""
-    step = _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve)
-    return step, H.grad_norm, lambda grad0, modulus0: lambda vec, modulus: H.grad_norm(vec)
+    """(step, grad, c) on H's coefficient vector, as `_split_stepper`'s: the
+    Cayley `_stepper` step, `H.grad_norm`, and the `_identity` terms on the
+    lumped mass with the model's point interaction."""
+    nodes, g = vertex_form(vertex_layout(H.template, H.model), H.model)
+    n, on = len(H.Mdiag), H.model.nonlinearity_on
+    c = _identity(H.Mdiag, 0.0, H.unknown.ravel()[nodes], g, on, n)
+    return _stepper(n, 0.0, on, H.cayley_solve), H.grad_norm, c
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
@@ -429,10 +550,11 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger.
 
-    Each step reads the cheap `norm` the stepper builds from grad0 and |u0|
-    (no FFT beyond grad0's own); the exact `grad` runs where a value is
-    recorded or that norm or sup|u| crosses its threshold, and it alone
-    decides the trigger and fills grad_series."""
+    Each step reads sup|u|, the V mask and the energy identity's `norm` from
+    the |u|^2 its trailing half phase leaves (no FFT, P1 difference or modulus
+    beyond the step's own); the exact sup|u| and `grad` run where a value is
+    recorded or that norm or sup|u| crosses its threshold, and they alone
+    decide the trigger and fill grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
@@ -440,14 +562,14 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     else:
         H, V = assemble_hamiltonian(u0, model), 0.0
         stepper, state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
-    (advance, grad, norm_from), absV = stepper, (np.abs(V) if np.ndim(V) else None)
+    (advance, grad, c), absV = stepper, (np.abs(V) if np.ndim(V) else None)
 
     grad0 = gradn = grad(state)
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
     t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
-    modulus = np.abs(u0.values)
-    norm = norm_from(grad0, modulus)
-    amp = float(np.max(modulus, initial=0.0))
+    m2 = np.square(state.real) + np.square(state.imag)  # |u|^2, from each step's phase
+    norm = _norm_from(c, grad0, state, m2)
+    amp = float(np.max(np.abs(u0.values), initial=0.0))
     verdict = BlowupVerdict("completed")
 
     while t < cfg.T_end * (1.0 - 1e-14):
@@ -455,7 +577,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         # where the solution lives (see the module docstring)
         rate = amp**4 if model.nonlinearity_on else 0.0
         if absV is not None:
-            rate += float(np.max(absV, where=modulus > V_SUPPORT_FRACTION * amp, initial=0.0))
+            rate += float(np.max(absV, where=m2 > (V_SUPPORT_FRACTION * amp) ** 2, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         dt = min(dt, cfg.dt_init) if nstep == 0 else _quantize_dt(dt, cfg.dt_max)
         # underflow is judged on the step control's dt, before the step is
@@ -468,9 +590,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         rest = cfg.T_end - t
         if rest < dt - cfg.dt_min:
             dt = rest
-        state = advance(state, dt)
-        modulus = np.abs(state)
-        amp = float(np.max(modulus, initial=0.0))
+        state = advance(state, dt, m2)
+        amp = float(np.sqrt(np.max(m2, initial=0.0)))
         if not np.isfinite(amp):  # an overflow
             verdict = BlowupVerdict("aborted", diagnostic="non-finite field values")
             break
@@ -478,8 +599,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         nstep += 1
         levels.add(dt)
         gradn, saved = None, nstep % cfg.snapshot_stride == 0
-        if saved or amp > cfg.amp_cap or norm(state, modulus) > cfg.grad_blowup_factor * grad0:
-            gradn = grad(state)
+        if saved or amp > cfg.amp_cap or norm(state, m2) > cfg.grad_blowup_factor * grad0:
+            amp, gradn = float(np.max(np.abs(state), initial=0.0)), grad(state)
             trigger = _trigger(cfg, grad0, amp, gradn)
             if trigger is not None:
                 value = amp if trigger == "amplitude_cap" else gradn / grad0

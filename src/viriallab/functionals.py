@@ -21,6 +21,7 @@ from .field import (
     GraphField,
     LineField,
     derivative,
+    field_from_grid,
     grid_sum,
     lp_norm,
     p1_chain,
@@ -134,6 +135,19 @@ def potential_on_grid(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     return model.gamma / ax**model.mu
 
 
+def smooth_potential(f: Field, model: ModelSpec) -> np.ndarray | None:
+    """`potential_on_grid` on f's grid, read-only, or None where it is zero
+    everywhere; evaluated once per grid and model."""
+    return _smooth_potential(model, tuple(f.grid_spec().items()))
+
+
+@functools.lru_cache(maxsize=8)
+def _smooth_potential(model: ModelSpec, grid: tuple) -> np.ndarray | None:
+    V = potential_on_grid(model, field_from_grid(dict(grid)).x)
+    V.flags.writeable = False
+    return V if V.any() else None
+
+
 def require_geometry(f: Field, model: ModelSpec) -> None:
     """Reject a field whose geometry does not match the model: the graph
     variant needs a GraphField, the line variants a LineField."""
@@ -221,11 +235,10 @@ def p_functional(f: GraphField, vc: VertexCondition) -> float:
 
 
 def _smooth_moment(f: Field, u: np.ndarray, model: ModelSpec):
-    """int V |u|^2 for the smooth potential V (0 for the variants without one),
-    of each array of the block u."""
-    if model.variant != "inverse_power":
-        return 0.0
-    return grid_sum(f, f.quad_weights * potential_on_grid(model, f.x) * np.abs(u) ** 2)
+    """int V |u|^2 for the smooth potential V (0 where V is zero), of each
+    array of the block u."""
+    V = smooth_potential(f, model)
+    return 0.0 if V is None else grid_sum(f, f.quad_weights * V * np.abs(u) ** 2)
 
 
 def potential_energy(f: Field, model: ModelSpec) -> float:
@@ -272,11 +285,9 @@ class VirialWeights:
 
     @functools.cached_property
     def smooth(self) -> np.ndarray | None:
-        """The quadrature times (R/x) chi_R'(x) V; None without a smooth V."""
-        if self.model.variant != "inverse_power":
-            return None
-        w = self.quad * weight.zeta_over_s(self.grid.x / self.R)
-        return w * potential_on_grid(self.model, self.grid.x)
+        """The quadrature times (R/x) chi_R'(x) V; None where V is zero."""
+        V = smooth_potential(self.grid, self.model)
+        return None if V is None else self.quad * weight.zeta_over_s(self.grid.x / self.R) * V
 
     @functools.cached_property
     def tail(self) -> np.ndarray:

@@ -22,12 +22,25 @@ from .field import Field, LineField, spectral_wavenumbers
 from .functionals import ModelSpec, potential_on_grid, require_geometry, vertex_form
 
 
+# cosh overflows past 710.48; beyond COSH_MAX, sech(a) = 2 e^{-a} to double
+# precision, as e^{-2a} < 1e-600
+COSH_MAX = 700.0
+
+
 def exact_Q(omega: float, x) -> np.ndarray:
-    """(3 omega)^{1/4} sech^{1/2}(2 sqrt(omega) x)."""
+    """(3 omega)^{1/4} sech^{1/2}(2 sqrt(omega) x), as sqrt(2) e^{-|a|/2} in
+    place of sech^{1/2}(a) where |a| > COSH_MAX."""
     if not 0.0 < omega < np.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    x = np.asarray(x, dtype=float)
-    return (3.0 * omega) ** 0.25 / np.sqrt(np.cosh(2.0 * np.sqrt(omega) * x))
+    amp, q = (3.0 * omega) ** 0.25, np.array(x, dtype=float)
+    q *= 2.0 * np.sqrt(omega)
+    np.abs(q, out=q)
+    far = q > COSH_MAX
+    tail = amp * np.sqrt(2.0) * np.exp(-0.5 * q[far])
+    np.minimum(q, COSH_MAX, out=q)
+    q = np.divide(amp, np.sqrt(np.cosh(q, out=q), out=q), out=q)
+    q[far] = tail
+    return q[()]
 
 
 def scaled_data(lam: float, omega: float, template: Field, center: float = 0.0) -> Field:

@@ -150,6 +150,10 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def modulus2(v):
+    return np.abs(v) ** 2
+
+
 SPECTRAL_CASES = [
     (fn.ModelSpec.free(), False),
     (fn.ModelSpec.inverse_power(2.0, 0.5), True),
@@ -528,6 +532,99 @@ class TestCayleyPins:
         assert abs(discrete_mass(f) - m0) <= 1e-12 * m0
 
 
+def recorded_splu(monkeypatch):
+    """The matrices `evolve.splu` receives from here on."""
+    seen = []
+    monkeypatch.setattr(ev, "splu", lambda A: seen.append(A) or splu(A))
+    return seen
+
+
+class TestEdgeBlockSolve:
+    """One SuperLU factor of one edge block serves every edge of a star; the
+    line is one edge with no vertex coefficients."""
+
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_factors_one_edge_block_per_dt(self, f, model, monkeypatch):
+        seen = recorded_splu(monkeypatch)
+        H = ev.assemble_hamiltonian(f, model)
+        n = len(H.Mdiag)
+        vec = np.random.default_rng(5).standard_normal(n) + 0j
+        for dt in CAYLEY_DTS:
+            H.cayley_solve(vec, dt)
+        m = f.N if model.variant == "delta" else f.M - 1
+        assert [A.shape for A in seen] == [(m, m)] * len(CAYLEY_DTS)
+        assert H.lu_factorizations == len(CAYLEY_DTS)
+        # the edges are a strided view of the coefficient vector
+        ids = np.arange(n)
+        assert np.shares_memory(H._edge_view(ids), ids)
+        assert np.array_equal(H._edge_view(ids), H._edges)
+        assert np.array_equal(np.sort(np.concatenate([H._edges.ravel(), H._vertex])), ids)
+
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_coupling_solves_hold_no_subnormals(self, f, model):
+        H = ev.assemble_hamiltonian(f, model)
+        tiny = np.finfo(float).tiny
+        for dt in CAYLEY_DTS:
+            H.cayley_solve(np.ones(len(H.Mdiag), complex), dt)
+            coupling = H._lu[1][1]
+            assert (coupling is None) == (model.variant == "delta")
+            if coupling is not None:
+                z = coupling[0]
+                for part in (z.real, z.imag):
+                    assert np.all((part == 0.0) | (np.abs(part) >= tiny))
+                assert z[-1] != 0.0
+
+    def test_coupling_solve_cut_where_it_underflows(self):
+        # graph_blowup's edge at a blow-up dt: T^{-1} e_0 decays geometrically,
+        # and the entries past its last normal one are not stored
+        t = field_from_grid({"kind": "graph", "J": 3, "Ledge": 20.0, "M": 2000})
+        model = fn.ModelSpec.graph(fn.VertexCondition("dirac_delta", gamma=1.0))
+        H = ev.assemble_hamiltonian(t, model)
+        H.cayley_solve(np.ones(len(H.Mdiag), complex), 1e-4)
+        assert len(H._lu[1][1][0]) < (t.M - 1) / 2
+
+    @pytest.mark.parametrize("shared,vc", [
+        (True, fn.VertexCondition("dirac_delta", gamma=0.7)),
+        (False, fn.VertexCondition("delta_prime", gamma=2.0)),
+    ], ids=["dirac-shared", "delta_prime-unshared"])
+    @pytest.mark.parametrize("part", ["K", "Mdiag"])
+    def test_unequal_edge_blocks_raise(self, shared, vc, part, monkeypatch):
+        # no other solver stands behind the edge-block factor
+        seen = recorded_splu(monkeypatch)
+        f, model = rough_graph(3, shared), fn.ModelSpec.graph(vc)
+        H = ev.assemble_hamiltonian(f, model)
+        K, Mdiag = H.K.tolil(), H.Mdiag.copy()
+        i = H._edges[1, 5]
+        if part == "K":
+            K[i, i] *= 1.5
+        else:
+            Mdiag[i] *= 1.5
+        bad = ev.AssembledOperator(model, f, K.tocsc(), Mdiag, H.unknown)
+        with pytest.raises(ValueError, match="edge blocks"):
+            bad.cayley_solve(H.to_vector(f), 1e-3)
+        assert seen == [] and bad.lu_factorizations == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_small_inverse_matches_lapack(self, k):
+        # the vertex Schur complement's Gauss-Jordan inverse, pivoting included
+        rng = np.random.default_rng(k)
+        for a in (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+                  np.eye(k)[::-1] * (1.0 + 0.5j)):
+            assert rel_err(ev._inverse(a), np.linalg.inv(a)) <= 1e-12
+
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_input_may_be_the_output_buffer(self, f, model):
+        # `run` hands the solve the vector its last call returned
+        H = ev.assemble_hamiltonian(f, model)
+        n = len(H.Mdiag)
+        rng = np.random.default_rng(6)
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = H.cayley_solve(vec, 1e-3)
+        ref = ref_cayley_solve(H, out.copy(), 1e-3)
+        assert H.cayley_solve(out, 1e-3) is out
+        assert rel_err(out, ref) <= 1e-12
+
+
 def reference_cayley_run(u0, model, cfg):
     """The Cayley path of `run` as it was when it stepped Fields: `step_cn`
     and a Field on every step, the trigger's gradient norm from
@@ -613,6 +710,66 @@ class TestVectorGradNorm:
         for _ in range(50):
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert H.grad_norm(vec) == grad_norm(H.from_vector(vec, layout), model)
+
+
+class TestCayleyIdentityNorm:
+    """The Cayley path reads its per-step gradient norm from the energy
+    identity ||v'||^2 = 2 E(0) + sum Mdiag |v|^6 / 3 - g |sum_vertex v|^2; the
+    P1 norm runs where a value is recorded or the identity crosses."""
+
+    @staticmethod
+    def identity_norm(f, model, grad0):
+        H = ev.assemble_hamiltonian(f, model)
+        c, v0 = ev._cayley_stepper(H)[2], H.to_vector(f)
+        norm = ev._norm_from(c, grad0, v0, modulus2(v0))
+        return lambda u: norm(H.to_vector(u), modulus2(H.to_vector(u)))
+
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
+    def test_matches_p1_norm_within_energy_drift(self, f, model, extra):
+        traj = ev.run(f, model, cayley_run_config(**extra))
+        norm = self.identity_norm(f, model, traj.grad_series[0])
+        E = traj.energy_series
+        drift = float(np.max(np.abs(E - E[0])))
+        assert 0.0 < drift < 1e-4
+        for u, g, e in zip(traj.snapshots, traj.grad_series, E):
+            est = norm(u)
+            # off by the energy drift of this snapshot, to rounding
+            assert abs(est**2 - g**2 - 2.0 * (E[0] - e)) <= 1e-13 * g**2
+            assert abs(est**2 - g**2) <= 2.0 * drift * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
+    def test_p1_norm_only_where_recorded(self, f, model, extra, monkeypatch):
+        calls, p1 = [], ev.AssembledOperator.grad_norm
+        monkeypatch.setattr(
+            ev.AssembledOperator, "grad_norm", lambda H, vec: calls.append(1) or p1(H, vec)
+        )
+        traj = ev.run(f, model, cayley_run_config(**extra))
+        # the initial state, the snapshots, and the steps after the identity
+        # crosses a firing factor
+        crossing = traj.verdict.status == "blowup_detected"
+        assert len(traj.snapshots) <= len(calls) <= len(traj.snapshots) + 20 * crossing
+        assert len(calls) < traj.steps / 5
+
+    def test_identity_crossing_alone_does_not_fire(self, monkeypatch):
+        # the energy falls on the delta' star, so the identity's norm is above
+        # the P1 norm: a factor just above the largest P1 ratio of any step is
+        # crossed by the identity only, and the run completes, as the
+        # reference, which reads the P1 norm on every step, does
+        f, model, extra = CAYLEY_RUN_CASES[2].values
+        every = ev.run(f, model, cayley_run_config(**(extra | {"snapshot_stride": 1})))
+        g = every.grad_series
+        factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
+        norm = self.identity_norm(f, model, g[0])
+        assert max(norm(u) for u in every.snapshots) > factor * g[0]
+        calls, p1 = [], ev.AssembledOperator.grad_norm
+        monkeypatch.setattr(
+            ev.AssembledOperator, "grad_norm", lambda H, vec: calls.append(1) or p1(H, vec)
+        )
+        cfg = cayley_run_config(**(extra | {"grad_blowup_factor": factor}))
+        traj = ev.run(f, model, cfg)
+        assert traj.verdict.status == reference_cayley_run(f, model, cfg)[0].status == "completed"
+        # the crossing steps took the P1 norm beyond the snapshots'
+        assert len(calls) > len(traj.snapshots)
 
 
 def reference_split_run(u0, model, cfg):
@@ -809,9 +966,10 @@ class TestSplitVectorLoop:
         # the two differ by the discrete energy drift only: 9e-8 and 5e-7
         # relative at most on these runs
         traj = ev.run(f, model, split_run_config(**extra))
-        norm = ev._split_stepper(f, model)[2](traj.grad_series[0], np.abs(f.values))
+        c = ev._split_stepper(f, model)[2]
+        norm = ev._norm_from(c, traj.grad_series[0], f.values, modulus2(f.values))
         for u, g in zip(traj.snapshots, traj.grad_series):
-            assert abs(norm(u.values, np.abs(u.values)) - g) <= 1e-6 * g
+            assert abs(norm(u.values, modulus2(u.values)) - g) <= 1e-6 * g
 
     def test_identity_crossing_alone_does_not_fire(self, monkeypatch):
         # the energy falls on this run, so the identity's norm is above the FFT
@@ -822,8 +980,8 @@ class TestSplitVectorLoop:
         every = ev.run(f, model, split_run_config(**(extra | {"snapshot_stride": 1})))
         g = every.grad_series
         factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
-        norm = ev._split_stepper(f, model)[2](g[0], np.abs(f.values))
-        est = max(norm(u.values, np.abs(u.values)) for u in every.snapshots)
+        norm = ev._norm_from(ev._split_stepper(f, model)[2], g[0], f.values, modulus2(f.values))
+        est = max(norm(u.values, modulus2(u.values)) for u in every.snapshots)
         assert est > factor * g[0]
         calls, parseval = [], ev.parseval_kinetic_energy
         monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
@@ -940,32 +1098,29 @@ class TestRun:
 
     def test_overflow_aborts(self, monkeypatch):
         # no Field is built per step on the split path either: the finiteness
-        # check on sup|u| catches the overflow
-        split = ev._split_stepper
-
-        def overflowing(template, model):
-            return (lambda vec, dt: np.full_like(vec, np.inf)), *split(template, model)[1:]
-
-        monkeypatch.setattr(ev, "_split_stepper", overflowing)
-        traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
+        # check on the sup|u| of the |u|^2 the trailing half phase hands back
+        # catches an overflowing flow
+        stepper = ev._stepper
+        monkeypatch.setattr(ev, "_stepper", lambda n, V, on, flow: stepper(
+            n, V, on, lambda vec, dt: np.full_like(vec, np.inf)))
+        with np.errstate(invalid="ignore"):
+            traj = ev.run(soliton_field(N=2**8), fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01))
         assert traj.verdict.status == "aborted"
         assert "non-finite" in traj.verdict.diagnostic
 
     def test_overflow_after_unsaved_step_aborts(self, monkeypatch):
         # step 3 of a stride-100 run overflows: the state stepped in place is
         # no longer finite, so no final snapshot is stored
-        split, calls = ev._split_stepper, []
+        stepper, calls = ev._stepper, []
 
-        def overflowing(template, model):
-            step, *norms = split(template, model)
-
-            def advance(vec, dt):
+        def overflowing(n, V, on, flow):
+            def overflowing_flow(vec, dt):
                 calls.append(dt)
-                return np.full_like(vec, np.inf) if len(calls) == 3 else step(vec, dt)
+                return np.full_like(vec, np.inf) if len(calls) == 3 else flow(vec, dt)
 
-            return advance, *norms
+            return stepper(n, V, on, overflowing_flow)
 
-        monkeypatch.setattr(ev, "_split_stepper", overflowing)
+        monkeypatch.setattr(ev, "_stepper", overflowing)
         u0 = soliton_field(N=2**8)
         with np.errstate(invalid="ignore"):
             traj = ev.run(u0, fn.ModelSpec.free(), ev.SolverConfig(T_end=0.01, snapshot_stride=100))
@@ -1104,7 +1259,7 @@ class TestRun:
     def test_programming_error_propagates(self, monkeypatch):
         split = ev._split_stepper
 
-        def broken(vec, dt):
+        def broken(vec, dt, m2=None):
             raise TypeError("bug in a step")
 
         monkeypatch.setattr(ev, "_split_stepper", lambda f, model: (broken, *split(f, model)[1:]))

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,33 @@ class TestExactQ:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             sol.exact_Q(0.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [1.0, 4.0, 0.25])
+    def test_far_tail_without_overflow(self, omega):
+        # cosh(2 sqrt(omega) x) overflows for |2 sqrt(omega) x| > 710; omega
+        # with an exact square root, so that the argument is exact and the
+        # reference compares the evaluation alone
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x = np.array(
+            [0.0, -3.0, 100.0, 174.0, 175.5, 176.0, 349.0, 355.5, -360.0, 400.0, -800.0, 800.0]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sol.exact_Q(omega, x)
+            assert sol.exact_Q(omega, 400.0) == got[9]
+        for xi, q in zip(x, got):
+            sech = mpmath.sech(2 * mpmath.sqrt(omega) * xi)
+            ref = float(mpmath.root(3 * omega, 4) * mpmath.sqrt(sech))
+            assert abs(q - ref) <= 1e-14 * ref
+        assert np.array_equal(got[[10, 11]], [0.0, 0.0]) if omega >= 1.0 else got[11] > 0.0
+
+    def test_near_field_unchanged(self):
+        # below the switch, the cosh form as it was, bit for bit
+        x = np.random.default_rng(0).uniform(-120.0, 120.0, 10_000)
+        for omega in (0.3, 1.0, 2.0):
+            ref = (3.0 * omega) ** 0.25 / np.sqrt(np.cosh(2.0 * np.sqrt(omega) * x))
+            assert np.array_equal(sol.exact_Q(omega, x), ref)
 
 
 class TestScaledData:
