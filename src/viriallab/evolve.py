@@ -24,19 +24,26 @@ about 50 times.
 The squared wavenumbers of the half spectrum and V are cached per (L, N,
 stagger, model).  A run steps one vector in place, the samples (split path)
 or the coefficient vector v (Cayley path), and builds a Field only for a
-snapshot.  The half phases are cos + i sin in one buffer; as the phase flow
-keeps |u| fixed, a step with the dt of the step before takes that step's
-trailing factor as its leading one, and the trailing phase hands its |u|^2 to
-`run` for sup|u|, the V mask and the energy identity ||u'||^2 = 2 E(0) +
-sum w (|u|^6 / 3 - V |u|^2) - g |sum_vertex u|^2 (w the quadrature weights,
-the lumped mass on the Cayley path; g the `vertex_form` term), which gives
-each step's gradient norm off the exact norm only by the energy drift.  The
-exact norm (Parseval from one FFT, or the P1 element differences) runs on
-snapshot steps, the last state and where the identity or sup|u| crosses its
-threshold, and alone decides the trigger: the identity can delay a
-detection, when the energy rises, never fire one.  The split flow transforms
-in one spectrum buffer with the Fourier propagator (cos + i sin on the half
-spectrum, mirrored), rebuilt only when dt changes, so a step takes two FFTs.
+snapshot.  The half phase is exp(i dt/2 |u|^4) vfac in one buffer, vfac =
+exp(-i dt/2 V) rebuilt with the leading phase when dt changes (no factor
+where V is 0.0, as on the Cayley path).  cos and sin of the nonlinear angle
+are taken only on the live nodes, where |u|^4 >= PHASE_TINY / |dt|
+(PHASE_TINY = 2^-27, one compare before the angle is scaled); elsewhere the
+angle is below 2^-28 (1 + eps), where cos rounds to 1.0 and sin to the
+angle, so the factor is bit for bit the one taken at every node.  As the
+phase flow keeps |u| fixed, a step with the dt of the step before takes that
+step's trailing factor as its leading one, and the trailing phase hands its
+|u|^2 to `run` for sup|u|, the V mask and the energy identity ||u'||^2 =
+2 E(0) + sum w (|u|^6 / 3 - V |u|^2) - g |sum_vertex u|^2 (w the
+quadrature weights, the lumped mass on the Cayley path; g the `vertex_form`
+term), which gives each step's gradient norm off the exact norm only by the
+energy drift.  The exact norm (Parseval from one FFT, or the P1 element
+differences) runs on snapshot steps, the last state and where the identity
+or sup|u| crosses its threshold, and alone decides the trigger: the identity
+can delay a detection, when the energy rises, never fire one.  The split
+flow transforms in one spectrum buffer with the Fourier propagator (cos +
+i sin on the half spectrum, mirrored), rebuilt only when dt changes, so a
+step takes two FFTs.
 The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1}
 M v - v takes no matvec with K.  Every edge of a star has the same block T of
 M + i dt/2 K, so one SuperLU factor of T, rebuilt when dt changes, solves the
@@ -170,30 +177,50 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
+# below this half-step angle cos rounds to 1.0 and sin to the angle itself
+PHASE_TINY = 2.0**-27
+
+
 def _phase(
-    u: np.ndarray, dt: float, V, nonlinearity_on: bool,
-    out: np.ndarray, th: np.ndarray, m2: np.ndarray,
+    u: np.ndarray, dt: float, vfac: np.ndarray | None, nonlinearity_on: bool,
+    out: np.ndarray, th: np.ndarray, m2: np.ndarray, live: np.ndarray,
 ):
-    """exp(i dt/2 (|u|^4 - V)) as cos + i sin in `out`, the angle in `th`, |u|^2 in `m2`."""
+    """exp(i dt/2 |u|^4) vfac in `out`, the nonlinear angle in `th`, |u|^2 in
+    `m2` and in `live` the nodes where cos and sin of the angle are taken: at
+    the others it is below PHASE_TINY / 2, so cos is 1.0 and sin the angle."""
     np.square(u.real, out=m2)
     m2 += np.square(u.imag, out=out.imag)
     if nonlinearity_on:
         np.square(m2, out=th)
     else:
         th.fill(0.0)
-    th -= V
+    np.greater_equal(th, PHASE_TINY / abs(dt), out=live)
     th *= dt / 2.0
-    np.cos(th, out=out.real)
-    np.sin(th, out=out.imag)
+    out.real.fill(1.0)
+    np.copyto(out.imag, th)
+    np.cos(th, out=out.real, where=live)
+    np.sin(th, out=out.imag, where=live)
+    if vfac is not None:
+        out *= vfac
+    return out
+
+
+def _potential_phase(V: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i dt/2 V) as cos + i sin in `out`."""
+    arg = V * (-dt / 2.0)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
     return out
 
 
 def _stepper(n: int, V, nonlinearity_on: bool, flow):
     """Strang step (vec, dt, m2=None) -> vec, overwriting vec: half-step phase,
     linear flow `flow(vec, dt)`, half-step phase, whose |vec|^2 it leaves in m2
-    when given.  Each call takes the vector the call before returned, so a step
+    when given.  V is an array or 0.0; its phase factor is rebuilt when dt
+    changes.  Each call takes the vector the call before returned, so a step
     with that call's dt reuses its trailing phase factor."""
-    fac, th, last_dt = np.empty(n, dtype=complex), np.empty(n), None
+    fac, th, live, last_dt = np.empty(n, dtype=complex), np.empty(n), np.empty(n, bool), None
+    vfac = np.empty(n, dtype=complex) if np.ndim(V) else None
 
     def step(vec: np.ndarray, dt: float, m2: np.ndarray | None = None) -> np.ndarray:
         nonlocal last_dt
@@ -201,11 +228,13 @@ def _stepper(n: int, V, nonlinearity_on: bool, flow):
         if dt != last_dt:
             if dt == 0.0 or not np.isfinite(dt):
                 raise ValueError("dt must be a nonzero finite number")
-            _phase(vec, dt, V, nonlinearity_on, fac, th, m2)
+            if vfac is not None:
+                _potential_phase(V, dt, vfac)
+            _phase(vec, dt, vfac, nonlinearity_on, fac, th, m2, live)
             last_dt = dt
         vec *= fac
         vec = flow(vec, dt)
-        vec *= _phase(vec, dt, V, nonlinearity_on, fac, th, m2)
+        vec *= _phase(vec, dt, vfac, nonlinearity_on, fac, th, m2, live)
         return vec
 
     return step

@@ -21,6 +21,7 @@ come back through `with_values` on the grid's zero field, checks and all.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,8 +51,8 @@ class LineField:
 
     @property
     def x(self) -> np.ndarray:
-        off = 0.5 if self.stagger else 0.0
-        return -self.L + (np.arange(self.N) + off) * self.h
+        """Read-only node coordinates, built once per (L, N, stagger)."""
+        return _line_nodes(self.L, self.N, self.stagger)
 
     @property
     def quad_weights(self) -> np.ndarray:
@@ -73,6 +74,14 @@ class LineField:
     @classmethod
     def from_function(cls, f, L: float, N: int, stagger: bool = False) -> "LineField":
         return cls(L=L, N=N, values=np.zeros(N), stagger=stagger).sampled(f)
+
+
+@functools.lru_cache(maxsize=16)
+def _line_nodes(L: float, N: int, stagger: bool) -> np.ndarray:
+    off = 0.5 if stagger else 0.0
+    x = -L + (np.arange(N) + off) * (2.0 * L / N)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass

@@ -901,9 +901,14 @@ class TestSplitVectorLoop:
     ):
         # the propagator once per dt level, one phase factor per step, and one
         # more (the leading factor) on the first step and on every step whose
-        # dt differs from the step before
-        step_dts, prop_dts, phase_dts = [], [], []
+        # dt differs from the step before; V's phase factor with the
+        # propagator, where V is not zero
+        step_dts, prop_dts, phase_dts, vfac_dts = [], [], [], []
         stepper, propagator, phase = ev._stepper, ev._propagator, ev._phase
+        vphase = ev._potential_phase
+        monkeypatch.setattr(
+            ev, "_potential_phase", lambda V, dt, out: vfac_dts.append(dt) or vphase(V, dt, out)
+        )
         monkeypatch.setattr(ev, "_stepper", lambda n, V, on, flow: stepper(
             n, V, on, lambda v, dt: step_dts.append(dt) or flow(v, dt)))
         monkeypatch.setattr(
@@ -924,6 +929,7 @@ class TestSplitVectorLoop:
             # most steps
             assert 3 < sum(changed) < len(step_dts) / 2
         assert prop_dts == [dt for dt, c in zip(step_dts, changed) if c]
+        assert vfac_dts == (prop_dts if model.variant == "inverse_power" else [])
         expected = []
         for dt, c in zip(step_dts, changed):
             expected += [dt, dt] if c else [dt]
@@ -990,6 +996,146 @@ class TestSplitVectorLoop:
         assert traj.verdict.status == reference_split_run(f, model, cfg)[0].status == "completed"
         # the crossing steps took the FFT norm beyond the snapshots'
         assert len(calls) > len(traj.snapshots)
+
+
+def full_phase(u, dt, vfac, nonlinearity_on, out, th, m2, live):
+    """`ev._phase` with cos and sin taken at every node, kept as the reference
+    for the live mask."""
+    np.square(u.real, out=m2)
+    m2 += np.square(u.imag, out=out.imag)
+    if nonlinearity_on:
+        np.square(m2, out=th)
+    else:
+        th.fill(0.0)
+    th *= dt / 2.0
+    np.cos(th, out=out.real)
+    np.sin(th, out=out.imag)
+    if vfac is not None:
+        out *= vfac
+    return out
+
+
+def one_angle_stepper(n, V, nonlinearity_on, flow):
+    """The Strang step with cos and sin of the one angle dt/2 (|u|^4 - V) at
+    every node, the form that the live mask and the per-dt V factor replaced;
+    kept as the reference for `ev._stepper`."""
+    fac, th, last_dt = np.empty(n, dtype=complex), np.empty(n), None
+
+    def phase(u, dt, m2):
+        np.square(u.real, out=m2)
+        m2 += np.square(u.imag, out=fac.imag)
+        if nonlinearity_on:
+            np.square(m2, out=th)
+        else:
+            th.fill(0.0)
+        np.subtract(th, V, out=th)
+        np.multiply(th, dt / 2.0, out=th)
+        np.cos(th, out=fac.real)
+        np.sin(th, out=fac.imag)
+        return fac
+
+    def step(vec, dt, m2=None):
+        nonlocal last_dt
+        m2 = np.empty(n) if m2 is None else m2
+        if dt != last_dt:
+            phase(vec, dt, m2)
+            last_dt = dt
+        vec *= fac
+        vec = flow(vec, dt)
+        vec *= phase(vec, dt, m2)
+        return vec
+
+    return step
+
+
+def assert_same_run(a, b):
+    assert (a.verdict, a.steps, a.dt_levels) == (b.verdict, b.steps, b.dt_levels)
+    assert_same_trajectory(a, b)
+
+
+class TestPhaseLiveNodes:
+    """The half phase takes cos and sin only where the nonlinear angle is at
+    least PHASE_TINY / 2; below, rounding already fixes them."""
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_numpy_cos_sin_exact_below_tiny(self, strided):
+        # the property the live mask rests on, for this numpy
+        mag = np.geomspace(np.nextafter(ev.PHASE_TINY, 0.0), 5e-324, 20_000)
+        th = np.concatenate([mag, -mag, [0.0, -0.0]])
+        if strided:
+            out = np.empty(th.size, dtype=complex)
+            c, s = np.cos(th, out=out.real), np.sin(th, out=out.imag)
+        else:
+            c, s = np.cos(th), np.sin(th)
+        assert np.all(c == 1.0)
+        assert np.all(s == th) and np.array_equal(np.signbit(s), np.signbit(th))
+        assert np.any(th[th != 0.0] < np.finfo(float).tiny)  # subnormals covered
+
+    @pytest.mark.parametrize("on", [True, False])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3, 0.7, -3e-6])
+    def test_matches_full_cos_sin_bitwise(self, dt, on):
+        # angles from 2^-60 to 2^-5 around PHASE_TINY / 2, with random phases
+        rng = np.random.default_rng(5)
+        n = 4000
+        angle = 2.0 ** rng.uniform(-60.0, -5.0, n)
+        u = (angle / (abs(dt) / 2.0)) ** 0.25 * np.exp(2j * np.pi * rng.uniform(size=n))
+        bufs = [np.empty(n, dtype=complex), np.empty(n), np.empty(n), np.empty(n, bool)]
+        new = ev._phase(u, dt, None, on, *bufs).copy()
+        m2 = bufs[2].copy()
+        ref = full_phase(u, dt, None, on, *(np.empty_like(b) for b in bufs))
+        assert np.array_equal(new.view(float), ref.view(float))
+        assert np.array_equal(m2, np.square(u.real) + np.square(u.imag))
+        live = bufs[3]
+        if on:
+            assert 0 < live.sum() < n  # both sides of the threshold
+        else:
+            assert not live.any()
+
+    @pytest.mark.parametrize(
+        "f,model,extra,config",
+        [
+            (*SPLIT_RATE_LIMITED[0].values, split_run_config),
+            (*CAYLEY_RUN_CASES[0].values, cayley_run_config),
+            (*CAYLEY_RUN_CASES[1].values, cayley_run_config),
+        ],
+        ids=["free-focusing", "delta-line", "graph-dirac"],
+    )
+    def test_runs_match_full_phase_bitwise(self, f, model, extra, config, monkeypatch):
+        cfg, phase, shares = config(**extra), ev._phase, []
+
+        def recording(u, dt, vfac, on, out, th, m2, live):
+            phase(u, dt, vfac, on, out, th, m2, live)
+            shares.append(live.mean())
+            return out
+
+        monkeypatch.setattr(ev, "_phase", recording)
+        new = ev.run(f, model, cfg)
+        monkeypatch.setattr(ev, "_phase", full_phase)
+        assert_same_run(new, ev.run(f, model, cfg))
+        # the masked phase skipped nodes on many steps
+        assert min(shares) < 0.9
+
+    def test_linear_potential_run_matches_one_angle_step_bitwise(self, monkeypatch):
+        # with the nonlinearity off the phase is (1 + 0i) vfac, exact, and
+        # V (-dt/2) equals (-V) (dt/2)
+        f = staggered(focusing_bump)
+        model = fn.ModelSpec.inverse_power(1.0, 0.5, nonlinearity_on=False)
+        cfg = split_run_config()
+        new = ev.run(f, model, cfg)
+        monkeypatch.setattr(ev, "_stepper", one_angle_stepper)
+        assert_same_run(new, ev.run(f, model, cfg))
+        assert new.dt_levels >= 3
+
+    @pytest.mark.parametrize("f,model,extra", [SPLIT_RATE_LIMITED[1], SPLIT_EQUAL_DT[1]])
+    def test_potential_runs_near_one_angle_step(self, f, model, extra, monkeypatch):
+        # exp(i th_nl) exp(-i phi_V) rounds apart from exp(i (th_nl - phi_V))
+        cfg = split_run_config(**extra)
+        new = ev.run(f, model, cfg)
+        monkeypatch.setattr(ev, "_stepper", one_angle_stepper)
+        ref = ev.run(f, model, cfg)
+        assert (new.verdict, new.steps, new.dt_levels) == (ref.verdict, ref.steps, ref.dt_levels)
+        for a, b in zip(new.snapshots, ref.snapshots, strict=True):
+            assert rel_err(a.values, b.values) <= 1e-13
 
 
 class TestRun:
@@ -1148,9 +1294,14 @@ class TestRun:
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
     def test_leading_phase_recomputed_when_dt_changes(self, f, model, extra, monkeypatch):
         # one phase factor per step, and one more (the leading factor) on the
-        # first step and on every step whose dt differs from the step before
-        phase_dts, step_dts = [], []
+        # first step and on every step whose dt differs from the step before;
+        # V is zero on the Cayley path, so no V phase factor is built
+        phase_dts, step_dts, vfac_dts = [], [], []
         phase, solve = ev._phase, ev.AssembledOperator.cayley_solve
+        vphase = ev._potential_phase
+        monkeypatch.setattr(
+            ev, "_potential_phase", lambda V, dt, out: vfac_dts.append(dt) or vphase(V, dt, out)
+        )
         monkeypatch.setattr(
             ev, "_phase", lambda u, dt, *a: phase_dts.append(dt) or phase(u, dt, *a)
         )
@@ -1165,6 +1316,7 @@ class TestRun:
         for i, dt in enumerate(step_dts):
             expected += [dt, dt] if i == 0 or dt != step_dts[i - 1] else [dt]
         assert phase_dts == expected
+        assert vfac_dts == []
 
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
     def test_one_lu_factor_per_dt_change(self, f, model, extra, monkeypatch):

@@ -235,6 +235,16 @@ class TestSampling:
         assert np.min(np.abs(f.x)) > 0
         assert np.all(np.isfinite(f.values))
 
+    @pytest.mark.parametrize("stagger", [False, True])
+    def test_line_nodes_cached_read_only(self, stagger):
+        # one read-only array per grid, the formula's samples bit for bit
+        f, g = gaussian_line(stagger=stagger), gaussian_line(stagger=stagger)
+        assert f.x is g.x and f.x is not gaussian_line(stagger=not stagger).x
+        off = 0.5 if stagger else 0.0
+        assert np.array_equal(f.x, -f.L + (np.arange(f.N) + off) * f.h)
+        with pytest.raises(ValueError):
+            f.x[0] = 0.0
+
     def test_even_line_matches_two_edge_graph(self):
         prof = lambda x: np.exp(-(x**2))  # noqa: E731
         L, M = 6.0, 60
