@@ -37,20 +37,24 @@ step's trailing factor as its leading one, and the trailing phase hands its
 2 E(0) + sum w (|u|^6 / 3 - V |u|^2) - g |sum_vertex u|^2 (w the
 quadrature weights, the lumped mass on the Cayley path; g the `vertex_form`
 term), which gives each step's gradient norm off the exact norm only by the
-energy drift.  The exact norm (Parseval from one FFT, or the P1 element
-differences) runs on snapshot steps, the last state and where the identity
-or sup|u| crosses its threshold, and alone decides the trigger: the identity
-can delay a detection, when the energy rises, never fire one.  The split
-flow transforms in one spectrum buffer with the Fourier propagator (cos +
-i sin on the half spectrum, mirrored), rebuilt only when dt changes, so a
-step takes two FFTs.
-The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v = 2 (M + i dt/2 K)^{-1}
-M v - v takes no matvec with K.  Every edge of a star has the same block T of
-M + i dt/2 K, so one SuperLU factor of T, rebuilt when dt changes, solves the
-J edges as the J columns of one call; the vertex coefficients (one when the
-vertex is shared, J for delta') follow from their Schur complement, and each
-edge is corrected along T^{-1} e_0, cut where it underflows.  A line is one
-edge without vertex coefficients.  A non-finite sup|u| aborts the run.
+energy drift.  It runs only from sup|u| = amp* on, below which its majorant
+(the conserved mass times amp^4 / 3 and max(-min V, 0), plus max(-g, 0)
+(k amp)^2 for k vertex nodes) keeps the norm under the firing factor.  The
+exact norm (Parseval from one FFT, or the P1 element differences) runs on
+snapshot steps, the last state and where the identity or sup|u| crosses its
+threshold, and alone decides the trigger: the identity can delay a
+detection, when the energy rises, never fire one.  The split flow
+transforms in one spectrum buffer with the Fourier propagator (cos + i sin
+on the half spectrum, mirrored) times 1/N, exact for N a power of two and
+rebuilt only when dt changes, so a step takes two FFTs, the inverse unscaled.
+The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v = (M + i dt/2 K)^{-1}
+2M v - v takes no matvec with K.  Every edge of a star has the same complex
+symmetric block T of M + i dt/2 K, so with one SuperLU factor of T, rebuilt
+when dt changes, z = T^{-1} e_0 (cut where it underflows) gives each edge's
+first entry of T^{-1} b as z . b; the vertex coefficients (one when shared, J
+for delta') follow from their Schur complement, then one call solves the J
+edges as J columns.  A line is one edge without vertex coefficients.  A
+non-finite sup|u| aborts the run.
 scipy is imported only where a sparse matrix is built (`splu`, `p1_form`,
 `assemble_hamiltonian`, `AssembledOperator._factor`), so a split-path run
 never loads it.
@@ -69,6 +73,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import pathlib
 import platform
 from dataclasses import dataclass
@@ -189,7 +194,7 @@ def _phase(
     `m2` and in `live` the nodes where cos and sin of the angle are taken: at
     the others it is below PHASE_TINY / 2, so cos is 1.0 and sin the angle."""
     np.square(u.real, out=m2)
-    m2 += np.square(u.imag, out=out.imag)
+    m2 += np.square(u.imag, out=th)
     if nonlinearity_on:
         np.square(m2, out=th)
     else:
@@ -243,18 +248,26 @@ def _stepper(n: int, V, nonlinearity_on: bool, flow):
 def _identity(w, V, nodes, g: float, nonlinearity_on: bool, n: int):
     """c(vec, m2) = ||u'||^2 - 2 E of the state vec with |vec|^2 = m2, from the
     energy: sum w (m2^3 / 3 - V m2) - g |sum vec[nodes]|^2, w the (lumped)
-    quadrature weights and (nodes, g) the point interaction of `vertex_form`."""
+    quadrature weights and (nodes, g) the point interaction of `vertex_form`;
+    c <= a amp^4 + b amp^2 + d, (a, b, d) = c.majorant(m2), at sup norm amp
+    and the mass sum w m2 of m2."""
     wV, buf = np.multiply(w, V), np.empty(n)
+    has_V, has_nodes = np.ndim(V) > 0, len(nodes) > 0
 
     def c(vec: np.ndarray, m2: np.ndarray) -> float:
         np.square(m2, out=buf)
         val = float(np.dot(np.multiply(buf, w, out=buf), m2)) / 3.0 if nonlinearity_on else 0.0
-        if np.ndim(V):
+        if has_V:
             val -= float(np.dot(wV, m2))
-        if len(nodes):
+        if has_nodes:
             val -= g * abs(vec[nodes].sum()) ** 2
         return val
 
+    def majorant(m2: np.ndarray) -> tuple:
+        m, vneg = float(np.sum(np.multiply(w, m2))), max(-float(np.min(V)), 0.0)
+        return m / 3.0 if nonlinearity_on else 0.0, max(-g, 0.0) * len(nodes) ** 2, vneg * m
+
+    c.majorant = majorant
     return c
 
 
@@ -263,7 +276,19 @@ def _norm_from(c, grad0: float, vec0: np.ndarray, m20: np.ndarray):
     grad0^2 + c(vec, m2) - c(vec0, m20) at the reference state vec0 of gradient
     norm grad0, off the exact norm by the energy drift since vec0."""
     g0sq, c0 = grad0**2, c(vec0, m20)
-    return lambda vec, m2: float(np.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0)))
+    return lambda vec, m2: math.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0))
+
+
+def _quiet_amp(c, grad0: float, vec0: np.ndarray, m20: np.ndarray, factor: float) -> float:
+    """amp*, below which c.majorant keeps `_norm_from`'s norm under factor *
+    grad0 on the mass of m20, which both flows conserve; 0.0 if no room is left."""
+    a, b, d = c.majorant(m20)
+    # less a relative margin far above the rounding of c
+    room = ((factor**2 - 1.0) * grad0**2 + c(vec0, m20) - d) * (1.0 - 1e-6)
+    if not room > 0.0:
+        return 0.0
+    den = b + math.sqrt(b * b + 4.0 * a * room)
+    return math.sqrt(2.0 * room / den) if den > 0.0 else math.inf
 
 
 @functools.lru_cache(maxsize=8)
@@ -304,11 +329,11 @@ def _split_stepper(template: LineField, model: ModelSpec):
     def flow(u: np.ndarray, dt: float) -> np.ndarray:
         nonlocal prop_dt
         if dt != prop_dt:
-            _propagator(k2, dt, prop)
+            np.multiply(_propagator(k2, dt, prop), 1.0 / template.N, out=prop)
             prop_dt = dt
         np.fft.fft(u, out=spec)
         np.multiply(spec, prop, out=spec)
-        return np.fft.ifft(spec, out=u)
+        return np.fft.ifft(spec, out=u, norm="forward")
 
     def grad(u: np.ndarray) -> float:
         return float(np.sqrt(2.0 * parseval_kinetic_energy(template, np.fft.fft(u, out=spec))))
@@ -345,6 +370,7 @@ class AssembledOperator:
         # two fresh arrays per step fragment the heap (up to 3.7 MB more peak
         # RSS on a 3-edge star of M = 2000)
         self._work = tuple(np.empty(len(self.Mdiag), dtype=complex) for _ in range(2))
+        self._M2 = 2.0 * self.Mdiag  # so the solve returns twice its solution, exactly
         # the first flat node holding each coefficient
         self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
         self._chain = p1_chain(self.template, self.unknown, len(self.Mdiag))
@@ -403,9 +429,9 @@ class AssembledOperator:
         """(SuperLU factor of the edge block T of M + i dt/2 K, coupling): for
         the vertex, z = T^{-1} e_0, which decays geometrically away from the
         vertex, with its subnormal parts set to zero (arithmetic on them is
-        slow) and cut after its last nonzero entry; the couplings C_SI and
-        C_IS; and the inverse Schur complement of the vertex coefficients.
-        Coupling None on a line."""
+        slow) and cut after its last nonzero entry, also T^{-1}'s first row as
+        T = T^T; the couplings C_SI and C_IS; and the inverse Schur complement
+        of the vertex coefficients.  Coupling None on a line."""
         import scipy.sparse as sp
 
         Kb, mb, K_SS, K_IS, K_SI = self._blocks
@@ -429,25 +455,25 @@ class AssembledOperator:
         next call overwrites (vec may be that buffer); the factor is rebuilt only
         when dt changes, as the split propagator is.
 
-        M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is 2 x - vec, x the
-        solution of (M + i dt/2 K) x = M vec: one SuperLU call with the J edges
-        as J columns, then the vertex coefficients from their Schur complement
-        and each edge's correction along z; no matvec with K."""
+        M - i dt/2 K = 2M - (M + i dt/2 K), so the flow is x - vec, x solving
+        (M + i dt/2 K) x = 2M vec: the vertex coefficients from their Schur
+        complement and z . b, then one SuperLU call with the J edges as J
+        columns, less their vertex coupling; no matvec with K."""
         if dt != self._lu[0]:
             self._lu = (None, None)  # drop the old factor before building the new one
             self._lu = (dt, self._factor(dt))
             self.lu_factorizations += 1
         (lu, coupling), (b, out) = self._lu[1], self._work
-        np.multiply(self.Mdiag, vec, out=b)
-        Y = lu.solve(self._edge_view(b).T)
-        X = Y.T
+        np.multiply(self._M2, vec, out=b)
+        B = self._edge_view(b)
         if coupling is not None:
             z, C_SI, C_IS, G = coupling
-            xs = (G * (b[self._vertex] - (C_SI * Y[0]).sum(axis=1))).sum(axis=1)
-            X[:, : len(z)] -= (C_IS * xs).sum(axis=1)[:, None] * z
-            out[self._vertex] = 2.0 * xs - vec[self._vertex]
-        X *= 2.0
-        np.subtract(X, self._edge_view(vec), out=self._edge_view(out))
+            # a dot per edge: a matvec takes OpenBLAS's buffer, +3 MB peak RSS
+            y0 = np.array([r[: len(z)] @ z for r in B])
+            xs = (G * (b[self._vertex] - (C_SI * y0).sum(axis=1))).sum(axis=1)
+            B[:, 0] -= (C_IS * xs).sum(axis=1)
+            out[self._vertex] = xs - vec[self._vertex]
+        np.subtract(lu.solve(B.T).T, self._edge_view(vec), out=self._edge_view(out))
         return out
 
 
@@ -555,7 +581,7 @@ def _quantize_dt(dt_target: float, dt_max: float) -> float:
     leading half phase and, on the Cayley path, the LU factor."""
     if dt_target >= dt_max:
         return dt_max
-    k = int(np.ceil(DT_RUNGS * np.log2(dt_max / dt_target)))
+    k = math.ceil(DT_RUNGS * math.log2(dt_max / dt_target))
     dt = dt_max / 2.0 ** (k / DT_RUNGS)
     # log2 rounded down across a rung boundary
     return dt if dt <= dt_target else dt_max / 2.0 ** ((k + 1) / DT_RUNGS)
@@ -579,11 +605,11 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger.
 
-    Each step reads sup|u|, the V mask and the energy identity's `norm` from
-    the |u|^2 its trailing half phase leaves (no FFT, P1 difference or modulus
-    beyond the step's own); the exact sup|u| and `grad` run where a value is
-    recorded or that norm or sup|u| crosses its threshold, and they alone
-    decide the trigger and fill grad_series."""
+    Each step reads sup|u|, the V mask and (from `_quiet_amp` on) the energy
+    identity's `norm` from the |u|^2 its trailing half phase leaves; the
+    exact sup|u| and `grad` run where a value is recorded or that norm or
+    sup|u| crosses its threshold, and they alone decide the trigger and fill
+    grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
         H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
@@ -597,7 +623,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
     t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
     m2 = np.square(state.real) + np.square(state.imag)  # |u|^2, from each step's phase
-    norm = _norm_from(c, grad0, state, m2)
+    norm, factor = _norm_from(c, grad0, state, m2), cfg.grad_blowup_factor
+    quiet = _quiet_amp(c, grad0, state, m2, factor)  # the identity runs from this sup|u| on
     amp = float(np.max(np.abs(u0.values), initial=0.0))
     verdict = BlowupVerdict("completed")
 
@@ -606,7 +633,7 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         # where the solution lives (see the module docstring)
         rate = amp**4 if model.nonlinearity_on else 0.0
         if absV is not None:
-            rate += float(np.max(absV, where=m2 > (V_SUPPORT_FRACTION * amp) ** 2, initial=0.0))
+            rate += float(absV.max(where=m2 > (V_SUPPORT_FRACTION * amp) ** 2, initial=0.0))
         dt = cfg.dt_max if rate == 0.0 else min(cfg.dt_max, cfg.phase_tol / rate)
         dt = min(dt, cfg.dt_init) if nstep == 0 else _quantize_dt(dt, cfg.dt_max)
         # underflow is judged on the step control's dt, before the step is
@@ -620,15 +647,15 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         if rest < dt - cfg.dt_min:
             dt = rest
         state = advance(state, dt, m2)
-        amp = float(np.sqrt(np.max(m2, initial=0.0)))
-        if not np.isfinite(amp):  # an overflow
+        amp = math.sqrt(m2.max(initial=0.0))
+        if not math.isfinite(amp):  # an overflow
             verdict = BlowupVerdict("aborted", diagnostic="non-finite field values")
             break
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         levels.add(dt)
         gradn, saved = None, nstep % cfg.snapshot_stride == 0
-        if saved or amp > cfg.amp_cap or norm(state, m2) > cfg.grad_blowup_factor * grad0:
+        if saved or amp > cfg.amp_cap or (amp >= quiet and norm(state, m2) > factor * grad0):
             amp, gradn = float(np.max(np.abs(state), initial=0.0)), grad(state)
             trigger = _trigger(cfg, grad0, amp, gradn)
             if trigger is not None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -624,6 +625,22 @@ class TestEdgeBlockSolve:
         assert H.cayley_solve(out, 1e-3) is out
         assert rel_err(out, ref) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "f,model", [p for p in cayley_cases() if p.values[1].variant == "graph"]
+    )
+    def test_z_is_first_row_of_edge_solve(self, f, model):
+        # T is complex symmetric, so z = T^{-1} e_0 is also the first row of
+        # T^{-1}: the vertex-first solve reads each edge's first entry of
+        # T^{-1} b as z . b, before the one SuperLU call
+        H = ev.assemble_hamiltonian(f, model)
+        J, m = H._edges.shape
+        rng = np.random.default_rng(7)
+        for dt in CAYLEY_DTS + tuple(-d for d in CAYLEY_DTS):
+            H.cayley_solve(np.zeros(len(H.Mdiag), complex), dt)
+            lu, (z, *_) = H._lu[1]
+            B = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
+            assert rel_err(B[:, : len(z)] @ z, lu.solve(np.ascontiguousarray(B.T))[0]) <= 1e-13
+
 
 def reference_cayley_run(u0, model, cfg):
     """The Cayley path of `run` as it was when it stepped Fields: `step_cn`
@@ -935,6 +952,26 @@ class TestSplitVectorLoop:
             expected += [dt, dt] if c else [dt]
         assert phase_dts == expected
 
+    @pytest.mark.parametrize("stagger", [False, True], ids=["plain", "staggered"])
+    @pytest.mark.parametrize("N", [2**k for k in range(6, 16)])
+    def test_step_matches_unscaled_propagator_bitwise(self, N, stagger):
+        # 1/N in the propagator and the inverse FFT with norm="forward" give
+        # the flow of the unscaled propagator and the plain inverse FFT, as N
+        # is a power of two
+        f = rough_field(N, stagger)
+        for model in [fn.ModelSpec.free()] + stagger * [fn.ModelSpec.inverse_power(2.0, 0.5)]:
+            k2, V = ev._grid_kernels(f.L, f.N, f.stagger, model)
+            prop = np.empty(N, dtype=complex)
+
+            def flow(u, dt):
+                return np.fft.ifft(np.fft.fft(u) * ev._propagator(k2, dt, prop))
+
+            new, ref = ev._split_stepper(f, model)[0], ev._stepper(N, V, True, flow)
+            a, b = f.values.copy(), f.values.copy()
+            for dt in (1e-3, 1e-3, 3e-4, -2e-3):
+                a, b = new(a, dt), ref(b, dt)
+                assert np.array_equal(a.view(float), b.view(float))
+
     @pytest.mark.parametrize("N", [2**6, 2**9, 2**12])
     def test_grad_matches_kinetic_energy_bitwise(self, N):
         rng = np.random.default_rng(4)
@@ -1136,6 +1173,82 @@ class TestPhaseLiveNodes:
         assert (new.verdict, new.steps, new.dt_levels) == (ref.verdict, ref.steps, ref.dt_levels)
         for a, b in zip(new.snapshots, ref.snapshots, strict=True):
             assert rel_err(a.values, b.values) <= 1e-13
+
+
+def attractive_inverse_power(gamma, mu):
+    """V = gamma |x|^-mu with gamma < 0, which `ModelSpec` rejects, set past
+    its check so that a run meets a V below zero."""
+    model = fn.ModelSpec.inverse_power(1.0, mu)
+    object.__setattr__(model, "gamma", gamma)
+    return model
+
+
+# every `run` case above, an attractive inverse-power V and a linear one
+QUIET_RUN_CASES = [
+    *(pytest.param(*p.values, cayley_run_config, id=p.id) for p in CAYLEY_RUN_CASES),
+    *(pytest.param(*p.values, split_run_config, id=p.id)
+      for p in SPLIT_RATE_LIMITED + SPLIT_EQUAL_DT),
+    pytest.param(staggered(focusing_bump), attractive_inverse_power(-1.0, 0.5), {},
+                 split_run_config, id="invpow-attractive"),
+    pytest.param(staggered(focusing_bump), fn.ModelSpec.inverse_power(1.0, 0.5, False), {},
+                 split_run_config, id="invpow-linear"),
+]
+
+
+def counted_norm(monkeypatch):
+    """The calls of the identity's norm from here on, each as (||u'||^2 from
+    the identity, its majorant at the step's sup|u|, sup|u|, grad0)."""
+    calls, norm_from = [], ev._norm_from
+
+    def recording(c, grad0, vec0, m20):
+        norm, (a, b, d), c0 = norm_from(c, grad0, vec0, m20), c.majorant(m20), c(vec0, m20)
+
+        def counted(vec, m2):
+            val, amp2 = norm(vec, m2), float(np.max(m2))
+            bound = grad0**2 - c0 + a * amp2**2 + b * amp2 + d
+            calls.append((val**2, bound, math.sqrt(amp2), grad0))
+            return val
+
+        return counted
+
+    monkeypatch.setattr(ev, "_norm_from", recording)
+    return calls
+
+
+class TestQuietMajorant:
+    """Below amp*, where the identity's majorant stays under the firing
+    factor, `run` skips the identity, and changes no decision."""
+
+    @pytest.mark.parametrize("f,model,extra,config", QUIET_RUN_CASES)
+    def test_skip_changes_nothing(self, f, model, extra, config, monkeypatch):
+        cfg, calls = config(**extra), counted_norm(monkeypatch)
+        new = ev.run(f, model, cfg)
+        skipping = len(calls)
+        monkeypatch.setattr(ev, "_quiet_amp", lambda *a: 0.0)
+        calls.clear()
+        assert_same_run(new, ev.run(f, model, cfg))
+        assert skipping < len(calls)
+
+    @pytest.mark.parametrize("f,model,extra,config", QUIET_RUN_CASES)
+    def test_identity_norm_under_majorant(self, f, model, extra, config, monkeypatch):
+        # the identity at every step, with amp* recorded
+        cfg, calls, quiet_amp, quiet = config(**extra), counted_norm(monkeypatch), ev._quiet_amp, []
+        monkeypatch.setattr(ev, "_quiet_amp", lambda *a: quiet.append(quiet_amp(*a)) or 0.0)
+        traj = ev.run(f, model, cfg)
+        assert len(quiet) == 1 and len(calls) >= traj.steps - len(traj.snapshots)
+        below = 0
+        for val2, bound, amp, grad0 in calls:
+            assert val2 <= bound + 1e-12 * abs(bound)
+            if amp < quiet[0]:
+                below += 1
+                assert math.sqrt(val2) <= cfg.grad_blowup_factor * grad0
+        assert below > 0
+
+    def test_no_room_no_skip(self):
+        # zero data: no gradient norm to grow from
+        f = LineField.from_function(lambda x: np.zeros_like(x), 8.0, 2**6)
+        c = ev._split_stepper(f, fn.ModelSpec.free())[2]
+        assert ev._quiet_amp(c, 0.0, f.values, np.zeros(f.N), 10.0) == 0.0
 
 
 class TestRun:
