@@ -31,44 +31,3 @@ from .virial_analysis import VirialReport, a0, envelope, find_R, report
 from .weight import WeightProfile, chi, chi_R, eta, verify_profile, zeta
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowupVerdict",
-    "Field",
-    "GraphField",
-    "GroundState",
-    "LineField",
-    "ModelSpec",
-    "SolverConfig",
-    "Trajectory",
-    "VertexCondition",
-    "VirialReport",
-    "WeightProfile",
-    "a0",
-    "check_potential_condition",
-    "chi",
-    "chi_R",
-    "energy",
-    "envelope",
-    "eta",
-    "exact_Q",
-    "find_R",
-    "ground_state_flow",
-    "kinetic_energy",
-    "load_trajectory",
-    "lp_norm",
-    "mass",
-    "ogawa_tsutsumi_bound",
-    "p_functional",
-    "report",
-    "run",
-    "save_trajectory",
-    "scaled_data",
-    "sign_condition_value",
-    "tail_mass",
-    "verify_profile",
-    "virial_I",
-    "virial_I_prime",
-    "virial_rhs",
-    "zeta",
-]

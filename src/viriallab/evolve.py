@@ -21,10 +21,10 @@ dt falls on every step, keeps one dt over many steps and rebuilds its flow
 (propagator or LU factor, that of the last dt only) and leading half phase
 about 50 times.
 
-The squared wavenumbers of the half spectrum and V are cached per (L, N,
-stagger, model).  A run steps one vector in place, the samples (split path)
-or the coefficient vector v (Cayley path), and builds a Field only for a
-snapshot.  The half phase is exp(i dt/2 |u|^4) vfac in one buffer, vfac =
+The split stepper takes k^2 on the half spectrum once per call and V from
+`smooth_potential`, cached per grid and model.  A run steps one vector in
+place, the samples or the coefficients v, and builds a Field only for an
+exact norm.  The half phase is exp(i dt/2 |u|^4) vfac in one buffer, vfac =
 exp(-i dt/2 V) rebuilt with the leading phase when dt changes (no factor
 where V is 0.0, as on the Cayley path).  cos and sin of the nonlinear angle
 are taken only on the live nodes, where |u|^4 >= PHASE_TINY / |dt|
@@ -40,7 +40,7 @@ term), which gives each step's gradient norm off the exact norm only by the
 energy drift.  It runs only from sup|u| = amp* on, below which its majorant
 (the conserved mass times amp^4 / 3 and max(-min V, 0), plus max(-g, 0)
 (k amp)^2 for k vertex nodes) keeps the norm under the firing factor.  The
-exact norm (Parseval from one FFT, or the P1 element differences) runs on
+exact norm, sqrt(2 `kinetic_energy`) of the state's Field, runs at the start,
 snapshot steps, the last state and where the identity or sup|u| crosses its
 threshold, and alone decides the trigger: the identity can delay a
 detection, when the energy rises, never fire one.  The split flow
@@ -92,8 +92,8 @@ from .field import (
 from .functionals import (
     ModelSpec,
     energy,
+    kinetic_energy,
     mass,
-    parseval_kinetic_energy,
     require_geometry,
     smooth_potential,
     vertex_form,
@@ -245,13 +245,14 @@ def _stepper(n: int, V, nonlinearity_on: bool, flow):
     return step
 
 
-def _identity(w, V, nodes, g: float, nonlinearity_on: bool, n: int):
-    """c(vec, m2) = ||u'||^2 - 2 E of the state vec with |vec|^2 = m2, from the
-    energy: sum w (m2^3 / 3 - V m2) - g |sum vec[nodes]|^2, w the (lumped)
-    quadrature weights and (nodes, g) the point interaction of `vertex_form`;
-    c <= a amp^4 + b amp^2 + d, (a, b, d) = c.majorant(m2), at sup norm amp
-    and the mass sum w m2 of m2."""
-    wV, buf = np.multiply(w, V), np.empty(n)
+def _identity(w, V, nodes, g, nonlinearity_on, grad0, vec0, m20, factor) -> tuple:
+    """(norm, amp*) of the energy identity at the reference state vec0, |vec0|^2
+    = m20, of gradient norm grad0: norm(vec, m2)^2 = grad0^2 + c(vec, m2) -
+    c(vec0, m20), c = ||u'||^2 - 2 E = sum w (m2^3 / 3 - V m2) - g |sum
+    vec[nodes]|^2; below sup|u| = amp* the majorant of c (module docstring) on
+    the mass sum w m20 keeps norm under factor * grad0; amp* = 0.0 if no room
+    is left."""
+    wV, buf = np.multiply(w, V), np.empty(len(m20))
     has_V, has_nodes = np.ndim(V) > 0, len(nodes) > 0
 
     def c(vec: np.ndarray, m2: np.ndarray) -> float:
@@ -263,44 +264,16 @@ def _identity(w, V, nodes, g: float, nonlinearity_on: bool, n: int):
             val -= g * abs(vec[nodes].sum()) ** 2
         return val
 
-    def majorant(m2: np.ndarray) -> tuple:
-        m, vneg = float(np.sum(np.multiply(w, m2))), max(-float(np.min(V)), 0.0)
-        return m / 3.0 if nonlinearity_on else 0.0, max(-g, 0.0) * len(nodes) ** 2, vneg * m
-
-    c.majorant = majorant
-    return c
-
-
-def _norm_from(c, grad0: float, vec0: np.ndarray, m20: np.ndarray):
-    """norm(vec, m2): the gradient norm from the energy identity ||u'||^2 =
-    grad0^2 + c(vec, m2) - c(vec0, m20) at the reference state vec0 of gradient
-    norm grad0, off the exact norm by the energy drift since vec0."""
     g0sq, c0 = grad0**2, c(vec0, m20)
-    return lambda vec, m2: math.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0))
-
-
-def _quiet_amp(c, grad0: float, vec0: np.ndarray, m20: np.ndarray, factor: float) -> float:
-    """amp*, below which c.majorant keeps `_norm_from`'s norm under factor *
-    grad0 on the mass of m20, which both flows conserve; 0.0 if no room is left."""
-    a, b, d = c.majorant(m20)
+    m = float(np.sum(np.multiply(w, m20)))
+    a, b = m / 3.0 if nonlinearity_on else 0.0, max(-g, 0.0) * len(nodes) ** 2
     # less a relative margin far above the rounding of c
-    room = ((factor**2 - 1.0) * grad0**2 + c(vec0, m20) - d) * (1.0 - 1e-6)
-    if not room > 0.0:
-        return 0.0
-    den = b + math.sqrt(b * b + 4.0 * a * room)
-    return math.sqrt(2.0 * room / den) if den > 0.0 else math.inf
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_kernels(L: float, N: int, stagger: bool, model: ModelSpec) -> tuple:
-    """Read-only step kernels of one line grid: the squared wavenumbers of
-    the half spectrum k[:N//2+1]**2, and V on the nodes (0.0 when V is zero
-    everywhere)."""
-    f = field_from_grid({"kind": "line", "L": L, "N": N, "stagger": stagger})
-    k2 = spectral_wavenumbers(f)[: N // 2 + 1] ** 2
-    k2.flags.writeable = False
-    V = smooth_potential(f, model)
-    return k2, (0.0 if V is None else V)
+    room = ((factor**2 - 1.0) * g0sq + c0 - max(-float(np.min(V)), 0.0) * m) * (1.0 - 1e-6)
+    amp = 0.0
+    if room > 0.0:
+        den = b + math.sqrt(b * b + 4.0 * a * room)
+        amp = math.sqrt(2.0 * room / den) if den > 0.0 else math.inf
+    return (lambda vec, m2: math.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0))), amp
 
 
 def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
@@ -315,15 +288,16 @@ def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _split_stepper(template: LineField, model: ModelSpec):
-    """(step, grad, c) on vectors of template's grid: the `_stepper` step with
-    the exact Fourier flow in a spectrum buffer, the propagator rebuilt when dt
-    changes; sqrt(2 kinetic_energy), bit for bit, through that buffer; and the
-    `_identity` terms, which give the norm with no FFT."""
+    """(step, (w, V, nodes, g)) on vectors of template's grid: the `_stepper` step
+    with the exact Fourier flow in a spectrum buffer, the propagator rebuilt
+    when dt changes, and the `_identity` terms (V 0.0 where it is zero)."""
     if template.N & (template.N - 1):
         raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
         raise ValueError("split-step handles only the free and inverse_power variants")
-    k2, V = _grid_kernels(template.L, template.N, template.stagger, model)
+    k2 = spectral_wavenumbers(template)[: template.N // 2 + 1] ** 2
+    V = smooth_potential(template, model)
+    V = 0.0 if V is None else V
     (spec, prop), prop_dt = np.empty((2, template.N), dtype=complex), None
 
     def flow(u: np.ndarray, dt: float) -> np.ndarray:
@@ -335,11 +309,7 @@ def _split_stepper(template: LineField, model: ModelSpec):
         np.multiply(spec, prop, out=spec)
         return np.fft.ifft(spec, out=u, norm="forward")
 
-    def grad(u: np.ndarray) -> float:
-        return float(np.sqrt(2.0 * parseval_kinetic_energy(template, np.fft.fft(u, out=spec))))
-
-    c = _identity(template.h, V, [], 0.0, model.nonlinearity_on, template.N)
-    return _stepper(template.N, V, model.nonlinearity_on, flow), grad, c
+    return _stepper(template.N, V, model.nonlinearity_on, flow), (template.h, V, [], 0.0)
 
 
 def step_splitstep(f: LineField, dt: float, model: ModelSpec) -> LineField:
@@ -373,11 +343,10 @@ class AssembledOperator:
         self._M2 = 2.0 * self.Mdiag  # so the solve returns twice its solution, exactly
         # the first flat node holding each coefficient
         self._node_of = np.unique(self.unknown, return_index=True)[1][: len(self.Mdiag)]
-        self._chain = p1_chain(self.template, self.unknown, len(self.Mdiag))
         # one row per edge (the line is one edge): its coefficients between the
         # vertex (the homogeneous node on a line) and the Dirichlet node, and
         # the vertex coefficients, none on a line
-        rows = np.atleast_2d(self._chain)
+        rows = np.atleast_2d(p1_chain(self.template, self.unknown, len(self.Mdiag)))
         self._edges, self._vertex = rows[:, 1:-1], np.setdiff1d(rows[:, 0], len(self.Mdiag))
         # the edges as a strided (J, m) view: row stride w, m of each w taken
         J, m = self._edges.shape
@@ -395,11 +364,6 @@ class AssembledOperator:
     def from_vector(self, vec: np.ndarray, like: Field | None = None) -> Field:
         like = like if like is not None else self.template
         return like.with_values(np.append(vec, 0.0)[self.unknown])
-
-    def grad_norm(self, vec: np.ndarray) -> float:
-        """||u'|| along the P1 elements, sqrt(2 kinetic_energy) of `from_vector(vec)`."""
-        diff = np.diff(np.append(vec, 0.0)[self._chain], axis=-1)
-        return float(np.sqrt(2.0 * (0.5 * float(np.vdot(diff, diff).real / self.template.h))))
 
     @functools.cached_property
     def _blocks(self) -> tuple:
@@ -555,13 +519,12 @@ def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator
 
 
 def _cayley_stepper(H: AssembledOperator):
-    """(step, grad, c) on H's coefficient vector, as `_split_stepper`'s: the
-    Cayley `_stepper` step, `H.grad_norm`, and the `_identity` terms on the
-    lumped mass with the model's point interaction."""
+    """(step, (w, V, nodes, g)) on H's coefficient vector, as `_split_stepper`'s:
+    the Cayley step, and the `_identity` terms on the lumped mass with the
+    model's point interaction."""
     nodes, g = vertex_form(vertex_layout(H.template, H.model), H.model)
-    n, on = len(H.Mdiag), H.model.nonlinearity_on
-    c = _identity(H.Mdiag, 0.0, H.unknown.ravel()[nodes], g, on, n)
-    return _stepper(n, 0.0, on, H.cayley_solve), H.grad_norm, c
+    step = _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve)
+    return step, (H.Mdiag, 0.0, H.unknown.ravel()[nodes], g)
 
 
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
@@ -605,26 +568,30 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
     """Advance u0 to T_end with phase-limited adaptive steps, recording
     snapshots every snapshot_stride steps, or stop at a blow-up trigger.
 
-    Each step reads sup|u|, the V mask and (from `_quiet_amp` on) the energy
-    identity's `norm` from the |u|^2 its trailing half phase leaves; the
-    exact sup|u| and `grad` run where a value is recorded or that norm or
-    sup|u| crosses its threshold, and they alone decide the trigger and fill
-    grad_series."""
+    Each step reads sup|u|, the V mask and (from the identity's amp* on) its
+    `norm` from the |u|^2 the trailing half phase leaves; the exact sup|u| and
+    sqrt(2 `kinetic_energy`) of the Field `snapshot(state)` are taken at the
+    start, where a value is recorded and where that norm or sup|u| crosses its
+    threshold, and they alone decide the trigger and fill grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
-        H, V, state = None, _grid_kernels(u0.L, u0.N, u0.stagger, model)[1], u0.values.copy()
-        stepper, snapshot = _split_stepper(u0, model), (lambda v: u0.with_values(v.copy()))
+        H, state, snapshot = None, u0.values.copy(), (lambda v: u0.with_values(v.copy()))
+        advance, terms = _split_stepper(u0, model)
     else:
-        H, V = assemble_hamiltonian(u0, model), 0.0
-        stepper, state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
-    (advance, grad, c), absV = stepper, (np.abs(V) if np.ndim(V) else None)
+        H = assemble_hamiltonian(u0, model)
+        (advance, terms), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
+    absV = np.abs(terms[1]) if np.ndim(terms[1]) else None
 
-    grad0 = gradn = grad(state)
+    def grad(f: Field) -> float:
+        return math.sqrt(2.0 * kinetic_energy(f, model))
+
+    snap = snapshot(state)  # the Field of the last state whose exact norm was taken
+    grad0 = gradn = grad(snap)
     times, snapshots, grads = [0.0], [u0.copy()], [grad0]
     t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
     m2 = np.square(state.real) + np.square(state.imag)  # |u|^2, from each step's phase
-    norm, factor = _norm_from(c, grad0, state, m2), cfg.grad_blowup_factor
-    quiet = _quiet_amp(c, grad0, state, m2, factor)  # the identity runs from this sup|u| on
+    factor = cfg.grad_blowup_factor
+    norm, amp_star = _identity(*terms, model.nonlinearity_on, grad0, state, m2, factor)
     amp = float(np.max(np.abs(u0.values), initial=0.0))
     verdict = BlowupVerdict("completed")
 
@@ -655,8 +622,9 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         nstep += 1
         levels.add(dt)
         gradn, saved = None, nstep % cfg.snapshot_stride == 0
-        if saved or amp > cfg.amp_cap or (amp >= quiet and norm(state, m2) > factor * grad0):
-            amp, gradn = float(np.max(np.abs(state), initial=0.0)), grad(state)
+        if saved or amp > cfg.amp_cap or (amp >= amp_star and norm(state, m2) > factor * grad0):
+            snap = snapshot(state)
+            amp, gradn = float(np.max(np.abs(state), initial=0.0)), grad(snap)
             trigger = _trigger(cfg, grad0, amp, gradn)
             if trigger is not None:
                 value = amp if trigger == "amplitude_cap" else gradn / grad0
@@ -664,13 +632,16 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
                 break
         if saved:
             times.append(t)
-            snapshots.append(snapshot(state))
+            snapshots.append(snap)
             grads.append(gradn)
     # an aborted run has overwritten its last finite state
     if t > times[-1] and verdict.status != "aborted":
+        if gradn is None:
+            snap = snapshot(state)
+            gradn = grad(snap)
         times.append(t)
-        snapshots.append(snapshot(state))
-        grads.append(grad(state) if gradn is None else gradn)
+        snapshots.append(snap)
+        grads.append(gradn)
 
     m = np.array([mass(s) for s in snapshots])
     e = np.array([energy(s, model) for s in snapshots])

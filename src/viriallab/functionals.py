@@ -195,15 +195,11 @@ def kinetic_energy(f: Field, model: ModelSpec) -> float:
         require_geometry(f, model)
         if f.N & (f.N - 1):
             raise ValueError("spectral derivative needs N a power of two")
-        return parseval_kinetic_energy(f, np.fft.fft(f.values))
+        spec = np.fft.fft(f.values)
+        power = spec.real**2 + spec.imag**2
+        return 0.5 * f.h / f.N * float(np.dot(_parseval_k2(f.L, f.N), power))
     diff = np.diff(p1_chain(f, f.values, 0.0), axis=-1)
     return 0.5 * float(np.vdot(diff, diff).real / f.h)
-
-
-def parseval_kinetic_energy(f: LineField, spec: np.ndarray) -> float:
-    """The spectral `kinetic_energy` of the samples whose FFT is spec."""
-    power = spec.real**2 + spec.imag**2
-    return 0.5 * f.h / f.N * float(np.dot(_parseval_k2(f.L, f.N), power))
 
 
 def vertex_form(f: Field, model: ModelSpec) -> tuple[list, float]:

@@ -21,7 +21,7 @@ constant entering the decay estimate for the localized variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -126,14 +126,9 @@ class WeightProfile:
         return cls(s1=S1, tail_coeffs=coeffs, z2=z2, z3=z3)
 
 
-_DEFAULT: WeightProfile | None = None
-
-
+@cache
 def default_profile() -> WeightProfile:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = WeightProfile.default()
-    return _DEFAULT
+    return WeightProfile.default()
 
 
 def _chi_deriv(x, k: int, profile: WeightProfile | None = None):

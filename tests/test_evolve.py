@@ -155,6 +155,19 @@ def modulus2(v):
     return np.abs(v) ** 2
 
 
+def identity_norm(terms, model, grad0, vec0):
+    """The energy identity's norm(vec, m2) from a stepper's terms at the
+    reference state vec0 of gradient norm grad0."""
+    return ev._identity(*terms, model.nonlinearity_on, grad0, vec0, modulus2(vec0), 10.0)[0]
+
+
+def counted_kinetic_energy(monkeypatch):
+    """The calls of the exact norm's `kinetic_energy` in `run` from here on."""
+    calls, kinetic = [], ev.kinetic_energy
+    monkeypatch.setattr(ev, "kinetic_energy", lambda f, model: calls.append(1) or kinetic(f, model))
+    return calls
+
+
 SPECTRAL_CASES = [
     (fn.ModelSpec.free(), False),
     (fn.ModelSpec.inverse_power(2.0, 0.5), True),
@@ -225,22 +238,24 @@ class TestKernelPins:
             fn.kinetic_energy(g, fn.ModelSpec.free())
 
     def test_cached_kernels_read_only(self):
-        k2, V = ev._grid_kernels(16.0, 2**8, True, fn.ModelSpec.inverse_power(2.0, 0.5))
-        assert k2.shape == (2**7 + 1,)
-        for arr in (k2, V):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        assert ev._grid_kernels(16.0, 2**8, True, fn.ModelSpec.free())[1] == 0.0
+        # the split stepper's V is the cached, read-only `smooth_potential`
+        f = rough_field(2**8, stagger=True)
+        model = fn.ModelSpec.inverse_power(2.0, 0.5)
+        V = ev._split_stepper(f, model)[1][1]
+        assert V is fn.smooth_potential(f, model)
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0] = 1.0
+        assert ev._split_stepper(f, fn.ModelSpec.free())[1][1] == 0.0
 
     def test_cache_keyed_on_model(self):
         f = rough_field(2**8, stagger=True)
         models = (fn.ModelSpec.free(), fn.ModelSpec.inverse_power(2.0, 0.5))
         fresh = []
         for model in models:
-            ev._grid_kernels.cache_clear()
+            fn._smooth_potential.cache_clear()
             fresh.append(ev.step_splitstep(f, 1e-3, model).values)
-        ev._grid_kernels.cache_clear()
+        fn._smooth_potential.cache_clear()
         for model, ref in zip(models, fresh):  # free, then inverse_power on the same grid
             assert np.array_equal(ev.step_splitstep(f, 1e-3, model).values, ref)
 
@@ -714,21 +729,6 @@ def cayley_run_config(**kw):
     return ev.SolverConfig(**(base | kw))
 
 
-class TestVectorGradNorm:
-    @pytest.mark.parametrize("f,model", cayley_cases())
-    def test_matches_kinetic_energy_bitwise(self, f, model):
-        # the trigger's gradient norm from the coefficient vector, against
-        # `kinetic_energy` of the field it stands for (on the model's layout,
-        # which a shared grid is not for a delta' vertex)
-        H = ev.assemble_hamiltonian(f, model)
-        layout = ev.vertex_layout(f, model)
-        rng = np.random.default_rng(2)
-        n = len(H.Mdiag)
-        for _ in range(50):
-            vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert H.grad_norm(vec) == grad_norm(H.from_vector(vec, layout), model)
-
-
 class TestCayleyIdentityNorm:
     """The Cayley path reads its per-step gradient norm from the energy
     identity ||v'||^2 = 2 E(0) + sum Mdiag |v|^6 / 3 - g |sum_vertex v|^2; the
@@ -737,8 +737,7 @@ class TestCayleyIdentityNorm:
     @staticmethod
     def identity_norm(f, model, grad0):
         H = ev.assemble_hamiltonian(f, model)
-        c, v0 = ev._cayley_stepper(H)[2], H.to_vector(f)
-        norm = ev._norm_from(c, grad0, v0, modulus2(v0))
+        norm = identity_norm(ev._cayley_stepper(H)[1], model, grad0, H.to_vector(f))
         return lambda u: norm(H.to_vector(u), modulus2(H.to_vector(u)))
 
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
@@ -756,10 +755,7 @@ class TestCayleyIdentityNorm:
 
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
     def test_p1_norm_only_where_recorded(self, f, model, extra, monkeypatch):
-        calls, p1 = [], ev.AssembledOperator.grad_norm
-        monkeypatch.setattr(
-            ev.AssembledOperator, "grad_norm", lambda H, vec: calls.append(1) or p1(H, vec)
-        )
+        calls = counted_kinetic_energy(monkeypatch)
         traj = ev.run(f, model, cayley_run_config(**extra))
         # the initial state, the snapshots, and the steps after the identity
         # crosses a firing factor
@@ -778,10 +774,7 @@ class TestCayleyIdentityNorm:
         factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
         norm = self.identity_norm(f, model, g[0])
         assert max(norm(u) for u in every.snapshots) > factor * g[0]
-        calls, p1 = [], ev.AssembledOperator.grad_norm
-        monkeypatch.setattr(
-            ev.AssembledOperator, "grad_norm", lambda H, vec: calls.append(1) or p1(H, vec)
-        )
+        calls = counted_kinetic_energy(monkeypatch)
         cfg = cayley_run_config(**(extra | {"grad_blowup_factor": factor}))
         traj = ev.run(f, model, cfg)
         assert traj.verdict.status == reference_cayley_run(f, model, cfg)[0].status == "completed"
@@ -960,35 +953,25 @@ class TestSplitVectorLoop:
         # is a power of two
         f = rough_field(N, stagger)
         for model in [fn.ModelSpec.free()] + stagger * [fn.ModelSpec.inverse_power(2.0, 0.5)]:
-            k2, V = ev._grid_kernels(f.L, f.N, f.stagger, model)
+            k2 = spectral_wavenumbers(f)[: N // 2 + 1] ** 2
             prop = np.empty(N, dtype=complex)
 
             def flow(u, dt):
                 return np.fft.ifft(np.fft.fft(u) * ev._propagator(k2, dt, prop))
 
-            new, ref = ev._split_stepper(f, model)[0], ev._stepper(N, V, True, flow)
+            new, (_, V, *_) = ev._split_stepper(f, model)
+            ref = ev._stepper(N, V, True, flow)
             a, b = f.values.copy(), f.values.copy()
             for dt in (1e-3, 1e-3, 3e-4, -2e-3):
                 a, b = new(a, dt), ref(b, dt)
                 assert np.array_equal(a.view(float), b.view(float))
-
-    @pytest.mark.parametrize("N", [2**6, 2**9, 2**12])
-    def test_grad_matches_kinetic_energy_bitwise(self, N):
-        rng = np.random.default_rng(4)
-        for model, stagger in SPECTRAL_CASES[:2]:
-            f = rough_field(N, stagger)
-            grad = ev._split_stepper(f, model)[1]
-            for _ in range(20):
-                vec = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                assert grad(vec) == grad_norm(f.with_values(vec), model)
 
     def test_fft_norm_only_where_recorded(self, monkeypatch):
         # the energy identity reads the gradient norm on every step; the FFT
         # norm runs for the initial state, which is the identity's reference
         # state too, the snapshots and any step where the identity crosses the
         # factor
-        calls, parseval = [], ev.parseval_kinetic_energy
-        monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
+        calls = counted_kinetic_energy(monkeypatch)
         f, model, extra = SPLIT_RATE_LIMITED[0].values
         traj = ev.run(f, model, split_run_config(**extra))
         assert len(calls) <= len(traj.snapshots) and len(calls) < traj.steps / 5
@@ -1009,8 +992,7 @@ class TestSplitVectorLoop:
         # the two differ by the discrete energy drift only: 9e-8 and 5e-7
         # relative at most on these runs
         traj = ev.run(f, model, split_run_config(**extra))
-        c = ev._split_stepper(f, model)[2]
-        norm = ev._norm_from(c, traj.grad_series[0], f.values, modulus2(f.values))
+        norm = identity_norm(ev._split_stepper(f, model)[1], model, traj.grad_series[0], f.values)
         for u, g in zip(traj.snapshots, traj.grad_series):
             assert abs(norm(u.values, modulus2(u.values)) - g) <= 1e-6 * g
 
@@ -1023,11 +1005,10 @@ class TestSplitVectorLoop:
         every = ev.run(f, model, split_run_config(**(extra | {"snapshot_stride": 1})))
         g = every.grad_series
         factor = (1.0 + 1e-8) * float(np.max(g) / g[0])
-        norm = ev._norm_from(ev._split_stepper(f, model)[2], g[0], f.values, modulus2(f.values))
+        norm = identity_norm(ev._split_stepper(f, model)[1], model, g[0], f.values)
         est = max(norm(u.values, modulus2(u.values)) for u in every.snapshots)
         assert est > factor * g[0]
-        calls, parseval = [], ev.parseval_kinetic_energy
-        monkeypatch.setattr(ev, "parseval_kinetic_energy", lambda *a: calls.append(1) or parseval(*a))
+        calls = counted_kinetic_energy(monkeypatch)
         cfg = split_run_config(**(extra | {"grad_blowup_factor": factor}))
         traj = ev.run(f, model, cfg)
         assert traj.verdict.status == reference_split_run(f, model, cfg)[0].status == "completed"
@@ -1195,13 +1176,57 @@ QUIET_RUN_CASES = [
 ]
 
 
+class TestExactGradNorm:
+    """`kinetic_energy` is the one exact gradient norm: it is the stiffness
+    part of the form the Cayley step conserves, and `run` records
+    sqrt(2 `kinetic_energy`) of each Field it records."""
+
+    @pytest.mark.parametrize("f,model", cayley_cases())
+    def test_kinetic_energy_is_assembled_form(self, f, model):
+        # vec^H K vec = ||v'||^2 + g |sum_vertex v|^2 on the model's layout,
+        # which a shared grid is not for a delta' vertex
+        H = ev.assemble_hamiltonian(f, model)
+        layout = ev.vertex_layout(f, model)
+        nodes, g = fn.vertex_form(layout, model)
+        rng = np.random.default_rng(2)
+        n = len(H.Mdiag)
+        for _ in range(50):
+            vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            u = H.from_vector(vec, layout)
+            vertex = g * abs(np.sum(u.values.ravel()[nodes])) ** 2
+            form = float(np.vdot(vec, H.K @ vec).real)
+            assert 2.0 * fn.kinetic_energy(u, model) + vertex == pytest.approx(form, rel=1e-12)
+
+    @pytest.mark.parametrize("f,model,extra,config", QUIET_RUN_CASES)
+    def test_run_records_kinetic_energy_of_snapshots(self, f, model, extra, config):
+        traj = ev.run(f, model, config(**extra))
+        assert len(traj.snapshots) == len(traj.grad_series) > 1
+        for u, g in zip(traj.snapshots, traj.grad_series):
+            assert g == grad_norm(u, model)
+
+
 def counted_norm(monkeypatch):
     """The calls of the identity's norm from here on, each as (||u'||^2 from
-    the identity, its majorant at the step's sup|u|, sup|u|, grad0)."""
-    calls, norm_from = [], ev._norm_from
+    the identity, its majorant at the step's sup|u|, sup|u|, grad0), the
+    majorant's c(vec0) and (a, b, d) taken here from the terms `_identity` gets;
+    amp* is checked against the same majorant."""
+    calls, identity = [], ev._identity
 
-    def recording(c, grad0, vec0, m20):
-        norm, (a, b, d), c0 = norm_from(c, grad0, vec0, m20), c.majorant(m20), c(vec0, m20)
+    def recording(w, V, nodes, g, on, grad0, vec0, m20, factor):
+        norm, amp_star = identity(w, V, nodes, g, on, grad0, vec0, m20, factor)
+        mass = float(np.sum(w * m20))
+        c0 = float(np.sum(w * (on * m20**3 / 3.0 - V * m20))) - g * abs(np.sum(vec0[nodes])) ** 2
+        a, b = on * mass / 3.0, max(-g, 0.0) * len(nodes) ** 2
+        d = max(-float(np.min(V)), 0.0) * mass
+        room = (factor**2 - 1.0) * grad0**2 + c0 - d
+        if amp_star == 0.0:
+            assert not room > 0.0
+        elif amp_star < math.inf:
+            # the majorant meets the firing factor at amp*, less the margin
+            top = grad0**2 - c0 + a * amp_star**4 + b * amp_star**2 + d
+            assert top == pytest.approx((factor * grad0) ** 2 - 1e-6 * room, rel=1e-9)
+        else:
+            assert a == b == 0.0 and room > 0.0
 
         def counted(vec, m2):
             val, amp2 = norm(vec, m2), float(np.max(m2))
@@ -1209,10 +1234,24 @@ def counted_norm(monkeypatch):
             calls.append((val**2, bound, math.sqrt(amp2), grad0))
             return val
 
-        return counted
+        return counted, amp_star
 
-    monkeypatch.setattr(ev, "_norm_from", recording)
+    monkeypatch.setattr(ev, "_identity", recording)
     return calls
+
+
+def quiet_amp_zero(monkeypatch, record=None):
+    """`_identity` with amp* 0.0, so that `run` takes the identity on every
+    step; amp* itself appended to `record` when given."""
+    identity = ev._identity
+
+    def zero(*args):
+        norm, amp_star = identity(*args)
+        if record is not None:
+            record.append(amp_star)
+        return norm, 0.0
+
+    monkeypatch.setattr(ev, "_identity", zero)
 
 
 class TestQuietMajorant:
@@ -1224,7 +1263,7 @@ class TestQuietMajorant:
         cfg, calls = config(**extra), counted_norm(monkeypatch)
         new = ev.run(f, model, cfg)
         skipping = len(calls)
-        monkeypatch.setattr(ev, "_quiet_amp", lambda *a: 0.0)
+        quiet_amp_zero(monkeypatch)
         calls.clear()
         assert_same_run(new, ev.run(f, model, cfg))
         assert skipping < len(calls)
@@ -1232,8 +1271,8 @@ class TestQuietMajorant:
     @pytest.mark.parametrize("f,model,extra,config", QUIET_RUN_CASES)
     def test_identity_norm_under_majorant(self, f, model, extra, config, monkeypatch):
         # the identity at every step, with amp* recorded
-        cfg, calls, quiet_amp, quiet = config(**extra), counted_norm(monkeypatch), ev._quiet_amp, []
-        monkeypatch.setattr(ev, "_quiet_amp", lambda *a: quiet.append(quiet_amp(*a)) or 0.0)
+        cfg, calls, quiet = config(**extra), counted_norm(monkeypatch), []
+        quiet_amp_zero(monkeypatch, quiet)
         traj = ev.run(f, model, cfg)
         assert len(quiet) == 1 and len(calls) >= traj.steps - len(traj.snapshots)
         below = 0
@@ -1247,8 +1286,8 @@ class TestQuietMajorant:
     def test_no_room_no_skip(self):
         # zero data: no gradient norm to grow from
         f = LineField.from_function(lambda x: np.zeros_like(x), 8.0, 2**6)
-        c = ev._split_stepper(f, fn.ModelSpec.free())[2]
-        assert ev._quiet_amp(c, 0.0, f.values, np.zeros(f.N), 10.0) == 0.0
+        terms = ev._split_stepper(f, fn.ModelSpec.free())[1]
+        assert ev._identity(*terms, True, 0.0, f.values, np.zeros(f.N), 10.0)[1] == 0.0
 
 
 class TestRun:
