@@ -12,7 +12,6 @@ from .functionals import (
     kinetic_energy,
     mass,
     ogawa_tsutsumi_bound,
-    p_functional,
     sign_condition_value,
     virial_I,
     virial_I_prime,

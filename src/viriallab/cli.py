@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: weight-check, simulate, virial-report, blowup-scan,
-ground-state.  Exit codes: 0 success, 1 failed check or aborted run,
-2 bad arguments or config, 10 blow-up detected (the expected outcome of
-the negative-energy scenarios).  The env var VIRIALLAB_OUT overrides the
-output root for relative --out paths and for the relative trajectory
-directory virial-report reads.  All outputs are deterministic.
+Subcommands: weight-check, simulate, virial-report, sweep, ground-state.
+Exit codes: 0 success, 1 failed check or aborted run, 2 bad arguments or
+config, 10 blow-up detected (the expected outcome of the negative-energy
+scenarios).  The env var VIRIALLAB_OUT overrides the output root for
+relative --out paths and for the relative trajectory directory
+virial-report reads.  All outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import pathlib
@@ -127,8 +129,7 @@ def cmd_weight_check(args) -> int:
     profile = None
     if args.profile:
         try:
-            with open(args.profile) as fh:
-                d = json.load(fh)
+            d = json.loads(pathlib.Path(args.profile).read_text())
             profile = weight.WeightProfile(
                 s1=float(d["s1"]),
                 tail_coeffs=np.asarray(d["tail_coeffs"], dtype=float),
@@ -217,38 +218,41 @@ def cmd_virial_report(args) -> int:
     }
     if rep.envelope_root is not None:
         summary["envelope_root"] = rep.envelope_root
-    with open(out / "virial_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    (out / "virial_summary.json").write_text(json.dumps(summary, indent=2))
     ok = rep.max_residual() < args.tol and rep.violations() == 0
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_blowup_scan(args) -> int:
-    if args.steps < 2 or not (0.0 < args.lambda_min < args.lambda_max < np.inf):
-        raise UsageError("need steps >= 2 and 0 < lambda_min < lambda_max < inf")
-    sc = load_scenario(args.scenario)
-    kind = sc["initial_data"].get("kind")
-    if kind != "scaled_soliton":
-        raise UsageError(f"blowup-scan scans scaled_soliton initial data, not {kind!r}")
-    if args.T_end is not None:
-        sc["solver"]["T_end"] = args.T_end
+def cmd_sweep(args) -> int:
+    sc, slots, lists = load_scenario(args.scenario), {}, []
+    for spec in args.set:
+        key, eq, text = spec.partition("=")
+        *path, leaf = key.split(".")
+        node = functools.reduce(lambda d, k: d.get(k) if isinstance(d, dict) else None, path, sc)
+        try:  # V1,V2,... is read as the JSON array [V1,V2,...]
+            lists.append(json.loads(f"[{text}]") if eq else [])
+        except ValueError:
+            lists.append([])
+        known = isinstance(node, dict) and not isinstance(node.get(leaf, {}), dict)
+        if not (lists[-1] and known) or key in slots:
+            raise UsageError(f"--set {spec!r}: need KEY=JSON,JSON,... once per KEY of the scenario")
+        slots[key] = node, leaf
+    points = []  # every point is built, and so checked, before the first run
+    for values in itertools.product(*lists):
+        for (node, leaf), v in zip(slots.values(), values):
+            node[leaf] = v
+        points.append((values, _scenario_pieces(sc)))
     rows = []
-    for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
-        sc["initial_data"]["lam"] = float(lam)
-        model, cfg, u0 = _scenario_pieces(sc)
-        E = fn.energy(u0, model)
+    for values, (model, cfg, u0) in points:
         traj = ev.run(u0, model, cfg)
         t_detect = traj.verdict.t_detect
-        rows.append(
-            [_fmt(lam), _fmt(E), traj.verdict.status,
-             "" if t_detect is None else _fmt(t_detect)]
-        )
-    out = _out_path(args.out, "scan.csv")
+        rows.append([*map(json.dumps, values), _fmt(traj.energy_series[0]), traj.verdict.status,
+                     "" if t_detect is None else _fmt(t_detect), traj.steps, traj.dt_levels])
+    out = _out_path(args.out, "sweep.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(
-        out, np.array(rows, dtype=object), fmt="%s", delimiter=",", newline="\r\n",
-        header="lambda,energy,verdict,t_detect", comments="",
-    )
+    head = [*slots, "energy", "verdict", "t_detect", "steps", "dt_levels"]
+    np.savetxt(out, np.array(rows, dtype=object), fmt="%s", delimiter=",", newline="\r\n",
+               header=",".join(head), comments="")
     return EXIT_OK
 
 
@@ -290,8 +294,7 @@ def cmd_ground_state(args) -> int:
     out = _out_path(args.out, "ground_state")
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "profile.npy", gs.field.values)
-    with open(out / "record.json", "w") as fh:
-        json.dump(record, fh, indent=2)
+    (out / "record.json").write_text(json.dumps(record, indent=2))
     if not gs.converged:
         print(
             f"ground state not converged: residual {gs.residual:.3g} "
@@ -326,14 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--out")
     vr.set_defaults(func=cmd_virial_report)
 
-    bs = sub.add_parser("blowup-scan", help="scan a scenario's scaled-soliton amplitude")
-    bs.add_argument("scenario")
-    bs.add_argument("--lambda-min", type=float, dest="lambda_min", required=True)
-    bs.add_argument("--lambda-max", type=float, dest="lambda_max", required=True)
-    bs.add_argument("--steps", type=int, required=True)
-    bs.add_argument("--T-end", type=float, dest="T_end", help="default: the scenario's")
-    bs.add_argument("--out")
-    bs.set_defaults(func=cmd_blowup_scan)
+    sw = sub.add_parser("sweep", help="run a scenario at each combination of set values")
+    sw.add_argument("scenario")
+    sw.add_argument("--set", action="append", required=True, metavar="KEY=V1,V2,...")
+    sw.add_argument("--out")
+    sw.set_defaults(func=cmd_sweep)
 
     gsp = sub.add_parser("ground-state", help="compute a standing-wave profile")
     gsp.add_argument("--model", default="free")

@@ -570,8 +570,8 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
 
     Each step reads sup|u|, the V mask and (from the identity's amp* on) its
     `norm` from the |u|^2 the trailing half phase leaves; the exact sup|u| and
-    sqrt(2 `kinetic_energy`) of the Field `snapshot(state)` are taken at the
-    start, where a value is recorded and where that norm or sup|u| crosses its
+    sqrt(2 `kinetic_energy`) are taken of u0, and of the Field `snapshot(state)`
+    where a value is recorded and where that norm or sup|u| crosses its
     threshold, and they alone decide the trigger and fill grad_series."""
     require_vertex_layout(u0, model)
     if model.uses_spectral():
@@ -582,12 +582,10 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         (advance, terms), state, snapshot = _cayley_stepper(H), H.to_vector(u0), H.from_vector
     absV = np.abs(terms[1]) if np.ndim(terms[1]) else None
 
-    def grad(f: Field) -> float:
-        return math.sqrt(2.0 * kinetic_energy(f, model))
-
-    snap = snapshot(state)  # the Field of the last state whose exact norm was taken
-    grad0 = gradn = grad(snap)
-    times, snapshots, grads = [0.0], [u0.copy()], [grad0]
+    snap = u0.copy()  # the Field of the last state whose exact norm was taken
+    Kn = kinetic_energy(snap, model)  # its K, which `energy` reuses; the norm is sqrt(2 K)
+    grad0 = math.sqrt(2.0 * Kn)
+    times, snapshots, kins = [0.0], [snap], [Kn]
     t, nstep, levels = 0.0, 0, set()  # levels: the distinct dt stepped with
     m2 = np.square(state.real) + np.square(state.imag)  # |u|^2, from each step's phase
     factor = cfg.grad_blowup_factor
@@ -621,10 +619,11 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         t = cfg.T_end if rest <= dt + cfg.dt_min else t + dt
         nstep += 1
         levels.add(dt)
-        gradn, saved = None, nstep % cfg.snapshot_stride == 0
+        Kn, saved = None, nstep % cfg.snapshot_stride == 0
         if saved or amp > cfg.amp_cap or (amp >= amp_star and norm(state, m2) > factor * grad0):
             snap = snapshot(state)
-            amp, gradn = float(np.max(np.abs(state), initial=0.0)), grad(snap)
+            amp, Kn = float(np.max(np.abs(state), initial=0.0)), kinetic_energy(snap, model)
+            gradn = math.sqrt(2.0 * Kn)
             trigger = _trigger(cfg, grad0, amp, gradn)
             if trigger is not None:
                 value = amp if trigger == "amplitude_cap" else gradn / grad0
@@ -633,24 +632,24 @@ def run(u0: Field, model: ModelSpec, cfg: SolverConfig) -> Trajectory:
         if saved:
             times.append(t)
             snapshots.append(snap)
-            grads.append(gradn)
+            kins.append(Kn)
     # an aborted run has overwritten its last finite state
     if t > times[-1] and verdict.status != "aborted":
-        if gradn is None:
+        if Kn is None:
             snap = snapshot(state)
-            gradn = grad(snap)
+            Kn = kinetic_energy(snap, model)
         times.append(t)
         snapshots.append(snap)
-        grads.append(gradn)
+        kins.append(Kn)
 
     m = np.array([mass(s) for s in snapshots])
-    e = np.array([energy(s, model) for s in snapshots])
+    e = np.array([energy(s, model, K) for s, K in zip(snapshots, kins)])
     return Trajectory(
         times=np.array(times),
         snapshots=snapshots,
         mass_series=m,
         energy_series=e,
-        grad_series=np.array(grads),
+        grad_series=np.sqrt(2.0 * np.array(kins)),
         verdict=verdict,
         model=model,
         config=cfg,

@@ -224,12 +224,6 @@ def _vertex_energy(f: Field, u: np.ndarray, model: ModelSpec) -> np.ndarray:
     return g * np.square(np.abs(np.sum(flat[..., nodes], axis=-1)))
 
 
-def p_functional(f: GraphField, vc: VertexCondition) -> float:
-    """Vertex energy P: 0 (Kirchhoff), gamma |f1(0)|^2 (delta),
-    |sum_j f_j(0)|^2 / gamma (delta')."""
-    return float(_vertex_energy(f, f.values, ModelSpec.graph(vc)))
-
-
 def _smooth_moment(f: Field, u: np.ndarray, model: ModelSpec):
     """int V |u|^2 for the smooth potential V (0 where V is zero), of each
     array of the block u."""
@@ -242,9 +236,10 @@ def potential_energy(f: Field, model: ModelSpec) -> float:
     return 0.5 * float(_smooth_moment(f, f.values, model) + _vertex_energy(f, f.values, model))
 
 
-def energy(f: Field, model: ModelSpec) -> float:
-    """Conserved energy of the given variant on the given field."""
-    e = kinetic_energy(f, model) + potential_energy(f, model)
+def energy(f: Field, model: ModelSpec, K: float | None = None) -> float:
+    """Conserved energy of the given variant on the given field; K, when
+    given, is f's `kinetic_energy`, which is then not evaluated again."""
+    e = (kinetic_energy(f, model) if K is None else K) + potential_energy(f, model)
     if model.nonlinearity_on:
         e -= lp_norm(f, 6) ** 6 / 6.0
     return e

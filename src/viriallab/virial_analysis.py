@@ -140,7 +140,8 @@ def _clauses(u0: Field, R: float, E: float, m: float, grad_sq: float) -> tuple[b
 
 def _invariants(u0: Field, model: ModelSpec) -> tuple[float, float, float]:
     """(E, mass, ||u0'||^2), the inputs of `_clauses`."""
-    return energy(u0, model), mass(u0), 2.0 * kinetic_energy(u0, model)
+    K = kinetic_energy(u0, model)
+    return energy(u0, model, K), mass(u0), 2.0 * K
 
 
 def selection_clauses(u0: Field, model: ModelSpec, R: float) -> tuple[bool, bool, float]:

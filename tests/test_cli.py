@@ -470,29 +470,16 @@ class TestVirialReport:
 FREE_BLOWUP = str(cli.bundled_scenario_path("free_blowup"))
 
 
-class TestBlowupScan:
-    def test_invalid_steps(self):
-        assert cli.main([
-            "blowup-scan", FREE_BLOWUP, "--lambda-min", "0.9", "--lambda-max", "1.2",
-            "--steps", "1",
-        ]) == 2
-
-    def test_invalid_range(self):
-        assert cli.main([
-            "blowup-scan", FREE_BLOWUP, "--lambda-min", "1.2", "--lambda-max", "0.9",
-            "--steps", "3",
-        ]) == 2
-
+class TestSweep:
     @pytest.mark.parametrize("name", ["free_gaussian", "graph_gaussian"])
-    def test_other_initial_data_rejected(self, tmp_path, capsys, name):
-        out = tmp_path / "scan.csv"
+    def test_key_not_in_scenario_rejected(self, tmp_path, capsys, name):
+        # gaussian data has no initial_data.lam to set
+        out = tmp_path / "sweep.csv"
         assert cli.main([
-            "blowup-scan", str(cli.bundled_scenario_path(name)), "--lambda-min", "0.9",
-            "--lambda-max", "1.2", "--steps", "2", "--out", str(out),
+            "sweep", str(cli.bundled_scenario_path(name)), "--set", "initial_data.lam=0.9,1.2",
+            "--out", str(out),
         ]) == 2
-        assert "error: blowup-scan scans scaled_soliton initial data, not 'gaussian'" in (
-            capsys.readouterr().err
-        )
+        assert "error: --set 'initial_data.lam=0.9,1.2': need KEY=" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_initial_data_rejected(self, tmp_path, capsys):
@@ -500,26 +487,57 @@ class TestBlowupScan:
         sc["initial_data"] = 5
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(sc))
-        assert cli.main([
-            "blowup-scan", str(p), "--lambda-min", "0.9", "--lambda-max", "1.2", "--steps", "2",
-        ]) == 2
+        assert cli.main(["sweep", str(p), "--set", "initial_data.lam=0.9,1.2"]) == 2
         assert "error: scenario field 'initial_data' is not an object" in capsys.readouterr().err
 
-    def test_scan_and_determinism(self, tmp_path):
+    def test_bad_last_point_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+        out = tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", FREE_BLOWUP, "--set", "initial_data.lam=0.9,1.3",
+            "--set", "solver.T_end=0.4,-1", "--out", str(out),
+        ]) == 2
+        assert "T_end must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_product_order_and_columns(self, tmp_path):
+        path, out = quick_scenario(tmp_path, T=0.01), tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", str(path), "--set", "initial_data.lam=0.9,1.1", "--set", "grid.N=256,512",
+            "--out", str(out),
+        ]) == 0
+        rows = [r.split(",") for r in out.read_bytes().decode().split("\r\n")[:-1]]
+        assert rows[0] == (
+            "initial_data.lam,grid.N,energy,verdict,t_detect,steps,dt_levels".split(",")
+        )
+        assert [r[:2] for r in rows[1:]] == [
+            ["0.9", "256"], ["0.9", "512"], ["1.1", "256"], ["1.1", "512"],
+        ]
+        # the last point's row is that point's own run
+        sc = cli.load_scenario(path)
+        sc["initial_data"]["lam"], sc["grid"]["N"] = 1.1, 512
+        model, cfg, u0 = cli._scenario_pieces(sc)
+        traj = ev.run(u0, model, cfg)
+        assert rows[-1][2:] == [
+            ev._fmt(fn.energy(u0, model)), traj.verdict.status, "", str(traj.steps),
+            str(traj.dt_levels),
+        ]
+
+    def test_sweep_and_determinism(self, tmp_path):
         args = [
-            "blowup-scan", FREE_BLOWUP, "--lambda-min", "0.9", "--lambda-max", "1.3",
-            "--steps", "2", "--T-end", "0.4",
-            "--out", str(tmp_path / "scan1.csv"),
+            "sweep", FREE_BLOWUP, "--set", "initial_data.lam=0.9,1.3", "--set", "solver.T_end=0.4",
+            "--out", str(tmp_path / "sweep1.csv"),
         ]
         assert cli.main(args) == 0
-        args2 = args[:-1] + [str(tmp_path / "scan2.csv")]
+        args2 = args[:-1] + [str(tmp_path / "sweep2.csv")]
         assert cli.main(args2) == 0
-        assert (tmp_path / "scan1.csv").read_bytes() == (tmp_path / "scan2.csv").read_bytes()
-        rows = (tmp_path / "scan1.csv").read_text().strip().splitlines()
-        assert rows[0] == "lambda,energy,verdict,t_detect"
+        assert (tmp_path / "sweep1.csv").read_bytes() == (tmp_path / "sweep2.csv").read_bytes()
+        rows = (tmp_path / "sweep1.csv").read_text().strip().splitlines()
+        assert rows[0] == "initial_data.lam,solver.T_end,energy,verdict,t_detect,steps,dt_levels"
         lam13 = rows[-1].split(",")
-        assert float(lam13[1]) < 0  # negative energy at lambda = 1.3
-        assert lam13[2] == "blowup_detected"
+        assert lam13[:2] == ["1.3", "0.4"]
+        assert float(lam13[2]) < 0  # negative energy at lambda = 1.3
+        assert lam13[3] == "blowup_detected"
 
 
 class TestGroundState:
@@ -582,15 +600,24 @@ class TestGroundState:
     "ground-state --omega inf",
     "ground-state --tol nan",
     "ground-state --model graph",
-    "blowup-scan --lambda-min 0 --lambda-max 1 --steps 2",
-    "blowup-scan --lambda-min 1 --lambda-max inf --steps 2",
-    "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end -1",
-    "blowup-scan --lambda-min 0.9 --lambda-max 1.2 --steps 2 --T-end nan",
+    "sweep --set initial_data.lam=0.9,0",
+    "sweep --set initial_data.lam=1,Infinity",
+    "sweep --set initial_data.lam=0.9 --set solver.T_end=-1",
+    "sweep --set initial_data.lam=0.9 --set solver.T_end=NaN",
+    "sweep --set initial_data.lam",
+    "sweep --set initial_data.lam=",
+    "sweep --set initial_data.lam=0.9,,1.3",
+    "sweep --set initial_data.lam=0.9,x",
+    "sweep --set initial_data.lam=0.9 --set initial_data.lam=1.3",
+    "sweep --set solver.phase_tl=0.01",
+    "sweep --set initial_data=5",
+    "sweep --set grid.N.x=1",
+    "sweep",
 ])
 def test_bad_arguments_exit_2_before_solving(argv, monkeypatch):
-    # blowup-scan scans a valid scenario, so only the bad option can exit 2
+    # sweep runs a valid scenario, so only the bad option can exit 2
     args = argv.split()
-    args[1:1] = [FREE_BLOWUP] if args[0] == "blowup-scan" else []
+    args[1:1] = [FREE_BLOWUP] if args[0] == "sweep" else []
     monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
     assert cli.main(args) == 2
 

@@ -1204,6 +1204,17 @@ class TestExactGradNorm:
         for u, g in zip(traj.snapshots, traj.grad_series):
             assert g == grad_norm(u, model)
 
+    @pytest.mark.parametrize("f,model,extra,config", QUIET_RUN_CASES)
+    def test_energy_reuses_the_exact_norm(self, f, model, extra, config, monkeypatch):
+        # every `kinetic_energy` of a run is one of the exact norm's: none goes
+        # through the functionals binding, which `energy` would call for each
+        # recorded snapshot, and the energies are those `energy` takes alone
+        calls, inner, kinetic = counted_kinetic_energy(monkeypatch), [], fn.kinetic_energy
+        monkeypatch.setattr(fn, "kinetic_energy", lambda u, m: inner.append(1) or kinetic(u, m))
+        traj = ev.run(f, model, config(**extra))
+        assert inner == [] and len(calls) >= len(traj.snapshots)
+        assert np.array_equal(traj.energy_series, [fn.energy(u, model) for u in traj.snapshots])
+
 
 def counted_norm(monkeypatch):
     """The calls of the identity's norm from here on, each as (||u'||^2 from

@@ -40,12 +40,18 @@ class TestVertexCondition:
             fn.VertexCondition("delta_prime", gamma=0.0)
 
     def test_p_values(self):
+        # the vertex energy P is twice a graph's potential energy, exactly:
+        # a graph has no smooth V, and the factors 0.5 and 2 are exact
         g = GraphField.from_function(lambda x: np.exp(-x) * (2.0 - 0j), 3, 8.0, 80)
-        assert fn.p_functional(g, fn.VertexCondition("kirchhoff")) == 0.0
-        assert fn.p_functional(g, fn.VertexCondition("dirac_delta", gamma=1.5)) == pytest.approx(
+
+        def P(vc):
+            return 2 * fn.potential_energy(g, fn.ModelSpec.graph(vc))
+
+        assert P(fn.VertexCondition("kirchhoff")) == 0.0
+        assert P(fn.VertexCondition("dirac_delta", gamma=1.5)) == pytest.approx(
             1.5 * 4.0, rel=1e-12
         )
-        assert fn.p_functional(g, fn.VertexCondition("delta_prime", gamma=2.0)) == pytest.approx(
+        assert P(fn.VertexCondition("delta_prime", gamma=2.0)) == pytest.approx(
             36.0 / 2.0, rel=1e-12
         )
 
@@ -164,7 +170,8 @@ class TestVirialQuantities:
         vc = fn.VertexCondition("dirac_delta", gamma=1.3)
         base = fn.virial_rhs(g, 4.0, fn.ModelSpec.graph(fn.VertexCondition("kirchhoff")))
         full = fn.virial_rhs(g, 4.0, fn.ModelSpec.graph(vc))
-        assert full - base == pytest.approx(4.0 * fn.p_functional(g, vc), abs=1e-12)
+        P = 2 * fn.potential_energy(g, fn.ModelSpec.graph(vc))
+        assert full - base == pytest.approx(4.0 * P, abs=1e-12)
 
     def test_rejects_bad_R(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,16 @@ class TestFindR:
             va.find_R(u0, model)
         assert va.find_R(self.soliton_data(1.1), model)[2] > 0
 
+    def test_invariants_take_kinetic_energy_once(self, monkeypatch):
+        # E and ||u0'||^2 share one K, through either binding
+        u0, model = self.soliton_data(1.1), fn.ModelSpec.free()
+        calls, kinetic = [], fn.kinetic_energy
+        for mod in (fn, va):
+            monkeypatch.setattr(mod, "kinetic_energy", lambda u, m: calls.append(1) or kinetic(u, m))
+        E, _, grad_sq = va._invariants(u0, model)
+        assert len(calls) == 1
+        assert E == fn.energy(u0, model) and grad_sq == 2.0 * kinetic(u0, model)
+
     def test_ladder_exhaustion(self):
         u0 = self.soliton_data(1.1)
         with pytest.raises(RuntimeError):
