@@ -116,7 +116,7 @@ def _scenario_pieces(sc: dict):
         cfg = ev.SolverConfig(**sc["solver"])
         template = field_from_grid(sc["grid"])
         u0 = _build_initial(sc["initial_data"], template, model)
-        fn.potential_energy(u0, model)  # the model must fit the grid
+        fn.energy(u0, model)  # the model must fit the grid, and a spectral N be a power of two
         ev.require_vertex_layout(u0, model)
     except (KeyError, ValueError, TypeError, OSError, EOFError) as exc:
         raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc

@@ -182,6 +182,10 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
+# the Trajectory fields that hold the `run` statistics, under these keys in summary.json
+RUN_STATS = ("steps", "dt_min", "dt_max", "lu_factorizations", "dt_levels")
+
+
 # below this half-step angle cos rounds to 1.0 and sin to the angle itself
 PHASE_TINY = 2.0**-27
 
@@ -719,11 +723,7 @@ def save_trajectory(
         "mass_drift_rel": mdrift,
         "energy_drift": float(np.max(np.abs(traj.energy_series - traj.energy_series[0]))),
         "n_snapshots": len(traj.snapshots),
-        "steps": traj.steps,
-        "dt_min": traj.dt_min,
-        "dt_max": traj.dt_max,
-        "lu_factorizations": traj.lu_factorizations,
-        "dt_levels": traj.dt_levels,
+        **{k: getattr(traj, k) for k in RUN_STATS},
         "provenance": _provenance(scenario_sha256),
     }
     with open(out / "summary.json", "w") as fh:
@@ -759,9 +759,5 @@ def load_trajectory(indir) -> Trajectory:
         verdict=BlowupVerdict(**summary["verdict"]),
         model=model,
         config=cfg,
-        steps=summary.get("steps"),
-        dt_min=summary.get("dt_min"),
-        dt_max=summary.get("dt_max"),
-        lu_factorizations=summary.get("lu_factorizations"),
-        dt_levels=summary.get("dt_levels"),
+        **{k: summary.get(k) for k in RUN_STATS},
     )

@@ -11,7 +11,7 @@ property-test oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class VertexCondition:
     def is_continuity_type(self) -> bool:
         return self.kind in ("kirchhoff", "dirac_delta")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma}
-
     @classmethod
     def from_dict(cls, d: dict) -> "VertexCondition":
         return cls(kind=d["kind"], gamma=float(d.get("gamma", 0.0)))
@@ -66,8 +63,8 @@ class ModelSpec:
     variant: str  # free | inverse_power | delta | graph
     gamma: float = 0.0
     mu: float = 0.0
-    vertex: VertexCondition | None = None
     nonlinearity_on: bool = True
+    vertex: VertexCondition | None = None
 
     def __post_init__(self):
         if self.variant not in ("free", "inverse_power", "delta", "graph"):
@@ -103,15 +100,7 @@ class ModelSpec:
         return self.variant in ("free", "inverse_power")
 
     def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant,
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "nonlinearity_on": self.nonlinearity_on,
-        }
-        if self.vertex is not None:
-            d["vertex"] = self.vertex.to_dict()
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -295,9 +284,10 @@ def virial_I_block(w: VirialWeights, u: np.ndarray) -> np.ndarray:
     return grid_sum(w.grid, w.chi0 * np.abs(u) ** 2)
 
 
-def virial_I_prime(f: Field, R: float, model: ModelSpec | None = None) -> float:
-    """First-derivative formula 2 Im int chi_R'(x) conj(u) du."""
-    du = grad_block(f, f.values, model or ModelSpec.free())
+def virial_I_prime(f: Field, R: float, model: ModelSpec) -> float:
+    """First-derivative formula 2 Im int chi_R'(x) conj(u) du, du taken as the
+    model's `grad_block`."""
+    du = grad_block(f, f.values, model)
     return float(virial_I_prime_block(VirialWeights(f, R), f.values, du))
 
 

@@ -20,7 +20,7 @@ constant entering the decay estimate for the localized variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -209,14 +209,6 @@ class CheckResult:
     margin: float
     location: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "location": float(self.location),
-        }
-
 
 @dataclass
 class ProfileReport:
@@ -230,7 +222,7 @@ class ProfileReport:
         return [c.name for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
+        return {"passed": self.passed, **asdict(self)}
 
 
 def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None) -> ProfileReport:

@@ -87,6 +87,18 @@ class TestWeightCheck:
         p.write_text(json.dumps(d))
         assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 2
 
+    def test_report_file_keys_and_types(self, tmp_path):
+        out = tmp_path / "wc.json"
+        assert cli.main(["weight-check", "--samples", "2000", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert list(rep) == ["passed", "checks"] and rep["passed"] is True
+        assert rep["checks"] and all(
+            list(c) == ["name", "passed", "margin", "location"]
+            and type(c["name"]) is str and type(c["passed"]) is bool
+            and type(c["margin"]) is float and type(c["location"]) is float
+            for c in rep["checks"]
+        )
+
     def test_profile_file_without_plateau(self, tmp_path):
         # the four keys suffice: chi's plateau value is derived from the tail
         prof = w.default_profile()
@@ -174,6 +186,19 @@ class TestSimulate:
             p = tmp_path / f"broken{i}.json"
             p.write_text(json.dumps(sc))  # NaN is written as the JSON extension NaN
             assert cli.main(["simulate", str(p)]) == 2, sc
+
+    def test_spectral_grid_not_power_of_two_rejected_before_solving(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+        sc = cli.load_scenario(cli.bundled_scenario_path("free_blowup"))
+        sc["grid"]["N"] = 1000
+        p = tmp_path / "n1000.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad scenario: ValueError: spectral derivative needs N a power of two" in err
+        assert not (tmp_path / "run").exists()
 
     def test_vertex_layout_must_match_model(self, tmp_path, capsys):
         # a delta' vertex holds one value per edge, which the default shared
@@ -612,12 +637,17 @@ class TestGroundState:
     "sweep --set solver.phase_tl=0.01",
     "sweep --set initial_data=5",
     "sweep --set grid.N.x=1",
+    "sweep --set grid.N=1000",
+    "sweep invpow_gaussian --set grid.N=1000",
     "sweep",
 ])
 def test_bad_arguments_exit_2_before_solving(argv, monkeypatch):
-    # sweep runs a valid scenario, so only the bad option can exit 2
+    # sweep runs a valid bundled scenario, free_blowup unless the row names
+    # another, so only the bad option can exit 2
     args = argv.split()
-    args[1:1] = [FREE_BLOWUP] if args[0] == "sweep" else []
+    if args[0] == "sweep":
+        name = args.pop(1) if args[1:2] and not args[1].startswith("--") else "free_blowup"
+        args.insert(1, str(cli.bundled_scenario_path(name)))
     monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
     assert cli.main(args) == 2
 

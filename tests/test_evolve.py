@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -1627,6 +1628,20 @@ class TestPersistence:
         assert (tmp_path / "series.csv").read_bytes() == ref.getvalue().encode()
         stored = np.load(tmp_path / "snapshots.npy", allow_pickle=False)
         assert stored.dtype == np.complex128 and stored.shape == (len(traj.times), 2**8)
+
+    def test_summary_keys(self, tmp_path):
+        saved_line_run(tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary) == [
+            "grid", "model", "config", "verdict", "mass_drift_rel", "energy_drift",
+            "n_snapshots", "steps", "dt_min", "dt_max", "lu_factorizations", "dt_levels",
+            "provenance",
+        ]
+
+    def test_run_stats_are_the_fields_after_config(self):
+        # a statistic added to Trajectory is saved and loaded with the others
+        names = [f.name for f in dataclasses.fields(ev.Trajectory)]
+        assert tuple(names[names.index("config") + 1 :]) == ev.RUN_STATS
 
     def test_roundtrip_graph(self, tmp_path):
         g = GraphField.from_function(

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,17 @@ class TestVertexCondition:
         )
 
 
+def bundled_model(name):
+    path = pathlib.Path(fn.__file__).parent / "scenarios" / f"{name}.json"
+    return fn.ModelSpec.from_dict(json.loads(path.read_text())["model"])
+
+
+FREE_JSON = '{"variant": "free", "gamma": 0.0, "mu": 0.0, "nonlinearity_on": true}'
+DELTA_JSON = '{"variant": "delta", "gamma": 1.0, "mu": 0.0, "nonlinearity_on": true}'
+INVPOW_JSON = '{"variant": "inverse_power", "gamma": 1.0, "mu": 0.5, "nonlinearity_on": true}'
+GRAPH_JSON = '{"variant": "graph", "gamma": 0.0, "mu": 0.0, "nonlinearity_on": true, "vertex": '
+
+
 class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,6 +80,24 @@ class TestModelSpec:
             fn.ModelSpec("graph")
         with pytest.raises(ValueError):
             fn.ModelSpec("heat")
+
+    @pytest.mark.parametrize("model, text", [
+        *((bundled_model(n), DELTA_JSON) for n in ("delta_blowup", "delta_gaussian")),
+        *((bundled_model(n), FREE_JSON) for n in (
+            "free_blowup", "free_control", "free_gaussian", "free_soliton",
+        )),
+        *((bundled_model(n), INVPOW_JSON) for n in ("invpow_blowup", "invpow_gaussian")),
+        (bundled_model("graph_blowup"), GRAPH_JSON + '{"kind": "dirac_delta", "gamma": 1.0}}'),
+        (bundled_model("graph_gaussian"), GRAPH_JSON + '{"kind": "kirchhoff", "gamma": 0.0}}'),
+        (fn.ModelSpec.graph(fn.VertexCondition("delta_prime", gamma=2.0)),
+         GRAPH_JSON + '{"kind": "delta_prime", "gamma": 2.0}}'),
+        (fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"), nonlinearity_on=False),
+         GRAPH_JSON.replace("true", "false") + '{"kind": "kirchhoff", "gamma": 0.0}}'),
+    ])
+    def test_json_keys_in_field_order(self, model, text):
+        # summary.json's "model": every field written, the vertex only on a graph
+        assert json.dumps(model.to_dict()) == text
+        assert fn.ModelSpec.from_dict(model.to_dict()) == model
 
     def test_potential_needs_staggered_grid(self):
         f = gaussian(N=2**8)  # node at the origin
@@ -139,13 +171,15 @@ class TestVirialQuantities:
         assert fn.virial_I(f, 18.0) == pytest.approx(expect, abs=1e-10)
 
     def test_I_prime_real_data_zero(self):
-        assert abs(fn.virial_I_prime(gaussian(), 8.0)) < 1e-12
+        assert abs(fn.virial_I_prime(gaussian(), 8.0, fn.ModelSpec.free())) < 1e-12
 
     def test_I_prime_phase_modulation_oracle(self):
         alpha = 0.3
         f = gaussian(alpha=alpha)
         # for u = e^{-x^2 + i a x^2}, I' = 2 a sqrt(pi/2) when the weight is x^2
-        assert fn.virial_I_prime(f, 18.0) == pytest.approx(2.0 * alpha * np.sqrt(np.pi / 2.0), abs=1e-10)
+        assert fn.virial_I_prime(f, 18.0, fn.ModelSpec.free()) == pytest.approx(
+            2.0 * alpha * np.sqrt(np.pi / 2.0), abs=1e-10
+        )
 
     def test_rhs_equals_16E_when_weight_quadratic(self):
         f = gaussian()
