@@ -126,19 +126,7 @@ def _scenario_pieces(sc: dict):
 def cmd_weight_check(args) -> int:
     if args.samples < 1000:
         raise UsageError("--samples must be at least 1000")
-    profile = None
-    if args.profile:
-        try:
-            d = json.loads(pathlib.Path(args.profile).read_text())
-            profile = weight.WeightProfile(
-                s1=float(d["s1"]),
-                tail_coeffs=np.asarray(d["tail_coeffs"], dtype=float),
-                z2=float(d["z2"]),
-                z3=float(d["z3"]),
-            )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad profile file: {exc}") from exc
-    rep = weight.verify_profile(args.samples, profile=profile)
+    rep = weight.verify_profile(args.samples)
     payload = json.dumps(rep.as_dict(), indent=2)
     if args.out:
         out = _out_path(args.out, "weight_check.json")
@@ -157,13 +145,16 @@ def cmd_simulate(args) -> int:
 
     sc = load_scenario(args.scenario)
     sha = hashlib.sha256(pathlib.Path(args.scenario).read_bytes()).hexdigest()
+    # analysis.R, the tail_mass column's radius ("auto": no column), is checked before the run
+    analysis = sc.get("analysis", {})
+    R = analysis.get("R", "auto") if isinstance(analysis, dict) else None
+    if R != "auto" and not (type(R) in (int, float) and 0 <= R < np.inf):
+        raise UsageError(f'bad scenario: analysis {analysis}: R must be "auto" or finite, >= 0')
     model, cfg, u0 = _scenario_pieces(sc)
     traj = ev.run(u0, model, cfg)
-    R = sc.get("analysis", {}).get("R")
-    Rnum = float(R) if isinstance(R, (int, float)) else None
     out = _out_path(args.out, sc["name"])
     out.mkdir(parents=True, exist_ok=True)
-    ev.save_trajectory(traj, out, R=Rnum, scenario_sha256=sha)
+    ev.save_trajectory(traj, out, R=None if R == "auto" else float(R), scenario_sha256=sha)
     if traj.verdict.status == "completed":
         return EXIT_OK
     if traj.verdict.status == "blowup_detected":
@@ -199,7 +190,7 @@ def cmd_virial_report(args) -> int:
         rep = va.report(traj, R, traj.model)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = _out_path(args.out, src.name + "_virial") if args.out else src
+    out = _out_path(args.out, args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)
     cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula,
             rep.residual, rep.tail_mass,
@@ -309,11 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="viriallab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    wc = sub.add_parser("weight-check", help="certify the cutoff profile")
+    wc = sub.add_parser("weight-check", help="certify the cutoff that chi_R and eta use")
     wc.add_argument("--samples", type=int, default=100_000)
-    wc.add_argument(
-        "--profile", help="alternative profile JSON: s1 (1 < s1 < 2), six tail_coeffs, z2, z3"
-    )
     wc.add_argument("--out")
     wc.set_defaults(func=cmd_weight_check)
 

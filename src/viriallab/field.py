@@ -182,23 +182,32 @@ class GraphField:
 Field = LineField | GraphField
 
 
+def _grid_entry(spec: dict, key: str, flag: bool | None = None):
+    """spec[key], an integer and not a bool; or, given a `flag` default,
+    spec.get(key, flag), a bool.  Nothing is coerced: N = 4096.5 or
+    stagger = "false" is a ValueError, not N = 4096 or stagger = True."""
+    v = spec[key] if flag is None else spec.get(key, flag)
+    if isinstance(v, bool) != (flag is not None) or not isinstance(v, (int, np.integer)):
+        want = "an integer" if flag is None else "a bool"
+        raise ValueError(f"grid {key} must be {want}, got {v!r}")
+    return v
+
+
 def field_from_grid(spec: dict) -> Field:
     """Zero field on the grid described by `spec` (the inverse of
     `grid_spec`); KeyError, TypeError or ValueError on a bad spec."""
     if spec["kind"] == "line":
-        N = int(spec["N"])
-        return LineField(
-            L=float(spec["L"]), N=N, values=np.zeros(N), stagger=bool(spec.get("stagger", False))
-        )
+        N, stagger = int(_grid_entry(spec, "N")), _grid_entry(spec, "stagger", False)
+        return LineField(L=float(spec["L"]), N=N, values=np.zeros(N), stagger=stagger)
     if spec["kind"] == "graph":
-        J, M = int(spec["J"]), int(spec["M"])
+        J, M = int(_grid_entry(spec, "J")), int(_grid_entry(spec, "M"))
         return GraphField(
             J=J,
             Ledge=float(spec["Ledge"]),
             M=M,
             vertex_values=np.zeros(J),
             edge_values=np.zeros((J, M)),
-            shared_vertex=bool(spec.get("shared_vertex", True)),
+            shared_vertex=_grid_entry(spec, "shared_vertex", True),
         )
     raise ValueError(f"unknown grid kind {spec['kind']!r}")
 

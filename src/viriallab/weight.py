@@ -82,20 +82,12 @@ class WeightProfile:
     ascending coefficients of the quintic tail in t = s - s1;
     z2 = ||zeta''||_inf over the tail interval [s1, 2];
     z3 = ||zeta'''||_inf over [1, 2].  Both feed eta().
-    A `weight-check --profile` file holds these four keys.
     """
 
     s1: float
     tail_coeffs: np.ndarray
     z2: float
     z3: float
-
-    def __post_init__(self):
-        tail = np.asarray(self.tail_coeffs, dtype=float)
-        if tail.shape != (6,) or not np.all(np.isfinite(tail)):
-            raise ValueError(f"tail_coeffs must be six finite numbers, got {self.tail_coeffs!r}")
-        if not 1.0 < self.s1 < 2.0:
-            raise ValueError(f"s1 must lie in (1, 2), got {self.s1}")
 
     @cached_property
     def knots(self) -> np.ndarray:
@@ -131,11 +123,11 @@ def default_profile() -> WeightProfile:
     return WeightProfile.default()
 
 
-def _chi_deriv(x, k: int, profile: WeightProfile | None = None):
+def _chi_deriv(x, k: int):
     """chi^(k)(x) from `chi_table`.  |x| is clipped at 2 (the plateau); each
     knot belongs to the piece on its right and s = 2 to the tail, so a jump
     takes that piece's one-sided value (these only ever enter sup-norms)."""
-    profile = profile or default_profile()
+    profile = default_profile()
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to chi")
@@ -157,16 +149,16 @@ def _chi_deriv(x, k: int, profile: WeightProfile | None = None):
     return out if out.ndim else float(out)
 
 
-def zeta(s, order: int = 0, profile: WeightProfile | None = None):
+def zeta(s, order: int = 0):
     """zeta = chi' or one of its first three derivatives."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in {{0,1,2,3}}, got {order}")
-    return _chi_deriv(s, order + 1, profile)
+    return _chi_deriv(s, order + 1)
 
 
-def chi(x, profile: WeightProfile | None = None):
+def chi(x):
     """chi(x) = int_0^x zeta."""
-    return _chi_deriv(x, 0, profile)
+    return _chi_deriv(x, 0)
 
 
 def chi_R(x, R: float, order: int = 0):
@@ -179,11 +171,11 @@ def chi_R(x, R: float, order: int = 0):
     return np.multiply(float(R) ** (2 - order), _chi_deriv(np.asarray(x) / R, order))
 
 
-def zeta_over_s(s, profile: WeightProfile | None = None):
+def zeta_over_s(s):
     """zeta(s)/s with the removable singularity (value 2 on |s| <= 1)."""
     s = np.asarray(s, dtype=float)
     safe = np.where(np.abs(s) <= 1.0, 1.0, s)
-    out = np.where(np.abs(s) <= 1.0, 2.0, zeta(safe, 0, profile) / safe)
+    out = np.where(np.abs(s) <= 1.0, 2.0, zeta(safe, 0) / safe)
     return out if out.ndim else float(out)
 
 
@@ -225,7 +217,7 @@ class ProfileReport:
         return {"passed": self.passed, **asdict(self)}
 
 
-def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None) -> ProfileReport:
+def verify_profile(samples: int = 100_000) -> ProfileReport:
     """Certify every inequality the weight construction relies on.
 
     Dense sampling on [-3, 3] with per-check worst margin and location.
@@ -233,7 +225,7 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
     """
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples}")
-    profile = profile or default_profile()
+    profile = default_profile()
     s1 = profile.s1
     checks: list[CheckResult] = []
 
@@ -246,15 +238,15 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
         )
 
     s = np.linspace(-3.0, 3.0, samples)
-    z0 = zeta(s, 0, profile)
-    z1 = zeta(s, 1, profile)
+    z0 = zeta(s, 0)
+    z1 = zeta(s, 1)
 
-    add("oddness", 1e-12 - np.abs(zeta(-s, 0, profile) + z0), s)
+    add("oddness", 1e-12 - np.abs(zeta(-s, 0) + z0), s)
 
     lin = s[np.abs(s) <= 1.0]
-    add("linear_branch", 1e-12 - np.abs(zeta(lin, 0, profile) - 2.0 * lin), lin)
+    add("linear_branch", 1e-12 - np.abs(zeta(lin, 0) - 2.0 * lin), lin)
     far = s[np.abs(s) >= 2.0]
-    add("zero_beyond_2", 1e-12 - np.abs(zeta(far, 0, profile)), far)
+    add("zero_beyond_2", 1e-12 - np.abs(zeta(far, 0)), far)
 
     # at the knots 1, s1, 2: each piece's right-end value of zeta and zeta'
     # against the next piece's left-end value (zero beyond 2)
@@ -265,25 +257,25 @@ def verify_profile(samples: int = 100_000, profile: WeightProfile | None = None)
 
     add("zeta_prime_le_2", 2.0 - z1, s)
     pos = s[s >= 0.0]
-    add("zeta_nonneg", zeta(pos, 0, profile), pos)
+    add("zeta_nonneg", zeta(pos, 0), pos)
 
     interior = np.linspace(s1 + 1e-9, 2.0 - 1e-9, samples // 2)
-    add("zeta_prime_negative_on_tail", -zeta(interior, 1, profile), interior)
+    add("zeta_prime_negative_on_tail", -zeta(interior, 1), interior)
 
     nz = s[np.abs(s) > 1e-9]
-    add("sup_zeta_over_s_le_2", 2.0 - zeta_over_s(nz, profile) + 1e-12, nz)
+    add("sup_zeta_over_s_le_2", 2.0 - zeta_over_s(nz) + 1e-12, nz)
 
-    c = chi(s, profile)
+    c = chi(s)
     add("chi_prime_sq_le_4chi", 4.0 * c - z0**2 + 1e-12, s)
 
     outer = s[np.abs(s) >= 1.0]
-    add("chi_ge_1_outside", chi(outer, profile) - 1.0 + 1e-12, outer)
+    add("chi_ge_1_outside", chi(outer) - 1.0 + 1e-12, outer)
 
     # |d/ds sqrt(2 - zeta'(s))|, the squared quartic-root factor's slope (R = 1)
     def dgsq(ss):
-        val = np.clip(2.0 - zeta(ss, 1, profile), 0.0, None)
+        val = np.clip(2.0 - zeta(ss, 1), 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(val > 0, -zeta(ss, 2, profile) / (2.0 * np.sqrt(val)), 0.0)
+            d = np.where(val > 0, -zeta(ss, 2) / (2.0 * np.sqrt(val)), 0.0)
         return np.abs(d)
 
     flat = s[(np.abs(s) < 1.0 - 1e-9) | (np.abs(s) > 2.0 + 1e-9)]

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import functools
 import hashlib
 import importlib.metadata
 import io
@@ -65,27 +67,12 @@ class TestWeightCheck:
     def test_too_few_samples(self):
         assert cli.main(["weight-check", "--samples", "100"]) == 2
 
-    def test_corrupted_profile(self, tmp_path, capsys):
-        prof = {
-            "s1": 1.0 + 1.0 / np.sqrt(3.0),
-            "tail_coeffs": [0, 0, 0, 0, 0, 0],
-            "z2": 88.0,
-            "z3": 2152.0,
-        }
-        p = tmp_path / "bad_profile.json"
-        p.write_text(json.dumps(prof))
-        assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 1
+    def test_corrupted_profile_fails(self, monkeypatch, capsys):
+        # a cutoff with a zero tail, put where chi_R and eta read theirs
+        bad = dataclasses.replace(w.default_profile(), tail_coeffs=np.zeros(6))
+        monkeypatch.setattr(w, "default_profile", lambda: bad)
+        assert cli.main(["weight-check", "--samples", "2000"]) == 1
         assert "knot_continuity" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("change", [{"tail_coeffs": [1.0, 0.0, -3.0]}, {"s1": 2.5}])
-    def test_malformed_profile(self, tmp_path, change):
-        # rejected by the WeightProfile constructor, before any check runs
-        prof = w.default_profile()
-        d = {"s1": prof.s1, "tail_coeffs": list(prof.tail_coeffs), "z2": prof.z2, "z3": prof.z3}
-        d.update(change)
-        p = tmp_path / "profile.json"
-        p.write_text(json.dumps(d))
-        assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 2
 
     def test_report_file_keys_and_types(self, tmp_path):
         out = tmp_path / "wc.json"
@@ -98,14 +85,6 @@ class TestWeightCheck:
             and type(c["margin"]) is float and type(c["location"]) is float
             for c in rep["checks"]
         )
-
-    def test_profile_file_without_plateau(self, tmp_path):
-        # the four keys suffice: chi's plateau value is derived from the tail
-        prof = w.default_profile()
-        d = {"s1": prof.s1, "tail_coeffs": list(prof.tail_coeffs), "z2": prof.z2, "z3": prof.z3}
-        p = tmp_path / "profile.json"
-        p.write_text(json.dumps(d))
-        assert cli.main(["weight-check", "--samples", "2000", "--profile", str(p)]) == 0
 
 
 class TestSimulate:
@@ -144,6 +123,25 @@ class TestSimulate:
         p = quick_scenario(tmp_path, name="blow", lam=1.3, T=2.0)
         code = cli.main(["simulate", str(p), "--out", str(tmp_path / "blow")])
         assert code == 10
+
+    @pytest.mark.parametrize("analysis, column", [
+        (None, None), ({}, None), ({"R": "auto"}, None), ({"R": 0}, "tail_mass@0"),
+        ({"R": 8}, "tail_mass@8"), ({"R": 2.5}, "tail_mass@2.5"),
+    ])
+    def test_analysis_R_accepted(self, tmp_path, analysis, column):
+        # absent, "auto" or a finite number >= 0; a number adds the tail mass
+        # of |x| >= R as the last series column
+        sc = json.loads(quick_scenario(tmp_path).read_text())
+        if analysis is None:
+            del sc["analysis"]
+        else:
+            sc["analysis"] = analysis
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(sc))
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 0
+        head = (tmp_path / "run" / "series.csv").read_text().splitlines()[0].split(",")
+        assert head[:4] == ["t", "mass", "energy", "grad_norm"]
+        assert head[4:] == ([column] if column else [])
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -463,6 +461,15 @@ class TestVirialReport:
         assert cli.main(["virial-report", "rel_run", "--R", "8"]) == 0
         assert (tmp_path / "out" / "rel_run" / "virial_summary.json").exists()
 
+    def test_out_under_output_root(self, tmp_path):
+        # a relative --out names a directory under $VIRIALLAB_OUT, which gets
+        # both report files; the trajectory directory gets neither
+        out = self.run_quick(tmp_path)
+        assert cli.main(["virial-report", str(out), "--R", "8", "--out", "rep"]) == 0
+        files = ["virial_report.csv", "virial_summary.json"]
+        assert sorted(f.name for f in (tmp_path / "out" / "rep").iterdir()) == files
+        assert not any((out / f).exists() for f in files)
+
     def test_missing_trajectory(self, tmp_path):
         assert cli.main(["virial-report", str(tmp_path / "nothing")]) == 2
 
@@ -639,17 +646,39 @@ class TestGroundState:
     "sweep --set grid.N.x=1",
     "sweep --set grid.N=1000",
     "sweep invpow_gaussian --set grid.N=1000",
+    "sweep --set grid.N=4096.5",
+    "sweep invpow_gaussian --set grid.stagger=\"false\"",
+    "sweep graph_gaussian --set grid.M=1600.0",
     "sweep",
+    "simulate free_gaussian analysis.R=-1",
+    "simulate free_gaussian analysis.R=NaN",
+    "simulate free_gaussian analysis.R=Infinity",
+    "simulate free_gaussian analysis.R=true",
+    "simulate free_gaussian analysis.R=\"8\"",
+    "simulate free_gaussian analysis=[]",
+    "simulate free_gaussian analysis=null",
+    "simulate free_gaussian analysis=8",
+    "simulate graph_gaussian grid.shared_vertex=\"true\"",
+    "weight-check --profile x.json",
 ])
-def test_bad_arguments_exit_2_before_solving(argv, monkeypatch):
+def test_bad_arguments_exit_2_before_solving(argv, tmp_path, monkeypatch):
     # sweep runs a valid bundled scenario, free_blowup unless the row names
-    # another, so only the bad option can exit 2
+    # another, and simulate a copy of the named scenario with the one KEY=JSON
+    # set, so only the bad option or entry can exit 2
     args = argv.split()
     if args[0] == "sweep":
         name = args.pop(1) if args[1:2] and not args[1].startswith("--") else "free_blowup"
         args.insert(1, str(cli.bundled_scenario_path(name)))
+    if args[0] == "simulate":
+        key, _, text = args.pop(2).partition("=")
+        *path, leaf = key.split(".")
+        sc = json.loads(cli.bundled_scenario_path(args[1]).read_text())
+        functools.reduce(dict.__getitem__, path, sc)[leaf] = json.loads(text)
+        args[1] = str(tmp_path / "bad.json")
+        pathlib.Path(args[1]).write_text(json.dumps(sc))
     monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
     assert cli.main(args) == 2
+    assert not (tmp_path / "out").exists()  # nothing written under VIRIALLAB_OUT
 
 
 # Run in a fresh interpreter: the split path (free and inverse-power lines),

@@ -284,3 +284,31 @@ class TestNpyLayout:
         g = field_from_grid(f.grid_spec()).with_values(back)
         assert type(g) is type(f) and g.grid_spec() == f.grid_spec()
         assert np.array_equal(g.values, f.values)
+
+
+class TestGridSpec:
+    LINE = {"kind": "line", "L": 16.0, "N": 64}
+    GRAPH = {"kind": "graph", "J": 3, "Ledge": 5.0, "M": 50}
+
+    @pytest.mark.parametrize("change", [
+        {"N": 64.5}, {"N": 64.0}, {"N": True}, {"N": "64"},
+        {"stagger": "false"}, {"stagger": 0}, {"stagger": np.bool_(False)},
+    ])
+    def test_line_entries_not_coerced(self, change):
+        # a truncated N or a truthy string would run on another grid than
+        # the spec names
+        with pytest.raises(ValueError):
+            field_from_grid({**self.LINE, **change})
+
+    @pytest.mark.parametrize("change", [
+        {"J": 3.0}, {"M": 50.5}, {"M": False}, {"shared_vertex": "true"}, {"shared_vertex": 1},
+    ])
+    def test_graph_entries_not_coerced(self, change):
+        with pytest.raises(ValueError):
+            field_from_grid({**self.GRAPH, **change})
+
+    def test_numpy_integers_and_defaults(self):
+        f = field_from_grid({**self.LINE, "N": np.int64(64)})
+        assert f.grid_spec() == {**self.LINE, "stagger": False} and type(f.N) is int
+        g = field_from_grid({**self.GRAPH, "M": np.int32(50)})
+        assert g.grid_spec() == {**self.GRAPH, "shared_vertex": True} and type(g.M) is int
