@@ -26,7 +26,7 @@ from . import soliton as sol
 from . import virial_analysis as va
 from . import weight
 from .evolve import _fmt
-from .field import LineField, field_from_grid, lp_norm
+from .field import LineField, field_from_grid, json_entry, known_entries, lp_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,50 +44,52 @@ class UsageError(Exception):
     """A bad argument, scenario or input file: `main` prints it and exits 2."""
 
 
-def _build_initial(data: dict, template, model: fn.ModelSpec):
-    kind = data.get("kind")
-    if kind == "scaled_soliton":
-        return sol.scaled_data(
-            float(data["lam"]),
-            float(data.get("omega", 1.0)),
-            template,
-            center=float(data.get("center", 0.0)),
-        )
-    if kind == "gaussian":
-        a = float(data.get("a", 1.0))
-        sigma = float(data.get("sigma", 1.0))
-        c = float(data.get("center", 0.0))
+# the entries of each initial_data kind besides "kind", and the numbers' defaults (None: required)
+_INITIAL = {
+    "scaled_soliton": {"lam": None, "omega": 1.0, "center": 0.0},
+    "gaussian": {"a": 1.0, "sigma": 1.0, "center": 0.0},
+    "ground_state": {"omega": 1.0, "tol": 1e-8},
+    "file": {"path": None},
+}
 
+
+def _build_initial(data: dict, template, model: fn.ModelSpec):
+    """The Field of a scenario's initial_data; ValueError on an entry its
+    kind does not read or a number that is not a JSON number."""
+    kind = data.get("kind")
+    if kind not in _INITIAL:
+        raise UsageError(f"unknown initial_data kind {kind!r}")
+    known_entries(data, ("kind", *_INITIAL[kind]), f"{kind} initial_data")
+    num = {k: json_entry(data, k, float, d, "initial_data") for k, d in _INITIAL[kind].items()
+           if k != "path"}
+    if kind == "scaled_soliton":
+        return sol.scaled_data(num["lam"], num["omega"], template, center=num["center"])
+    if kind == "gaussian":
+        a, sigma, c = num["a"], num["sigma"], num["center"]
         return template.sampled(lambda x: a * np.exp(-(((x - c) / sigma) ** 2)))
     if kind == "ground_state":
-        gs = sol.ground_state_flow(
-            model, template, omega=float(data.get("omega", 1.0)),
-            tol=float(data.get("tol", 1e-8)),
-        )
+        gs = sol.ground_state_flow(model, template, omega=num["omega"], tol=num["tol"])
         if not gs.converged:
             raise UsageError("ground-state initial data did not converge")
         return gs.field
-    if kind == "file":  # the samples in the grid's shape, as `np.save` wrote them
-        path = pathlib.Path(data["path"])
-        values = np.load(path, allow_pickle=False)
-        if np.shape(values) != template.values.shape:
-            raise ValueError(f"{path}: shape {np.shape(values)} != {template.values.shape}")
-        # the nodes `sampled` pins to zero: a graph's Dirichlet far nodes,
-        # whose values the first Cayley step would drop
-        if np.any(values[template.sampled(np.ones_like).values == 0]):
-            raise UsageError(f"{path}: nonzero value at a Dirichlet far node")
-        # a `ground-state` profile.npy names its grid in the record.json beside
-        # it (one written before grids were recorded names none)
-        record = path.with_name("record.json")
-        grid = None
-        if path.name == "profile.npy" and record.exists():
-            grid = json.loads(record.read_text()).get("grid")
-        if grid is not None and field_from_grid(grid).grid_spec() != template.grid_spec():
-            raise UsageError(
-                f"{path}: {record} names grid {grid}, the scenario {template.grid_spec()}"
-            )
-        return template.with_values(values)
-    raise UsageError(f"unknown initial_data kind {kind!r}")
+    # a file: the samples in the grid's shape, as `np.save` wrote them
+    path = pathlib.Path(data["path"])
+    values = np.load(path, allow_pickle=False)
+    if np.shape(values) != template.values.shape:
+        raise ValueError(f"{path}: shape {np.shape(values)} != {template.values.shape}")
+    # the nodes `sampled` pins to zero: a graph's Dirichlet far nodes,
+    # whose values the first Cayley step would drop
+    if np.any(values[template.sampled(np.ones_like).values == 0]):
+        raise UsageError(f"{path}: nonzero value at a Dirichlet far node")
+    # a `ground-state` profile.npy names its grid in the record.json beside
+    # it (one written before grids were recorded names none)
+    record = path.with_name("record.json")
+    grid = None
+    if path.name == "profile.npy" and record.exists():
+        grid = json.loads(record.read_text()).get("grid")
+    if grid is not None and field_from_grid(grid).grid_spec() != template.grid_spec():
+        raise UsageError(f"{path}: {record} names grid {grid}, the scenario {template.grid_spec()}")
+    return template.with_values(values)
 
 
 def load_scenario(path) -> dict:
@@ -257,9 +259,7 @@ def cmd_ground_state(args) -> int:
                 args.gamma, args.mu, template, omega=args.omega, tol=args.tol
             )
         else:
-            model = fn.ModelSpec.from_dict(
-                {"variant": args.model, "gamma": args.gamma, "mu": args.mu}
-            )
+            model = fn.ModelSpec(args.model, gamma=args.gamma, mu=args.mu)
             gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

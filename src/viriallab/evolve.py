@@ -21,7 +21,7 @@ dt falls on every step, keeps one dt over many steps and rebuilds its flow
 (propagator or LU factor, that of the last dt only) and leading half phase
 about 50 times.
 
-The split stepper takes k^2 on the half spectrum once per call and V from
+The split stepper takes k^2 from `spectral_k2`, cached per grid, and V from
 `smooth_potential`, cached per grid and model.  A run steps one vector in
 place, the samples or the coefficients v, and builds a Field only for an
 exact norm.  The half phase is exp(i dt/2 |u|^4) vfac in one buffer, vfac =
@@ -45,7 +45,7 @@ snapshot steps, the last state and where the identity or sup|u| crosses its
 threshold, and alone decides the trigger: the identity can delay a
 detection, when the energy rises, never fire one.  The split flow
 transforms in one spectrum buffer with the Fourier propagator (cos + i sin
-on the half spectrum, mirrored) times 1/N, exact for N a power of two and
+on the full spectrum) times 1/N, exact for N a power of two and
 rebuilt only when dt changes, so a step takes two FFTs, the inverse unscaled.
 The Cayley flow (M + i dt/2 K)^{-1} (M - i dt/2 K) v = (M + i dt/2 K)^{-1}
 2M v - v takes no matvec with K.  Every edge of a star has the same complex
@@ -85,8 +85,9 @@ from .field import (
     Field,
     LineField,
     field_from_grid,
+    json_entry,
     p1_chain,
-    spectral_wavenumbers,
+    spectral_k2,
     tail_mass,
 )
 from .functionals import (
@@ -123,11 +124,12 @@ class SolverConfig:
     dt_min: float = 1e-12
 
     def __post_init__(self):
+        for key in vars(self):  # a JSON integer stride, and JSON numbers
+            json_entry(vars(self), key, int if key == "snapshot_stride" else float, None, "solver")
         # written so that NaN fails every check
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        stride = self.snapshot_stride
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not (self.grad_blowup_factor > 1.0 and self.amp_cap > 0.0):
             raise ValueError("grad_blowup_factor > 1 and amp_cap > 0 required")
@@ -214,9 +216,8 @@ def _phase(
     return out
 
 
-def _potential_phase(V: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-    """exp(-i dt/2 V) as cos + i sin in `out`."""
-    arg = V * (-dt / 2.0)
+def _expi(arg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i arg) as cos + i sin in `out`."""
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
@@ -238,7 +239,7 @@ def _stepper(n: int, V, nonlinearity_on: bool, flow):
             if dt == 0.0 or not np.isfinite(dt):
                 raise ValueError("dt must be a nonzero finite number")
             if vfac is not None:
-                _potential_phase(V, dt, vfac)
+                _expi(V * (-dt / 2.0), vfac)
             _phase(vec, dt, vfac, nonlinearity_on, fac, th, m2, live)
             last_dt = dt
         vec *= fac
@@ -280,26 +281,13 @@ def _identity(w, V, nodes, g, nonlinearity_on, grad0, vec0, m20, factor) -> tupl
     return (lambda vec, m2: math.sqrt(max(g0sq + (c(vec, m2) - c0), 0.0))), amp
 
 
-def _propagator(k2: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-    """exp(-i k^2 dt) in `out` from k^2 on the half spectrum; k^2 is even, so
-    the negative wavenumbers mirror it."""
-    n = len(k2) - 1
-    arg = -dt * k2
-    np.cos(arg, out=out.real[: n + 1])
-    np.sin(arg, out=out.imag[: n + 1])
-    out[n + 1 :] = out[n - 1 : 0 : -1]
-    return out
-
-
 def _split_stepper(template: LineField, model: ModelSpec):
     """(step, (w, V, nodes, g)) on vectors of template's grid: the `_stepper` step
     with the exact Fourier flow in a spectrum buffer, the propagator rebuilt
     when dt changes, and the `_identity` terms (V 0.0 where it is zero)."""
-    if template.N & (template.N - 1):
-        raise ValueError("split-step needs N a power of two")
     if not model.uses_spectral():
         raise ValueError("split-step handles only the free and inverse_power variants")
-    k2 = spectral_wavenumbers(template)[: template.N // 2 + 1] ** 2
+    k2 = spectral_k2(template.L, template.N)
     V = smooth_potential(template, model)
     V = 0.0 if V is None else V
     (spec, prop), prop_dt = np.empty((2, template.N), dtype=complex), None
@@ -307,7 +295,7 @@ def _split_stepper(template: LineField, model: ModelSpec):
     def flow(u: np.ndarray, dt: float) -> np.ndarray:
         nonlocal prop_dt
         if dt != prop_dt:
-            np.multiply(_propagator(k2, dt, prop), 1.0 / template.N, out=prop)
+            np.multiply(_expi(-dt * k2, prop), 1.0 / template.N, out=prop)
             prop_dt = dt
         np.fft.fft(u, out=spec)
         np.multiply(spec, prop, out=spec)
@@ -486,37 +474,26 @@ def p1_form(template: Field) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     return K.tocsc()[:n, :n], Mdiag, unknown
 
 
-def vertex_layout(template: Field, model: ModelSpec) -> Field:
-    """Zero field on the grid of `template` in the layout the model evolves
-    in: on a graph the condition decides if the vertex is one value
-    (Kirchhoff, Dirac delta) or one per edge (delta prime)."""
-    spec = template.grid_spec()
-    if model.variant == "graph":
-        spec["shared_vertex"] = model.vertex.is_continuity_type
-    return field_from_grid(spec)
-
-
 def require_vertex_layout(f: Field, model: ModelSpec) -> None:
-    """`require_geometry`, and a ValueError naming the setting the grid
-    needs when f's vertex layout is not the model's `vertex_layout`."""
+    """`require_geometry`, and a ValueError naming the setting the grid needs
+    unless f's vertex is one value on a continuity condition, one per edge else."""
     require_geometry(f, model)
-    need = vertex_layout(f, model).grid_spec()
-    if f.grid_spec() != need:
-        setting = f'"shared_vertex": {str(need["shared_vertex"]).lower()}'
+    if model.variant == "graph" and f.shared_vertex != model.vertex.is_continuity_type:
+        setting = f'"shared_vertex": {str(not f.shared_vertex).lower()}'
         raise ValueError(f"a {model.vertex.kind} vertex needs a grid with {setting}")
 
 
 def assemble_hamiltonian(template: Field, model: ModelSpec) -> AssembledOperator:
-    """Discrete quadratic form of the linear operator: `p1_form` on the
-    model's `vertex_layout` plus the rank-one point interaction g e e^T, e the
-    indicator of `vertex_form`'s nodes."""
+    """Discrete quadratic form of the linear operator: `p1_form` on template in
+    the model's `require_vertex_layout` plus the rank-one point interaction
+    g e e^T, e the indicator of `vertex_form`'s nodes."""
     if model.uses_spectral():
         raise ValueError("form assembly covers the delta and graph variants")
     import scipy.sparse as sp
 
-    layout = vertex_layout(template, model)
-    K, Mdiag, unknown = p1_form(layout)
-    nodes, g = vertex_form(layout, model)
+    require_vertex_layout(template, model)
+    K, Mdiag, unknown = p1_form(template)
+    nodes, g = vertex_form(template, model)
     c = unknown.ravel()[nodes]
     e = sp.coo_matrix((np.ones(len(c)), (c, np.zeros(len(c), int))), shape=(K.shape[0], 1))
     return AssembledOperator(model, template, (K + g * (e @ e.T)).tocsc(), Mdiag, unknown)
@@ -526,7 +503,7 @@ def _cayley_stepper(H: AssembledOperator):
     """(step, (w, V, nodes, g)) on H's coefficient vector, as `_split_stepper`'s:
     the Cayley step, and the `_identity` terms on the lumped mass with the
     model's point interaction."""
-    nodes, g = vertex_form(vertex_layout(H.template, H.model), H.model)
+    nodes, g = vertex_form(H.template, H.model)
     step = _stepper(len(H.Mdiag), 0.0, H.model.nonlinearity_on, H.cayley_solve)
     return step, (H.Mdiag, 0.0, H.unknown.ravel()[nodes], g)
 
@@ -534,7 +511,8 @@ def _cayley_stepper(H: AssembledOperator):
 def step_cn(f: Field, dt: float, H: AssembledOperator) -> Field:
     """Strang step with the Cayley (Crank-Nicolson) linear propagator:
     half-step quintic phase, exactly norm-preserving linear solve, half-step
-    phase."""
+    phase; f must hold H's model's vertex layout (`require_vertex_layout`)."""
+    require_vertex_layout(f, H.model)
     return H.from_vector(_cayley_stepper(H)[0](H.to_vector(f), dt), f)
 
 

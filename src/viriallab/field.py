@@ -182,32 +182,42 @@ class GraphField:
 Field = LineField | GraphField
 
 
-def _grid_entry(spec: dict, key: str, flag: bool | None = None):
-    """spec[key], an integer and not a bool; or, given a `flag` default,
-    spec.get(key, flag), a bool.  Nothing is coerced: N = 4096.5 or
-    stagger = "false" is a ValueError, not N = 4096 or stagger = True."""
-    v = spec[key] if flag is None else spec.get(key, flag)
-    if isinstance(v, bool) != (flag is not None) or not isinstance(v, (int, np.integer)):
-        want = "an integer" if flag is None else "a bool"
-        raise ValueError(f"grid {key} must be {want}, got {v!r}")
-    return v
+# the values a scenario entry of each type may hold, and the type's name
+_JSON_TYPES = {bool: (bool, "a bool"), int: ((int, np.integer), "an integer"),
+               float: ((int, float, np.integer, np.floating), "a number")}
+
+
+def json_entry(d: dict, key: str, want: type, default=None, where: str = "grid"):
+    """want(d[key]), or want(d.get(key, default)) given a default, if that is a JSON
+    bool, integer or number as `want` is bool, int or float: "1.5" or true is no number."""
+    v = d[key] if default is None else d.get(key, default)
+    types, name = _JSON_TYPES[want]
+    if not isinstance(v, types) or (want is not bool and isinstance(v, bool)):
+        raise ValueError(f"{where} {key} must be {name}, got {v!r}")
+    return want(v)
+
+
+def known_entries(d: dict, keys, where: str) -> None:
+    """ValueError unless every key of d is one of `keys`, as a misspelt one would be ignored."""
+    if set(d) - set(keys):
+        raise ValueError(f"unknown {where} entries {sorted(set(d) - set(keys))}")
 
 
 def field_from_grid(spec: dict) -> Field:
     """Zero field on the grid described by `spec` (the inverse of
     `grid_spec`); KeyError, TypeError or ValueError on a bad spec."""
     if spec["kind"] == "line":
-        N, stagger = int(_grid_entry(spec, "N")), _grid_entry(spec, "stagger", False)
+        N, stagger = json_entry(spec, "N", int), json_entry(spec, "stagger", bool, False)
         return LineField(L=float(spec["L"]), N=N, values=np.zeros(N), stagger=stagger)
     if spec["kind"] == "graph":
-        J, M = int(_grid_entry(spec, "J")), int(_grid_entry(spec, "M"))
+        J, M = json_entry(spec, "J", int), json_entry(spec, "M", int)
         return GraphField(
             J=J,
             Ledge=float(spec["Ledge"]),
             M=M,
             vertex_values=np.zeros(J),
             edge_values=np.zeros((J, M)),
-            shared_vertex=_grid_entry(spec, "shared_vertex", True),
+            shared_vertex=json_entry(spec, "shared_vertex", bool, True),
         )
     raise ValueError(f"unknown grid kind {spec['kind']!r}")
 
@@ -222,7 +232,18 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def spectral_wavenumbers(f: LineField) -> np.ndarray:
+    """f's wavenumbers in FFT order; ValueError unless N is a power of two."""
+    if f.N & (f.N - 1):
+        raise ValueError("spectral derivative needs N a power of two")
     return 2.0 * np.pi * np.fft.fftfreq(f.N, d=f.h)
+
+
+@functools.lru_cache(maxsize=8)
+def spectral_k2(L: float, N: int) -> np.ndarray:
+    """Read-only `spectral_wavenumbers` squared on a line grid, once per (L, N)."""
+    k2 = spectral_wavenumbers(LineField(L=L, N=N, values=np.zeros(N))) ** 2
+    k2.flags.writeable = False
+    return k2
 
 
 def derivative(f: Field, method: str, u: np.ndarray | None = None) -> np.ndarray:
@@ -237,8 +258,6 @@ def derivative(f: Field, method: str, u: np.ndarray | None = None) -> np.ndarray
         raise ValueError(f"unknown derivative method {method!r}")
     if not isinstance(f, LineField):
         raise ValueError("spectral derivative needs a line field")
-    if f.N & (f.N - 1):
-        raise ValueError("spectral derivative needs N a power of two")
     ik = 1j * spectral_wavenumbers(f)
     ik[f.N // 2] = 0.0  # drop the unpaired Nyquist mode
     return np.fft.ifft(ik * np.fft.fft(u))

@@ -23,9 +23,11 @@ from .field import (
     derivative,
     field_from_grid,
     grid_sum,
+    json_entry,
+    known_entries,
     lp_norm,
     p1_chain,
-    spectral_wavenumbers,
+    spectral_k2,
     tail_mass,
     tail_quad_weights,
 )
@@ -53,7 +55,8 @@ class VertexCondition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VertexCondition":
-        return cls(kind=d["kind"], gamma=float(d.get("gamma", 0.0)))
+        known_entries(d, ("kind", "gamma"), "vertex")
+        return cls(kind=d["kind"], gamma=json_entry(d, "gamma", float, 0.0, "vertex"))
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        vertex = VertexCondition.from_dict(d["vertex"]) if "vertex" in d else None
+        """The inverse of `to_dict`, with its entries read by `json_entry`."""
+        known_entries(d, ("variant", "gamma", "mu", "nonlinearity_on", "vertex"), "model")
         return cls(
             variant=d["variant"],
-            gamma=float(d.get("gamma", 0.0)),
-            mu=float(d.get("mu", 0.0)),
-            vertex=vertex,
-            nonlinearity_on=bool(d.get("nonlinearity_on", True)),
+            gamma=json_entry(d, "gamma", float, 0.0, "model"),
+            mu=json_entry(d, "mu", float, 0.0, "model"),
+            vertex=VertexCondition.from_dict(d["vertex"]) if "vertex" in d else None,
+            nonlinearity_on=json_entry(d, "nonlinearity_on", bool, True, "model"),
         )
 
 
@@ -162,31 +166,21 @@ def grad_block(grid: Field, u: np.ndarray, model: ModelSpec) -> np.ndarray:
     return derivative(grid, "spectral" if model.uses_spectral() else "fd", u)
 
 
-@functools.lru_cache(maxsize=8)
-def _parseval_k2(L: float, N: int) -> np.ndarray:
-    """Read-only k^2 of a line grid with the unpaired Nyquist mode dropped."""
-    k2 = spectral_wavenumbers(LineField(L=L, N=N, values=np.zeros(N))) ** 2
-    k2[N // 2] = 0.0
-    k2.flags.writeable = False
-    return k2
-
-
 def kinetic_energy(f: Field, model: ModelSpec) -> float:
     """(1/2) integral of |du|^2.
 
-    The spectral variants take it through Parseval from one FFT,
-    (h / 2N) sum k^2 |fft u|^2 without the Nyquist mode, the norm of the
-    spectral `derivative`.  Delta and graph variants use the piecewise-linear
-    element form sum |u_{i+1} - u_i|^2 / h along `p1_chain`, which is
-    exactly the quadratic form conserved by the Cayley scheme.
+    The spectral variants take it through Parseval from one FFT, (h / 2N) sum
+    k^2 |fft u|^2 over `spectral_k2`, the Nyquist mode dropped from the power:
+    the norm of the spectral `derivative`.  Delta and graph variants use the
+    piecewise-linear element form sum |u_{i+1} - u_i|^2 / h along `p1_chain`,
+    which is exactly the quadratic form conserved by the Cayley scheme.
     """
     if model.uses_spectral():
         require_geometry(f, model)
-        if f.N & (f.N - 1):
-            raise ValueError("spectral derivative needs N a power of two")
-        spec = np.fft.fft(f.values)
+        k2, spec = spectral_k2(f.L, f.N), np.fft.fft(f.values)
         power = spec.real**2 + spec.imag**2
-        return 0.5 * f.h / f.N * float(np.dot(_parseval_k2(f.L, f.N), power))
+        power[f.N // 2] = 0.0  # the unpaired Nyquist mode
+        return 0.5 * f.h / f.N * float(np.dot(k2, power))
     diff = np.diff(p1_chain(f, f.values, 0.0), axis=-1)
     return 0.5 * float(np.vdot(diff, diff).real / f.h)
 

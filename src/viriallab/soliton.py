@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import assemble_hamiltonian, p1_form
-from .field import Field, LineField, spectral_wavenumbers
+from .field import Field, LineField, spectral_k2
 from .functionals import ModelSpec, potential_on_grid, require_geometry, vertex_form
 
 
@@ -123,7 +123,7 @@ def _standing_wave(u, w, H, flow, K, V, omega, tol, warm_up):
 def _fourier_ground_state(template: LineField, V, omega, tol) -> GroundState:
     """Line variants on the Fourier operator, from exact_Q with the warm-up;
     the P1 stiffness is the Newton preconditioner."""
-    k2 = spectral_wavenumbers(template) ** 2
+    k2 = spectral_k2(template.L, template.N)
     denom = 1.0 + _TAU * (k2 + omega)
     u, res, it, ok = _standing_wave(
         exact_Q(omega, template.x), template.quad_weights,

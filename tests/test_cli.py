@@ -659,6 +659,18 @@ class TestGroundState:
     "simulate free_gaussian analysis=null",
     "simulate free_gaussian analysis=8",
     "simulate graph_gaussian grid.shared_vertex=\"true\"",
+    "simulate free_gaussian model.nonlinearity_on=\"false\"",
+    "simulate delta_gaussian model.gama=1.0",
+    "simulate delta_gaussian model.gamma=\"1.0\"",
+    "simulate invpow_gaussian model.mu=\"0.5\"",
+    "simulate graph_gaussian model.vertex.gama=1.0",
+    "simulate free_gaussian initial_data.a=\"1.5\"",
+    "simulate free_gaussian initial_data.a=true",
+    "simulate free_gaussian initial_data.sigm=2.0",
+    "simulate free_soliton initial_data.lam=\"1.0\"",
+    "simulate free_gaussian solver.phase_tol=true",
+    "simulate free_gaussian solver.T_end=true",
+    "sweep free_gaussian --set initial_data.a=\"1.5\"",
     "weight-check --profile x.json",
 ])
 def test_bad_arguments_exit_2_before_solving(argv, tmp_path, monkeypatch):

@@ -18,9 +18,11 @@ from viriallab.field import (
     derivative,
     field_from_grid,
     lp_norm,
+    spectral_k2,
     spectral_wavenumbers,
     tail_mass,
 )
+from viriallab.soliton import ground_state_flow
 
 
 def soliton_field(L=16.0, N=2**12, lam=1.0, center=0.0):
@@ -69,6 +71,18 @@ class TestSplitStep:
             f = ev.step_splitstep(f, -1e-3, model)
         err = lp_norm(f.with_values(f.values - f0.values), 2) / lp_norm(f0, 2)
         assert err < 1e-9
+
+    def test_power_of_two_rule_on_every_fourier_path(self):
+        # the one check in `spectral_wavenumbers`: a ground state on N = 48
+        # used to converge to a profile whose energy could not be taken
+        f = LineField.from_function(lambda x: np.exp(-(x**2)), 4.0, 48)
+        model = fn.ModelSpec.free()
+        for call in (
+            lambda: derivative(f, "spectral"), lambda: fn.kinetic_energy(f, model),
+            lambda: ev.step_splitstep(f, 1e-3, model), lambda: ground_state_flow(model, f),
+        ):
+            with pytest.raises(ValueError, match="spectral derivative needs N a power of two"):
+                call()
 
     def test_rejects_bad_dt_and_grid(self):
         f = soliton_field(N=2**6)
@@ -162,6 +176,14 @@ def identity_norm(terms, model, grad0, vec0):
     return ev._identity(*terms, model.nonlinearity_on, grad0, vec0, modulus2(vec0), 10.0)[0]
 
 
+def counted_expi(monkeypatch):
+    """The angle at node 1 of each `_expi` call in evolve from here on: the
+    split propagator's and V's phase factor's rebuilds."""
+    args, expi = [], ev._expi
+    monkeypatch.setattr(ev, "_expi", lambda arg, out: args.append(arg[1]) or expi(arg, out))
+    return args
+
+
 def counted_kinetic_energy(monkeypatch):
     """The calls of the exact norm's `kinetic_energy` in `run` from here on."""
     calls, kinetic = [], ev.kinetic_energy
@@ -197,11 +219,15 @@ class TestKernelPins:
             assert fn.kinetic_energy(f, model) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("N", [2**p for p in range(6, 16)])
-    def test_cached_parseval_k2_is_bitwise_and_read_only(self, N):
+    def test_cached_k2_is_bitwise_and_read_only(self, N):
+        # one full-spectrum table per (L, N) serves the Parseval norm, whose
+        # power drops the Nyquist mode, the propagator and the ground states
         for model, stagger in SPECTRAL_CASES[:2]:
             f = rough_field(N, stagger)
             assert fn.kinetic_energy(f, model) == ref_parseval_kinetic_energy(f)
-        k2 = fn._parseval_k2(16.0, N)
+            k2 = spectral_k2(f.L, f.N)
+            assert k2 is spectral_k2(16.0, N)
+            assert np.array_equal(k2, spectral_wavenumbers(f) ** 2)
         assert not k2.flags.writeable
         with pytest.raises(ValueError):
             k2[0] = 1.0
@@ -370,10 +396,11 @@ class TestAssembly:
     @pytest.mark.parametrize("J", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["kirchhoff", "dirac_delta", "delta_prime"])
     def test_graph_matches_lil_reference(self, J, kind):
-        # the vertex condition, not the template's shared_vertex, sets the layout
+        # on the condition's own layout: one vertex value, or one per edge for delta'
         vc = fn.VertexCondition(kind, gamma=0.0 if kind == "kirchhoff" else 1.3)
-        for Ledge, M, shared in ((5.0, 20, True), (7.3, 31, False)):
-            grid = {"kind": "graph", "J": J, "Ledge": Ledge, "M": M, "shared_vertex": shared}
+        for Ledge, M in ((5.0, 20), (7.3, 31)):
+            grid = {"kind": "graph", "J": J, "Ledge": Ledge, "M": M,
+                    "shared_vertex": vc.is_continuity_type}
             assert_matches_lil(field_from_grid(grid), fn.ModelSpec.graph(vc), rel=4e-16)
 
     @pytest.mark.parametrize(
@@ -502,11 +529,12 @@ def rough_graph(J, shared, M=96, seed=0):
 def cayley_cases():
     for gamma in (0.0, 1.3, -2.0):
         yield pytest.param(rough_field(2**9), fn.ModelSpec.delta(gamma), id=f"line-delta{gamma}")
+    # each condition on its own vertex layout, the only one it assembles on
     for J in (1, 2, 3, 4):
         for vc in VERTEX_CONDITIONS:
-            for shared in (True, False):
-                name = f"graph-J{J}-{vc.kind}{vc.gamma}-{'shared' if shared else 'unshared'}"
-                yield pytest.param(rough_graph(J, shared, seed=J), fn.ModelSpec.graph(vc), id=name)
+            shared = vc.is_continuity_type
+            name = f"graph-J{J}-{vc.kind}{vc.gamma}-{'shared' if shared else 'unshared'}"
+            yield pytest.param(rough_graph(J, shared, seed=J), fn.ModelSpec.graph(vc), id=name)
 
 
 class TestCayleyPins:
@@ -519,16 +547,10 @@ class TestCayleyPins:
         rng = np.random.default_rng(1)
         n = len(H.Mdiag)
         vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # a delta' vertex holds one value per edge, which a shared grid cannot
-        # store, so there only the coefficient vector is stepped
-        holds_step = not (
-            model.variant == "graph" and f.shared_vertex and not model.vertex.is_continuity_type
-        )
         for dt in CAYLEY_DTS:
             assert rel_err(H.cayley_solve(vec, dt), ref_cayley_solve(H, vec, dt)) <= 1e-12
-            if holds_step:
-                new = ev.step_cn(f, dt, H).values
-                assert rel_err(new, ref_step_cn(f, dt, H).values) <= 1e-12
+            new = ev.step_cn(f, dt, H).values
+            assert rel_err(new, ref_step_cn(f, dt, H).values) <= 1e-12
 
     @pytest.mark.parametrize("graph", [False, True], ids=["delta-line", "graph-3-edge"])
     def test_discrete_mass_conserved(self, graph):
@@ -914,17 +936,11 @@ class TestSplitVectorLoop:
         # more (the leading factor) on the first step and on every step whose
         # dt differs from the step before; V's phase factor with the
         # propagator, where V is not zero
-        step_dts, prop_dts, phase_dts, vfac_dts = [], [], [], []
-        stepper, propagator, phase = ev._stepper, ev._propagator, ev._phase
-        vphase = ev._potential_phase
-        monkeypatch.setattr(
-            ev, "_potential_phase", lambda V, dt, out: vfac_dts.append(dt) or vphase(V, dt, out)
-        )
+        step_dts, phase_dts = [], []
+        stepper, phase = ev._stepper, ev._phase
+        expi_args = counted_expi(monkeypatch)
         monkeypatch.setattr(ev, "_stepper", lambda n, V, on, flow: stepper(
             n, V, on, lambda v, dt: step_dts.append(dt) or flow(v, dt)))
-        monkeypatch.setattr(
-            ev, "_propagator", lambda k2, dt, out: prop_dts.append(dt) or propagator(k2, dt, out)
-        )
         monkeypatch.setattr(
             ev, "_phase", lambda u, dt, *a: phase_dts.append(dt) or phase(u, dt, *a)
         )
@@ -939,8 +955,13 @@ class TestSplitVectorLoop:
             # the target falls across rungs, yet on the ladder dt holds over
             # most steps
             assert 3 < sum(changed) < len(step_dts) / 2
-        assert prop_dts == [dt for dt, c in zip(step_dts, changed) if c]
-        assert vfac_dts == (prop_dts if model.variant == "inverse_power" else [])
+        # each rebuild: exp(-i dt/2 V) in the step where V is not zero, then
+        # exp(-i k^2 dt) in the flow, told apart by their angles at node 1
+        V, k2 = fn.smooth_potential(f, model), spectral_k2(f.L, f.N)[1]
+        rebuilt = []
+        for dt in [dt for dt, c in zip(step_dts, changed) if c]:
+            rebuilt += ([] if V is None else [V[1] * (-dt / 2.0)]) + [-dt * k2]
+        assert expi_args == rebuilt
         expected = []
         for dt, c in zip(step_dts, changed):
             expected += [dt, dt] if c else [dt]
@@ -954,11 +975,13 @@ class TestSplitVectorLoop:
         # is a power of two
         f = rough_field(N, stagger)
         for model in [fn.ModelSpec.free()] + stagger * [fn.ModelSpec.inverse_power(2.0, 0.5)]:
-            k2 = spectral_wavenumbers(f)[: N // 2 + 1] ** 2
-            prop = np.empty(N, dtype=complex)
+            k2 = spectral_wavenumbers(f) ** 2
 
             def flow(u, dt):
-                return np.fft.ifft(np.fft.fft(u) * ev._propagator(k2, dt, prop))
+                # exp(-i k^2 dt) as cos + i sin on the full spectrum
+                prop = np.empty(N, dtype=complex)
+                prop.real, prop.imag = np.cos(-dt * k2), np.sin(-dt * k2)
+                return np.fft.ifft(np.fft.fft(u) * prop)
 
             new, (_, V, *_) = ev._split_stepper(f, model)
             ref = ev._stepper(N, V, True, flow)
@@ -1184,16 +1207,14 @@ class TestExactGradNorm:
 
     @pytest.mark.parametrize("f,model", cayley_cases())
     def test_kinetic_energy_is_assembled_form(self, f, model):
-        # vec^H K vec = ||v'||^2 + g |sum_vertex v|^2 on the model's layout,
-        # which a shared grid is not for a delta' vertex
+        # vec^H K vec = ||v'||^2 + g |sum_vertex v|^2
         H = ev.assemble_hamiltonian(f, model)
-        layout = ev.vertex_layout(f, model)
-        nodes, g = fn.vertex_form(layout, model)
+        nodes, g = fn.vertex_form(f, model)
         rng = np.random.default_rng(2)
         n = len(H.Mdiag)
         for _ in range(50):
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u = H.from_vector(vec, layout)
+            u = H.from_vector(vec, f)
             vertex = g * abs(np.sum(u.values.ravel()[nodes])) ** 2
             form = float(np.vdot(vec, H.K @ vec).real)
             assert 2.0 * fn.kinetic_energy(u, model) + vertex == pytest.approx(form, rel=1e-12)
@@ -1323,19 +1344,16 @@ class TestRun:
         assert lp_norm(diff, 2) / lp_norm(f, 2) < 1e-3
 
     def test_free_blowup_detected(self, monkeypatch):
-        # the free_blowup data: dt on the ladder builds the propagator once per
-        # rung (52 times in some 11,300 steps)
-        prop_dts, propagator = [], ev._propagator
-        monkeypatch.setattr(
-            ev, "_propagator", lambda k2, dt, out: prop_dts.append(dt) or propagator(k2, dt, out)
-        )
+        # the free_blowup data: dt on the ladder builds the propagator, the
+        # only exp(i.) of a free run, once per rung (52 times in some 11,300 steps)
+        prop_builds = counted_expi(monkeypatch)
         f = soliton_field(lam=1.1)
         cfg = ev.SolverConfig(T_end=2.0, snapshot_stride=200, phase_tol=1e-3)
         traj = ev.run(f, fn.ModelSpec.free(), cfg)
         assert traj.verdict.status == "blowup_detected"
         assert traj.verdict.t_detect < 1.0
         assert traj.verdict.trigger in ("gradient_growth", "amplitude_cap", "dt_underflow")
-        assert len(prop_dts) == traj.dt_levels <= 60 and traj.steps > 10_000
+        assert len(prop_builds) == traj.dt_levels <= 60 and traj.steps > 10_000
 
     @pytest.mark.parametrize("trigger,case,knob", [
         ("amplitude_cap", 0, {"amp_cap": 1.33}),
@@ -1406,6 +1424,15 @@ class TestRun:
         with pytest.raises(ValueError):
             ev.SolverConfig(T_end=float("inf"))  # a run that never ends
 
+    @pytest.mark.parametrize("key", [
+        "dt_init", "dt_max", "phase_tol", "T_end", "grad_blowup_factor", "amp_cap", "dt_min",
+    ])
+    def test_config_numbers_not_coerced(self, key):
+        # true would run as 1.0 and be recorded as true in summary.json
+        for bad in (True, "1.0"):
+            with pytest.raises(ValueError, match=f"solver {key} must be a number"):
+                ev.SolverConfig(**{key: bad})
+
     def test_overflow_aborts(self, monkeypatch):
         # no Field is built per step on the split path either: the finiteness
         # check on the sup|u| of the |u|^2 the trailing half phase hands back
@@ -1460,12 +1487,9 @@ class TestRun:
         # one phase factor per step, and one more (the leading factor) on the
         # first step and on every step whose dt differs from the step before;
         # V is zero on the Cayley path, so no V phase factor is built
-        phase_dts, step_dts, vfac_dts = [], [], []
+        phase_dts, step_dts = [], []
         phase, solve = ev._phase, ev.AssembledOperator.cayley_solve
-        vphase = ev._potential_phase
-        monkeypatch.setattr(
-            ev, "_potential_phase", lambda V, dt, out: vfac_dts.append(dt) or vphase(V, dt, out)
-        )
+        vfac_args = counted_expi(monkeypatch)
         monkeypatch.setattr(
             ev, "_phase", lambda u, dt, *a: phase_dts.append(dt) or phase(u, dt, *a)
         )
@@ -1480,7 +1504,7 @@ class TestRun:
         for i, dt in enumerate(step_dts):
             expected += [dt, dt] if i == 0 or dt != step_dts[i - 1] else [dt]
         assert phase_dts == expected
-        assert vfac_dts == []
+        assert vfac_args == []
 
     @pytest.mark.parametrize("f,model,extra", CAYLEY_RUN_CASES)
     def test_one_lu_factor_per_dt_change(self, f, model, extra, monkeypatch):
@@ -1571,6 +1595,24 @@ class TestRun:
         with pytest.raises(ValueError, match=f'"shared_vertex": {str(not shared).lower()}'):
             ev.run(rough_graph(3, shared), model, cfg)
         assert ev.run(rough_graph(3, not shared), model, cfg).verdict.status == "completed"
+
+    def test_mismatched_layout_rejected_before_assembly_and_step(self):
+        # three vertex values on an unshared grid under a Kirchhoff condition:
+        # a form assembled on the shared layout keeps edge 0's value only, and
+        # one step of dt = 1e-9 would return the vertex values [1, 1, 1]
+        model = fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"))
+        vals = rough_graph(3, False).values.copy()
+        vals[:, 0] = [1.0, 2.0, 3.0]
+        f = rough_graph(3, False).with_values(vals)
+        with pytest.raises(ValueError) as ran:
+            ev.run(f, model, ev.SolverConfig(T_end=0.01))
+        assert str(ran.value) == 'a kirchhoff vertex needs a grid with "shared_vertex": true'
+        H = ev.assemble_hamiltonian(rough_graph(3, True), model)
+        for call in (lambda: ev.assemble_hamiltonian(f, model), lambda: ev.step_cn(f, 1e-9, H),
+                     lambda: ground_state_flow(model, f)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == str(ran.value)
 
     def test_programming_error_propagates(self, monkeypatch):
         split = ev._split_stepper

@@ -99,6 +99,25 @@ class TestModelSpec:
         assert json.dumps(model.to_dict()) == text
         assert fn.ModelSpec.from_dict(model.to_dict()) == model
 
+    @pytest.mark.parametrize("d", [
+        {"variant": "free", "nonlinearity_on": "false"},
+        {"variant": "free", "nonlinearity_on": 0},
+        {"variant": "delta", "gama": 1.0},
+        {"variant": "delta", "gamma": "1.0"},
+        {"variant": "delta", "gamma": True},
+        {"variant": "inverse_power", "gamma": 1.0, "mu": "0.5"},
+        {"variant": "graph", "vertex": {"kind": "dirac_delta", "gama": 1.0}},
+        {"variant": "graph", "vertex": {"kind": "dirac_delta", "gamma": "1.0"}},
+    ])
+    def test_from_dict_neither_coerces_nor_ignores(self, d):
+        # "false" would run the nonlinear equation, a misspelt gamma gamma = 0
+        with pytest.raises(ValueError, match="must be a|unknown"):
+            fn.ModelSpec.from_dict(d)
+
+    def test_from_dict_keeps_float_numbers(self):
+        m = fn.ModelSpec.from_dict({"variant": "inverse_power", "gamma": 2, "mu": np.float64(0.5)})
+        assert (m.gamma, m.mu) == (2.0, 0.5) and type(m.gamma) is float
+
     def test_potential_needs_staggered_grid(self):
         f = gaussian(N=2**8)  # node at the origin
         with pytest.raises(ValueError):
