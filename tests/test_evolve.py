@@ -529,12 +529,16 @@ def rough_graph(J, shared, M=96, seed=0):
 def cayley_cases():
     for gamma in (0.0, 1.3, -2.0):
         yield pytest.param(rough_field(2**9), fn.ModelSpec.delta(gamma), id=f"line-delta{gamma}")
-    # each condition on its own vertex layout, the only one it assembles on
-    for J in (1, 2, 3, 4):
-        for vc in VERTEX_CONDITIONS:
-            shared = vc.is_continuity_type
-            name = f"graph-J{J}-{vc.kind}{vc.gamma}-{'shared' if shared else 'unshared'}"
-            yield pytest.param(rough_graph(J, shared, seed=J), fn.ModelSpec.graph(vc), id=name)
+    # each condition on its own vertex layout, the only one it assembles on,
+    # with an even and an odd number of nodes per edge
+    for M in (96, 61):
+        for J in (1, 2, 3, 4):
+            for vc in VERTEX_CONDITIONS:
+                shared = vc.is_continuity_type
+                name = f"graph-J{J}-{vc.kind}{vc.gamma}-{'shared' if shared else 'unshared'}"
+                name += "" if M == 96 else f"-M{M}"
+                f = rough_graph(J, shared, M=M, seed=J)
+                yield pytest.param(f, fn.ModelSpec.graph(vc), id=name)
 
 
 class TestCayleyPins:
