@@ -25,8 +25,8 @@ from . import functionals as fn
 from . import soliton as sol
 from . import virial_analysis as va
 from . import weight
-from .evolve import _fmt
-from .field import LineField, field_from_grid, json_entry, known_entries, lp_norm
+from .evolve import _fmt, write_csv
+from .field import LineField, field_from_grid, json_entries, lp_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,36 +44,59 @@ class UsageError(Exception):
     """A bad argument, scenario or input file: `main` prints it and exits 2."""
 
 
-# the entries of each initial_data kind besides "kind", and the numbers' defaults (None: required)
+def _made(p: pathlib.Path) -> pathlib.Path:
+    """The output directory p, made with its parents once the inputs are checked."""
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write to {p}: {exc}") from exc
+    return p
+
+
+class _BadScenario:
+    """`with _bad_scenario:` raises a scenario's KeyError, ValueError, ... as "bad scenario"."""
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (KeyError, ValueError, TypeError, OSError, EOFError)):
+            raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
+
+
+_bad_scenario = _BadScenario()
+
+
+# `json_entries` tables of a scenario file and of each initial_data kind besides "kind"
+_SCENARIO = {"name": (str, None), "model": (dict, None), "initial_data": (dict, None),
+             "grid": (dict, None), "solver": (dict, None), "analysis": (dict, {})}
 _INITIAL = {
-    "scaled_soliton": {"lam": None, "omega": 1.0, "center": 0.0},
-    "gaussian": {"a": 1.0, "sigma": 1.0, "center": 0.0},
-    "ground_state": {"omega": 1.0, "tol": 1e-8},
-    "file": {"path": None},
+    "scaled_soliton": {"lam": (float, None), "omega": (float, 1.0), "center": (float, 0.0)},
+    "gaussian": {"a": (float, 1.0), "sigma": (float, 1.0), "center": (float, 0.0)},
+    "ground_state": {"omega": (float, 1.0), "tol": (float, 1e-8)},
+    "file": {"path": (str, None)},
 }
 
 
 def _build_initial(data: dict, template, model: fn.ModelSpec):
     """The Field of a scenario's initial_data; ValueError on an entry its
-    kind does not read or a number that is not a JSON number."""
+    kind does not read or one of another JSON type."""
     kind = data.get("kind")
     if kind not in _INITIAL:
         raise UsageError(f"unknown initial_data kind {kind!r}")
-    known_entries(data, ("kind", *_INITIAL[kind]), f"{kind} initial_data")
-    num = {k: json_entry(data, k, float, d, "initial_data") for k, d in _INITIAL[kind].items()
-           if k != "path"}
+    e = json_entries(data, {"kind": (str, None), **_INITIAL[kind]}, f"{kind} initial_data")
     if kind == "scaled_soliton":
-        return sol.scaled_data(num["lam"], num["omega"], template, center=num["center"])
+        return sol.scaled_data(e["lam"], e["omega"], template, center=e["center"])
     if kind == "gaussian":
-        a, sigma, c = num["a"], num["sigma"], num["center"]
+        a, sigma, c = e["a"], e["sigma"], e["center"]
         return template.sampled(lambda x: a * np.exp(-(((x - c) / sigma) ** 2)))
     if kind == "ground_state":
-        gs = sol.ground_state_flow(model, template, omega=num["omega"], tol=num["tol"])
+        gs = sol.ground_state_flow(model, template, omega=e["omega"], tol=e["tol"])
         if not gs.converged:
             raise UsageError("ground-state initial data did not converge")
         return gs.field
     # a file: the samples in the grid's shape, as `np.save` wrote them
-    path = pathlib.Path(data["path"])
+    path = pathlib.Path(e["path"])
     values = np.load(path, allow_pickle=False)
     if np.shape(values) != template.values.shape:
         raise ValueError(f"{path}: shape {np.shape(values)} != {template.values.shape}")
@@ -100,12 +123,8 @@ def load_scenario(path) -> dict:
         raise UsageError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: line {exc.lineno}") from exc
-    for key in ("name", "model", "initial_data", "grid", "solver"):
-        if key not in sc:
-            raise UsageError(f"scenario missing field {key!r}")
-        if key != "name" and not isinstance(sc[key], dict):
-            raise UsageError(f"scenario field {key!r} is not an object")
-    return sc
+    with _bad_scenario:
+        return json_entries(sc, _SCENARIO, "scenario")
 
 
 def bundled_scenario_path(name: str) -> pathlib.Path:
@@ -113,15 +132,13 @@ def bundled_scenario_path(name: str) -> pathlib.Path:
 
 
 def _scenario_pieces(sc: dict):
-    try:
+    with _bad_scenario:
         model = fn.ModelSpec.from_dict(sc["model"])
         cfg = ev.SolverConfig(**sc["solver"])
         template = field_from_grid(sc["grid"])
         u0 = _build_initial(sc["initial_data"], template, model)
         fn.energy(u0, model)  # the model must fit the grid, and a spectral N be a power of two
         ev.require_vertex_layout(u0, model)
-    except (KeyError, ValueError, TypeError, OSError, EOFError) as exc:
-        raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
 
 
@@ -132,7 +149,7 @@ def cmd_weight_check(args) -> int:
     payload = json.dumps(rep.as_dict(), indent=2)
     if args.out:
         out = _out_path(args.out, "weight_check.json")
-        out.parent.mkdir(parents=True, exist_ok=True)
+        _made(out.parent)
         out.write_text(payload + "\n")
     else:
         print(payload)
@@ -148,15 +165,16 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     sha = hashlib.sha256(pathlib.Path(args.scenario).read_bytes()).hexdigest()
     # analysis.R, the tail_mass column's radius ("auto": no column), is checked before the run
-    analysis = sc.get("analysis", {})
-    R = analysis.get("R", "auto") if isinstance(analysis, dict) else None
-    if R != "auto" and not (type(R) in (int, float) and 0 <= R < np.inf):
-        raise UsageError(f'bad scenario: analysis {analysis}: R must be "auto" or finite, >= 0')
+    R = sc["analysis"].get("R", "auto")
+    with _bad_scenario:  # "auto" is the one string R may be
+        R = json_entries(sc["analysis"], {"R": (str if R == "auto" else float, "auto")},
+                         "analysis")["R"]
+        if not (R == "auto" or 0 <= R < np.inf):
+            raise ValueError(f'analysis R must be "auto" or finite, >= 0, got {R!r}')
     model, cfg, u0 = _scenario_pieces(sc)
+    out = _made(_out_path(args.out, sc["name"]))
     traj = ev.run(u0, model, cfg)
-    out = _out_path(args.out, sc["name"])
-    out.mkdir(parents=True, exist_ok=True)
-    ev.save_trajectory(traj, out, R=None if R == "auto" else float(R), scenario_sha256=sha)
+    ev.save_trajectory(traj, out, R=None if R == "auto" else R, scenario_sha256=sha)
     if traj.verdict.status == "completed":
         return EXIT_OK
     if traj.verdict.status == "blowup_detected":
@@ -192,16 +210,11 @@ def cmd_virial_report(args) -> int:
         rep = va.report(traj, R, traj.model)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = _out_path(args.out, args.out) if args.out else src
-    out.mkdir(parents=True, exist_ok=True)
-    cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula,
-            rep.residual, rep.tail_mass,
-            rep.ineq_checked, rep.ineq_satisfied]
-    np.savetxt(
-        out / "virial_report.csv", np.column_stack(cols), fmt=["%.17g"] * 7 + ["%d"] * 2,
-        delimiter=",", newline="\r\n", comments="",
-        header="t,I,Iprime_formula,Isecond_fd,rhs,residual,tail_mass,checked,satisfied",
-    )
+    out = _made(_out_path(args.out, args.out) if args.out else src)
+    cols = [rep.times, rep.I, rep.Iprime_formula, rep.Isecond_fd, rep.rhs_formula, rep.residual,
+            rep.tail_mass, rep.ineq_checked, rep.ineq_satisfied]
+    head = "t,I,Iprime_formula,Isecond_fd,rhs,residual,tail_mass,checked,satisfied".split(",")
+    write_csv(out / "virial_report.csv", head, np.column_stack(cols), ["%.17g"] * 7 + ["%d"] * 2)
     summary = {
         "R": rep.R,
         "eta": rep.eta,
@@ -235,17 +248,16 @@ def cmd_sweep(args) -> int:
         for (node, leaf), v in zip(slots.values(), values):
             node[leaf] = v
         points.append((values, _scenario_pieces(sc)))
+    out = _out_path(args.out, "sweep.csv")
+    _made(out.parent)
     rows = []
     for values, (model, cfg, u0) in points:
         traj = ev.run(u0, model, cfg)
         t_detect = traj.verdict.t_detect
         rows.append([*map(json.dumps, values), _fmt(traj.energy_series[0]), traj.verdict.status,
                      "" if t_detect is None else _fmt(t_detect), traj.steps, traj.dt_levels])
-    out = _out_path(args.out, "sweep.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     head = [*slots, "energy", "verdict", "t_detect", "steps", "dt_levels"]
-    np.savetxt(out, np.array(rows, dtype=object), fmt="%s", delimiter=",", newline="\r\n",
-               header=",".join(head), comments="")
+    write_csv(out, head, np.array(rows, dtype=object), "%s")
     return EXIT_OK
 
 
@@ -282,8 +294,7 @@ def cmd_ground_state(args) -> int:
         )
     if model is not None:
         record["energy"] = fn.energy(gs.field, model)
-    out = _out_path(args.out, "ground_state")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _made(_out_path(args.out, "ground_state"))
     np.save(out / "profile.npy", gs.field.values)
     (out / "record.json").write_text(json.dumps(record, indent=2))
     if not gs.converged:

@@ -85,7 +85,7 @@ from .field import (
     Field,
     LineField,
     field_from_grid,
-    json_entry,
+    json_entries,
     p1_chain,
     spectral_k2,
     tail_mass,
@@ -124,8 +124,7 @@ class SolverConfig:
     dt_min: float = 1e-12
 
     def __post_init__(self):
-        for key in vars(self):  # a JSON integer stride, and JSON numbers
-            json_entry(vars(self), key, int if key == "snapshot_stride" else float, None, "solver")
+        json_entries(vars(self), _SOLVER, "solver")  # a JSON integer stride, and JSON numbers
         # written so that NaN fails every check
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
@@ -137,6 +136,10 @@ class SolverConfig:
             raise ValueError("phase_tol must be positive")
         if not (0.0 < self.T_end < np.inf):
             raise ValueError("T_end must be positive and finite")
+
+
+# each SolverConfig field, read as a JSON value of its default's type
+_SOLVER = {f.name: (type(f.default), None) for f in dataclasses.fields(SolverConfig)}
 
 
 @dataclass
@@ -669,6 +672,13 @@ def _provenance(scenario_sha256: str | None = None) -> dict:
     return out
 
 
+def write_csv(path, head, rows, fmt) -> None:
+    """rows under the column names `head` as the lab writes every CSV: comma-separated,
+    CRLF line ends, the header without a comment mark; `fmt` as `np.savetxt` reads it."""
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", newline="\r\n", header=",".join(head),
+               comments="")
+
+
 def save_trajectory(
     traj: Trajectory, outdir, R: float | None = None, scenario_sha256: str | None = None
 ) -> None:
@@ -685,10 +695,7 @@ def save_trajectory(
     if R is not None:
         head.append(f"tail_mass@{_fmt(R)}")
         cols.append([tail_mass(s, R) for s in traj.snapshots])
-    np.savetxt(
-        out / "series.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
-        newline="\r\n", header=",".join(head), comments="",
-    )
+    write_csv(out / "series.csv", head, np.column_stack(cols), "%.17g")
     np.save(out / "snapshots.npy", np.stack([s.values for s in traj.snapshots]))
     mdrift = float(np.max(np.abs(traj.mass_series - traj.mass_series[0]))) / max(
         traj.mass_series[0], 1e-300

@@ -35,6 +35,7 @@ class LineField:
     N: int
     values: np.ndarray
     stagger: bool = False
+    kind = "line"  # the grid kind `grid_spec` names, not a field
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -69,7 +70,7 @@ class LineField:
         return self.with_values(f(self.x))
 
     def grid_spec(self) -> dict:
-        return {"kind": "line", "L": self.L, "N": self.N, "stagger": self.stagger}
+        return {k: getattr(self, k) for k in _GRIDS[self.kind]}
 
     @classmethod
     def from_function(cls, f, L: float, N: int, stagger: bool = False) -> "LineField":
@@ -100,6 +101,7 @@ class GraphField:
     vertex_values: np.ndarray
     edge_values: np.ndarray
     shared_vertex: bool = True
+    kind = "graph"  # the grid kind `grid_spec` names, not a field
 
     def __post_init__(self):
         if self.J < 1 or self.M < 3 or not (self.Ledge > 0):
@@ -163,20 +165,13 @@ class GraphField:
         return self.with_values(prof)
 
     def grid_spec(self) -> dict:
-        return {
-            "kind": "graph",
-            "J": self.J,
-            "Ledge": self.Ledge,
-            "M": self.M,
-            "shared_vertex": self.shared_vertex,
-        }
+        return {k: getattr(self, k) for k in _GRIDS[self.kind]}
 
     @classmethod
     def from_function(
         cls, f, J: int, Ledge: float, M: int, shared_vertex: bool = True
     ) -> "GraphField":
-        spec = {"kind": "graph", "J": J, "Ledge": Ledge, "M": M, "shared_vertex": shared_vertex}
-        return field_from_grid(spec).sampled(f)
+        return cls(J, Ledge, M, np.zeros(J), np.zeros((J, M)), shared_vertex).sampled(f)
 
 
 Field = LineField | GraphField
@@ -184,42 +179,48 @@ Field = LineField | GraphField
 
 # the values a scenario entry of each type may hold, and the type's name
 _JSON_TYPES = {bool: (bool, "a bool"), int: ((int, np.integer), "an integer"),
-               float: ((int, float, np.integer, np.floating), "a number")}
+               float: ((int, float, np.integer, np.floating), "a number"),
+               str: (str, "a string"), dict: (dict, "an object")}
 
 
-def json_entry(d: dict, key: str, want: type, default=None, where: str = "grid"):
-    """want(d[key]), or want(d.get(key, default)) given a default, if that is a JSON
-    bool, integer or number as `want` is bool, int or float: "1.5" or true is no number."""
-    v = d[key] if default is None else d.get(key, default)
-    types, name = _JSON_TYPES[want]
-    if not isinstance(v, types) or (want is not bool and isinstance(v, bool)):
-        raise ValueError(f"{where} {key} must be {name}, got {v!r}")
-    return want(v)
+def json_entries(d: dict, table: dict, where: str) -> dict:
+    """{key: want(v)} for each key -> (want, default) of `table`: v = d[key] (KeyError if
+    missing), or d.get(key, default) given a default, as a JSON bool, integer, number, string
+    or object (one given is returned as is, a default copied); ValueError on another type
+    ("1.5" or true is no number), a d that is not an object, or a key not in `table`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    if not table.keys() >= d.keys():
+        raise ValueError(f"unknown {where} entries {sorted(d.keys() - table)}")
+    out = {}
+    for key, (want, default) in table.items():
+        v = d[key] if default is None else d.get(key, default)
+        types, name = _JSON_TYPES[want]
+        if not isinstance(v, types) or (type(v) is bool and want is not bool):
+            raise ValueError(f"{where} {key} must be {name}, got {v!r}")
+        out[key] = v if want is dict and v is not default else want(v)
+    return out
 
 
-def known_entries(d: dict, keys, where: str) -> None:
-    """ValueError unless every key of d is one of `keys`, as a misspelt one would be ignored."""
-    if set(d) - set(keys):
-        raise ValueError(f"unknown {where} entries {sorted(set(d) - set(keys))}")
+# the entries of each grid kind, in `grid_spec` order: (JSON type, default; None: required)
+_GRIDS = {
+    "line": {"kind": (str, None), "L": (float, None), "N": (int, None), "stagger": (bool, False)},
+    "graph": {"kind": (str, None), "J": (int, None), "Ledge": (float, None), "M": (int, None),
+              "shared_vertex": (bool, True)},
+}
 
 
 def field_from_grid(spec: dict) -> Field:
     """Zero field on the grid described by `spec` (the inverse of
-    `grid_spec`); KeyError, TypeError or ValueError on a bad spec."""
-    if spec["kind"] == "line":
-        N, stagger = json_entry(spec, "N", int), json_entry(spec, "stagger", bool, False)
-        return LineField(L=float(spec["L"]), N=N, values=np.zeros(N), stagger=stagger)
-    if spec["kind"] == "graph":
-        J, M = json_entry(spec, "J", int), json_entry(spec, "M", int)
-        return GraphField(
-            J=J,
-            Ledge=float(spec["Ledge"]),
-            M=M,
-            vertex_values=np.zeros(J),
-            edge_values=np.zeros((J, M)),
-            shared_vertex=json_entry(spec, "shared_vertex", bool, True),
-        )
-    raise ValueError(f"unknown grid kind {spec['kind']!r}")
+    `grid_spec`), its entries read by `json_entries`; KeyError, TypeError or
+    ValueError on a bad spec."""
+    table = _GRIDS.get(spec["kind"])
+    if table is None:
+        raise ValueError(f"unknown grid kind {spec['kind']!r}")
+    g = json_entries(spec, table, "grid")
+    if g.pop("kind") == "line":
+        return LineField(**g, values=np.zeros(g["N"]))
+    return GraphField(**g, vertex_values=np.zeros(g["J"]), edge_values=np.zeros((g["J"], g["M"])))
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -11,6 +11,7 @@ property-test oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,8 +24,7 @@ from .field import (
     derivative,
     field_from_grid,
     grid_sum,
-    json_entry,
-    known_entries,
+    json_entries,
     lp_norm,
     p1_chain,
     spectral_k2,
@@ -44,7 +44,7 @@ class VertexCondition:
     def __post_init__(self):
         if self.kind not in ("kirchhoff", "dirac_delta", "delta_prime"):
             raise ValueError(f"unknown vertex condition kind {self.kind!r}")
-        if not np.isfinite(self.gamma):
+        if not math.isfinite(self.gamma):
             raise ValueError("vertex gamma must be finite")
         if self.kind == "delta_prime" and self.gamma == 0.0:
             raise ValueError("delta_prime requires gamma != 0")
@@ -55,8 +55,7 @@ class VertexCondition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VertexCondition":
-        known_entries(d, ("kind", "gamma"), "vertex")
-        return cls(kind=d["kind"], gamma=json_entry(d, "gamma", float, 0.0, "vertex"))
+        return cls(**json_entries(d, {"kind": (str, None), "gamma": (float, 0.0)}, "vertex"))
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in ("free", "inverse_power", "delta", "graph"):
             raise ValueError(f"unknown model variant {self.variant!r}")
-        if not (np.isfinite(self.gamma) and np.isfinite(self.mu)):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.mu)):
             raise ValueError("gamma and mu must be finite")
         if self.variant == "inverse_power":
             if not (self.gamma > 0):
@@ -107,15 +106,11 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        """The inverse of `to_dict`, with its entries read by `json_entry`."""
-        known_entries(d, ("variant", "gamma", "mu", "nonlinearity_on", "vertex"), "model")
-        return cls(
-            variant=d["variant"],
-            gamma=json_entry(d, "gamma", float, 0.0, "model"),
-            mu=json_entry(d, "mu", float, 0.0, "model"),
-            vertex=VertexCondition.from_dict(d["vertex"]) if "vertex" in d else None,
-            nonlinearity_on=json_entry(d, "nonlinearity_on", bool, True, "model"),
-        )
+        """The inverse of `to_dict`, its entries read by `json_entries`."""
+        m = json_entries(d, {"variant": (str, None), "gamma": (float, 0.0), "mu": (float, 0.0),
+                             "nonlinearity_on": (bool, True), "vertex": (dict, {})}, "model")
+        m["vertex"] = VertexCondition.from_dict(m["vertex"]) if "vertex" in d else None
+        return cls(**m)
 
 
 def potential_on_grid(model: ModelSpec, x: np.ndarray) -> np.ndarray:

@@ -185,6 +185,25 @@ class TestSimulate:
             p.write_text(json.dumps(sc))  # NaN is written as the JSON extension NaN
             assert cli.main(["simulate", str(p)]) == 2, sc
 
+    @pytest.mark.parametrize("text", ["5", '"free_gaussian"', "[1, 2]", "null"])
+    def test_scenario_not_an_object_rejected_before_solving(
+        self, tmp_path, monkeypatch, capsys, text
+    ):
+        monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad scenario: ValueError: scenario must be an object" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_out_at_a_file_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+        (tmp_path / "f").write_text("")
+        p = cli.bundled_scenario_path("free_gaussian")
+        assert cli.main(["simulate", str(p), "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / 'f'}")
+
     def test_spectral_grid_not_power_of_two_rejected_before_solving(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -520,7 +539,18 @@ class TestSweep:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(sc))
         assert cli.main(["sweep", str(p), "--set", "initial_data.lam=0.9,1.2"]) == 2
-        assert "error: scenario field 'initial_data' is not an object" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        msg = "error: bad scenario: ValueError: scenario initial_data must be an object, got 5"
+        assert msg in err
+
+    def test_out_under_a_file_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
+        (tmp_path / "f").write_text("")
+        assert cli.main([
+            "sweep", FREE_BLOWUP, "--set", "solver.T_end=0.01",
+            "--out", str(tmp_path / "f" / "s.csv"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / 'f'}")
 
     def test_bad_last_point_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
@@ -605,6 +635,13 @@ class TestGroundState:
         rec = json.loads((out / "record.json").read_text())
         assert rec["vertex_jump"] == pytest.approx(rec["gamma_phi0"], rel=0.02)
 
+    def test_out_at_a_file_exits_2(self, tmp_path, capsys):
+        # made after the solve, as the argument checks are the solver's own
+        (tmp_path / "f").write_text("")
+        assert cli.main(["ground-state", "--model", "free", "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / 'f'}")
+        assert (tmp_path / "f").read_text() == ""
+
     def test_zero_tol_rejected(self):
         assert cli.main(["ground-state", "--tol", "0"]) == 2
 
@@ -671,6 +708,14 @@ class TestGroundState:
     "simulate free_gaussian solver.phase_tol=true",
     "simulate free_gaussian solver.T_end=true",
     "sweep free_gaussian --set initial_data.a=\"1.5\"",
+    "sweep free_gaussian --set grid.L=true",
+    "simulate free_gaussian grid.L=true",
+    "simulate free_gaussian grid.L=\"20\"",
+    "simulate graph_gaussian grid.Ledge=true",
+    "simulate invpow_gaussian grid.stager=true",
+    "simulate free_gaussian analysis.r=8.0",
+    "simulate free_gaussian analysys={}",
+    "simulate free_gaussian name=5",
     "weight-check --profile x.json",
 ])
 def test_bad_arguments_exit_2_before_solving(argv, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from viriallab.field import (
     LineField,
     derivative,
     field_from_grid,
+    json_entries,
     lp_norm,
     tail_mass,
     tail_quad_weights,
@@ -307,8 +308,64 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             field_from_grid({**self.GRAPH, **change})
 
+    @pytest.mark.parametrize("spec", [
+        {**LINE, "L": True}, {**LINE, "L": "20"}, {**LINE, "stager": True},
+        {**GRAPH, "Ledge": True}, {**GRAPH, "Ledge": "5.0"}, {**GRAPH, "shared": False},
+    ])
+    def test_lengths_are_numbers_and_keys_known(self, spec):
+        # true would run on a box of L = 1, a misspelt stagger unstaggered
+        with pytest.raises(ValueError, match="must be a number|unknown grid entries"):
+            field_from_grid(spec)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spec_keys_in_table_order(self, kind):
+        spec = one_field(kind, np.ones_like).grid_spec()
+        assert field_from_grid(spec).grid_spec() == spec
+        assert list(spec) == (["kind", "L", "N", "stagger"] if kind == "line"
+                              else ["kind", "J", "Ledge", "M", "shared_vertex"])
+
     def test_numpy_integers_and_defaults(self):
         f = field_from_grid({**self.LINE, "N": np.int64(64)})
         assert f.grid_spec() == {**self.LINE, "stagger": False} and type(f.N) is int
         g = field_from_grid({**self.GRAPH, "M": np.int32(50)})
         assert g.grid_spec() == {**self.GRAPH, "shared_vertex": True} and type(g.M) is int
+
+
+class TestJsonEntries:
+    TABLE = {"n": (int, None), "x": (float, 0.5), "on": (bool, True), "s": (str, "a"),
+             "obj": (dict, {})}
+
+    def test_values_and_defaults(self):
+        obj = {"k": [1]}
+        got = json_entries({"n": np.int64(3), "x": 2, "obj": obj}, self.TABLE, "sec")
+        assert got == {"n": 3, "x": 2.0, "on": True, "s": "a", "obj": obj}
+        assert type(got["n"]) is int and type(got["x"]) is float
+        assert got["obj"] is obj  # an object is returned as it is, not copied
+
+    def test_unknown_key(self):
+        with pytest.raises(ValueError, match=r"unknown sec entries \['m', 'y'\]"):
+            json_entries({"n": 1, "y": 2.0, "m": 1}, self.TABLE, "sec")
+
+    @pytest.mark.parametrize("key, bad, name", [
+        ("x", True, "a number"), ("x", "1.5", "a number"), ("n", 1.0, "an integer"),
+        ("n", False, "an integer"), ("on", 1, "a bool"), ("s", 5, "a string"),
+        ("obj", [1], "an object"), ("obj", None, "an object"),
+    ])
+    def test_value_of_another_type(self, key, bad, name):
+        # a bool is no number, and "1.5" is not read as 1.5
+        with pytest.raises(ValueError, match=f"sec {key} must be {name}, got "):
+            json_entries({"n": 1, key: bad}, self.TABLE, "sec")
+
+    def test_default_object_not_shared(self):
+        a, b = (json_entries({"n": 1}, self.TABLE, "sec")["obj"] for _ in range(2))
+        a["k"] = 1
+        assert b == {} and self.TABLE["obj"][1] == {}
+
+    def test_missing_required_key(self):
+        with pytest.raises(KeyError, match="'n'"):
+            json_entries({"x": 1.0}, self.TABLE, "sec")
+
+    @pytest.mark.parametrize("d", [5, "n", [("n", 1)], None])
+    def test_section_not_an_object(self, d):
+        with pytest.raises(ValueError, match="sec must be an object"):
+            json_entries(d, self.TABLE, "sec")
