@@ -44,28 +44,20 @@ class UsageError(Exception):
     """A bad argument, scenario or input file: `main` prints it and exits 2."""
 
 
-def _made(p: pathlib.Path) -> pathlib.Path:
-    """The output directory p, made with its parents once the inputs are checked."""
+def _made(p: pathlib.Path, file: bool = False) -> pathlib.Path:
+    """The output directory p, or the directory of the output file p, made with its parents
+    once the inputs are checked; UsageError where it cannot be, or the file p is a directory."""
     try:
-        p.mkdir(parents=True, exist_ok=True)
+        (p.parent if file else p).mkdir(parents=True, exist_ok=True)
+        if file and p.is_dir():
+            raise IsADirectoryError("is a directory")
     except OSError as exc:
         raise UsageError(f"cannot write to {p}: {exc}") from exc
     return p
 
 
-class _BadScenario:
-    """`with _bad_scenario:` raises a scenario's KeyError, ValueError, ... as "bad scenario"."""
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (KeyError, ValueError, TypeError, OSError, EOFError)):
-            raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
-
-
-_bad_scenario = _BadScenario()
-
+# the errors of reading a bad scenario, raised again as UsageError("bad scenario: ...")
+_BAD_SCENARIO = (KeyError, ValueError, TypeError, OSError, EOFError)
 
 # `json_entries` tables of a scenario file and of each initial_data kind besides "kind"
 _SCENARIO = {"name": (str, None), "model": (dict, None), "initial_data": (dict, None),
@@ -118,13 +110,13 @@ def _build_initial(data: dict, template, model: fn.ModelSpec):
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
-            sc = json.load(fh)
+            return json_entries(json.load(fh), _SCENARIO, "scenario")
     except FileNotFoundError as exc:
         raise UsageError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: line {exc.lineno}") from exc
-    with _bad_scenario:
-        return json_entries(sc, _SCENARIO, "scenario")
+    except _BAD_SCENARIO as exc:
+        raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
 
 
 def bundled_scenario_path(name: str) -> pathlib.Path:
@@ -132,24 +124,30 @@ def bundled_scenario_path(name: str) -> pathlib.Path:
 
 
 def _scenario_pieces(sc: dict):
-    with _bad_scenario:
+    try:
+        R = sc["analysis"].get("R", "auto")  # tail_mass radius; "auto" (no column): its one string
+        R = json_entries(sc["analysis"], {"R": (str if R == "auto" else float, "auto")},
+                         "analysis")["R"]
+        if not (R == "auto" or 0 <= R < np.inf):
+            raise ValueError(f'analysis R must be "auto" or finite, >= 0, got {R!r}')
         model = fn.ModelSpec.from_dict(sc["model"])
         cfg = ev.SolverConfig(**sc["solver"])
         template = field_from_grid(sc["grid"])
         u0 = _build_initial(sc["initial_data"], template, model)
         fn.energy(u0, model)  # the model must fit the grid, and a spectral N be a power of two
         ev.require_vertex_layout(u0, model)
+    except _BAD_SCENARIO as exc:
+        raise UsageError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
     return model, cfg, u0
 
 
 def cmd_weight_check(args) -> int:
     if args.samples < 1000:
         raise UsageError("--samples must be at least 1000")
+    out = args.out and _made(_out_path(args.out, "weight_check.json"), file=True)
     rep = weight.verify_profile(args.samples)
     payload = json.dumps(rep.as_dict(), indent=2)
-    if args.out:
-        out = _out_path(args.out, "weight_check.json")
-        _made(out.parent)
+    if out:
         out.write_text(payload + "\n")
     else:
         print(payload)
@@ -164,17 +162,11 @@ def cmd_simulate(args) -> int:
 
     sc = load_scenario(args.scenario)
     sha = hashlib.sha256(pathlib.Path(args.scenario).read_bytes()).hexdigest()
-    # analysis.R, the tail_mass column's radius ("auto": no column), is checked before the run
+    model, cfg, u0 = _scenario_pieces(sc)  # analysis.R among the checks
     R = sc["analysis"].get("R", "auto")
-    with _bad_scenario:  # "auto" is the one string R may be
-        R = json_entries(sc["analysis"], {"R": (str if R == "auto" else float, "auto")},
-                         "analysis")["R"]
-        if not (R == "auto" or 0 <= R < np.inf):
-            raise ValueError(f'analysis R must be "auto" or finite, >= 0, got {R!r}')
-    model, cfg, u0 = _scenario_pieces(sc)
     out = _made(_out_path(args.out, sc["name"]))
     traj = ev.run(u0, model, cfg)
-    ev.save_trajectory(traj, out, R=None if R == "auto" else R, scenario_sha256=sha)
+    ev.save_trajectory(traj, out, R=None if R == "auto" else float(R), scenario_sha256=sha)
     if traj.verdict.status == "completed":
         return EXIT_OK
     if traj.verdict.status == "blowup_detected":
@@ -248,8 +240,7 @@ def cmd_sweep(args) -> int:
         for (node, leaf), v in zip(slots.values(), values):
             node[leaf] = v
         points.append((values, _scenario_pieces(sc)))
-    out = _out_path(args.out, "sweep.csv")
-    _made(out.parent)
+    out = _made(_out_path(args.out, "sweep.csv"), file=True)
     rows = []
     for values, (model, cfg, u0) in points:
         traj = ev.run(u0, model, cfg)

@@ -86,6 +86,17 @@ class TestWeightCheck:
             for c in rep["checks"]
         )
 
+    @pytest.mark.parametrize("target", ["f/wc.json", "d"])
+    def test_unusable_out_rejected_before_checking(self, tmp_path, monkeypatch, capsys, target):
+        # a path under a file, or a directory: exit 2 before the certification
+        monkeypatch.setattr(w, "verify_profile", lambda n: pytest.fail("checked before rejecting"))
+        (tmp_path / "f").write_text("")
+        (tmp_path / "d").mkdir()
+        out = tmp_path / target
+        assert cli.main(["weight-check", "--samples", "2000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {out}")
+        assert (tmp_path / "f").read_text() == "" and not any((tmp_path / "d").iterdir())
+
 
 class TestSimulate:
     def test_quick_run_completes(self, tmp_path):
@@ -196,6 +207,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: bad scenario: ValueError: scenario must be an object" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("make", [pathlib.Path.mkdir, lambda p: p.write_bytes(b"\xff\xfe")],
+                             ids=["directory", "not_text"])
+    def test_unreadable_scenario_file_exits_2(self, tmp_path, capsys, command, make):
+        p = tmp_path / "scenario.json"
+        make(p)
+        argv = [command, str(p)] + (["--set", "grid.N=256"] if command == "sweep" else [])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_out_at_a_file_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
@@ -543,14 +564,16 @@ class TestSweep:
         msg = "error: bad scenario: ValueError: scenario initial_data must be an object, got 5"
         assert msg in err
 
-    def test_out_under_a_file_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("target", ["f/s.csv", "d"])
+    def test_unusable_out_rejected_before_solving(self, tmp_path, monkeypatch, capsys, target):
+        # a path under a file, or a directory
         monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
         (tmp_path / "f").write_text("")
-        assert cli.main([
-            "sweep", FREE_BLOWUP, "--set", "solver.T_end=0.01",
-            "--out", str(tmp_path / "f" / "s.csv"),
-        ]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / 'f'}")
+        (tmp_path / "d").mkdir()
+        out = tmp_path / target
+        assert cli.main(["sweep", FREE_BLOWUP, "--set", "solver.T_end=0.01", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {out}")
+        assert (tmp_path / "f").read_text() == "" and not any((tmp_path / "d").iterdir())
 
     def test_bad_last_point_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ev, "run", lambda *a: pytest.fail("solved before rejecting"))
@@ -709,6 +732,8 @@ class TestGroundState:
     "simulate free_gaussian solver.T_end=true",
     "sweep free_gaussian --set initial_data.a=\"1.5\"",
     "sweep free_gaussian --set grid.L=true",
+    "sweep free_gaussian --set analysis.R=-1",
+    "sweep free_gaussian --set analysis.R=true",
     "simulate free_gaussian grid.L=true",
     "simulate free_gaussian grid.L=\"20\"",
     "simulate graph_gaussian grid.Ledge=true",
