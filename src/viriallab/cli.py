@@ -256,14 +256,8 @@ def cmd_ground_state(args) -> int:
     stagger = args.model == "inverse_power"
     template = LineField(L=16.0, N=2**12, values=np.zeros(2**12), stagger=stagger)
     try:
-        if stagger and args.gamma < 0:  # attractive: no ModelSpec, so no energy
-            model = None
-            gs = sol.attractive_inverse_power_profile(
-                args.gamma, args.mu, template, omega=args.omega, tol=args.tol
-            )
-        else:
-            model = fn.ModelSpec(args.model, gamma=args.gamma, mu=args.mu)
-            gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
+        model = fn.ModelSpec(args.model, gamma=args.gamma, mu=args.mu)
+        gs = sol.ground_state_flow(model, template, omega=args.omega, tol=args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     record = {
@@ -283,8 +277,7 @@ def cmd_ground_state(args) -> int:
         record["gamma_phi0"] = args.gamma * float(
             np.abs(gs.field.values[fn.origin_index(gs.field)])
         )
-    if model is not None:
-        record["energy"] = fn.energy(gs.field, model)
+    record["energy"] = fn.energy(gs.field, model)
     out = _made(_out_path(args.out, "ground_state"))
     np.save(out / "profile.npy", gs.field.values)
     (out / "record.json").write_text(json.dumps(record, indent=2))

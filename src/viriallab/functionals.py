@@ -73,11 +73,8 @@ class ModelSpec:
             raise ValueError(f"unknown model variant {self.variant!r}")
         if not (math.isfinite(self.gamma) and math.isfinite(self.mu)):
             raise ValueError("gamma and mu must be finite")
-        if self.variant == "inverse_power":
-            if not (self.gamma > 0):
-                raise ValueError("inverse_power requires gamma > 0")
-            if not (0.0 < self.mu < 1.0):
-                raise ValueError("inverse_power requires 0 < mu < 1")
+        if self.variant == "inverse_power" and not (0.0 < self.mu < 1.0):
+            raise ValueError("inverse_power requires 0 < mu < 1")
         if self.variant == "graph" and self.vertex is None:
             raise ValueError("graph variant requires a vertex condition")
 
@@ -293,13 +290,13 @@ def _potential_rhs(w: VirialWeights, u: np.ndarray):
     return 2.0 * w.model.mu * moment + 4.0 * _vertex_energy(w.grid, u, w.model)
 
 
-def sign_condition_value(f: Field, R: float, model: ModelSpec) -> float:
-    """Discrete value of the model's nonpositive virial correction.
+def sign_condition_value(f: Field, R: float, model: ModelSpec, w=None) -> float:
+    """Discrete value of the model's virial correction, which the argument needs nonpositive.
 
-    This is rhs(model) - rhs(free form) - 16 (E_model - E_free) on the same
-    field: the term the blow-up estimates discard by sign.
+    This is rhs(model) - rhs(free form) - 16 (E_model - E_free) on the same field,
+    the term the blow-up estimates discard by sign; w, if given, is f's `VirialWeights` at R.
     """
-    rhs = _potential_rhs(VirialWeights(f, R, model), f.values)
+    rhs = _potential_rhs(w or VirialWeights(f, R, model), f.values)
     return float(rhs) - 16.0 * potential_energy(f, model)
 
 

@@ -179,23 +179,6 @@ def ground_state_flow(
     return _assembled_ground_state(model, template, omega, tol)
 
 
-def attractive_inverse_power_profile(
-    gamma: float, mu: float, template: LineField, omega: float = 1.0, tol: float = 1e-8
-) -> GroundState:
-    """Standing-wave candidate for V = gamma |x|^{-mu} with gamma < 0.
-
-    The blow-up theory requires gamma > 0, so this regime is not expressible
-    as a ModelSpec; the solver is the same, with V the negated potential of
-    the repulsive model of strength -gamma.
-    """
-    if not (0.0 < omega < np.inf and tol > 0.0):
-        raise ValueError("need finite omega > 0 and tol > 0")
-    if gamma >= 0:
-        raise ValueError("use ground_state_flow for gamma >= 0")
-    V = -potential_on_grid(ModelSpec.inverse_power(-gamma, mu), template.x)
-    return _fourier_ground_state(template, V, omega, tol)
-
-
 def vertex_derivative_jump(f: LineField) -> float:
     """One-sided second-order difference of the derivative jump at x = 0."""
     i = int(np.argmin(np.abs(f.x)))

@@ -18,6 +18,7 @@ from . import weight
 from .evolve import Trajectory
 from .field import Field, tail_mass, tail_mass_block
 from .functionals import ModelSpec, VirialWeights, energy, grad_block, kinetic_energy, mass
+from .functionals import sign_condition_value
 from .functionals import virial_I, virial_I_block, virial_I_prime_block, virial_rhs_block
 
 
@@ -43,7 +44,7 @@ class VirialReport:
     ineq_satisfied: np.ndarray
     eta: float
     eta_tilde: float
-    envelope_root: float | None  # from I and I' of snapshot 0; None unless eta_tilde, I(0) > 0
+    envelope_root: float | None  # from I and I' of snapshot 0; None unless `report`'s rule holds
 
     def max_residual(self) -> float:
         return float(np.max(self.residual)) if len(self.residual) else 0.0
@@ -96,8 +97,9 @@ def second_difference(times: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 
 def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
-    """Identity check on the interior snapshots: I'' by `second_difference`
-    of I against the formula rhs, in one walk over the snapshot blocks."""
+    """Identity check on the interior snapshots: I'' by `second_difference` of I against
+    the formula rhs, in one walk over the snapshot blocks; the envelope root only where I(0) > 0,
+    both selection clauses hold at R and snapshot 0's `sign_condition_value` is <= 0."""
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
     grid, cols = traj.snapshots[0], []
@@ -112,6 +114,8 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
     eta_val = weight.eta(R, float(traj.mass_series[0]))
     eta_tilde = -8.0 * E - eta_val
     checked, satisfied = _decay_flags(rhs[1:-1], tail[1:-1], E, eta_val)
+    admissible = (I[0] > 0 and eta_tilde > 0 and sign_condition_value(grid, R, model, w) <= 0
+                  and _localized(I[0], R, float(traj.grad_series[0]) ** 2, eta_tilde))
     return VirialReport(
         R=R,
         times=np.asarray(traj.times)[1:-1],
@@ -125,8 +129,13 @@ def report(traj: Trajectory, R: float, model: ModelSpec) -> VirialReport:
         ineq_satisfied=satisfied,
         eta=eta_val,
         eta_tilde=eta_tilde,
-        envelope_root=envelope(I[0], Ip[0], eta_tilde) if eta_tilde > 0 and I[0] > 0 else None,
+        envelope_root=envelope(I[0], Ip[0], eta_tilde) if admissible else None,
     )
+
+
+def _localized(I0: float, R: float, grad_sq: float, eta_tilde: float) -> bool:
+    """Selection clause 2 from I(0) and ||u0'||^2, given eta_tilde > 0."""
+    return bool(np.sqrt(I0) / R * np.sqrt(1.0 + 4.0 * grad_sq / eta_tilde) <= a0() / 2.0)
 
 
 def _clauses(u0: Field, R: float, E: float, m: float, grad_sq: float) -> tuple[bool, bool, float]:
@@ -134,8 +143,7 @@ def _clauses(u0: Field, R: float, E: float, m: float, grad_sq: float) -> tuple[b
     eta_tilde = -8.0 * E - weight.eta(R, m)
     if eta_tilde <= 0:
         return False, False, eta_tilde
-    lhs = np.sqrt(virial_I(u0, R)) / R * np.sqrt(1.0 + 4.0 * grad_sq / eta_tilde)
-    return True, bool(lhs <= a0() / 2.0), eta_tilde
+    return True, _localized(virial_I(u0, R), R, grad_sq, eta_tilde), eta_tilde
 
 
 def _invariants(u0: Field, model: ModelSpec) -> tuple[float, float, float]:

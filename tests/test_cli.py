@@ -466,6 +466,28 @@ class TestVirialReport:
         assert summary["violations"] == 0 and summary["max_residual"] < 1e-2
         assert summary["envelope_root"] > 0.1
 
+    def test_auto_R_no_root_on_attractive_ground_state(self, tmp_path):
+        # the attractive inverse-power ground state is a global solution of
+        # negative energy: R = 64 meets both selection clauses, but the sign
+        # term is positive there, so no envelope root is written
+        gs = tmp_path / "gs"
+        args = ["ground-state", "--model", "inverse_power", "--gamma", "-0.5", "--out", str(gs)]
+        assert cli.main(args) == 0
+        sc = json.loads(quick_scenario(tmp_path, T=0.01).read_text())
+        sc.update(model={"variant": "inverse_power", "gamma": -0.5, "mu": 0.5},
+                  grid={"kind": "line", "L": 16.0, "N": 4096, "stagger": True},
+                  initial_data={"kind": "file", "path": str(gs / "profile.npy")})
+        p = tmp_path / "att.json"
+        p.write_text(json.dumps(sc))
+        out = tmp_path / "att"
+        assert cli.main(["simulate", str(p), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["steps"], summary["n_snapshots"]) == (96, 11)
+        assert cli.main(["virial-report", str(out), "--R", "auto"]) == 1
+        report = json.loads((out / "virial_summary.json").read_text())
+        assert report["R"] == 64.0 and report["eta_tilde"] > 0 and report["violations"] == 9
+        assert "envelope_root" not in report
+
     def test_auto_R_rejects_ground_state(self, tmp_path, capsys):
         # free_soliton is the ground state, E = 0, which computes to -2.2e-14:
         # negative only by rounding, so no R is selected and nothing is written
@@ -648,6 +670,14 @@ class TestGroundState:
         assert template.grid_spec()["stagger"] == ("inverse_power" in argv)
         assert fn.mass(template.with_values(prof)) == rec["mass"]
         assert not (out / "profile.csv").exists()
+
+    def test_attractive_inverse_power_energy(self, tmp_path):
+        # one solver for either sign of gamma, so the record has its energy
+        out = tmp_path / "gs"
+        argv = ["--model", "inverse_power", "--gamma", "-0.5", "--out", str(out)]
+        assert cli.main(["ground-state", *argv]) == 0
+        rec = json.loads((out / "record.json").read_text())
+        assert rec["converged"] and -np.inf < rec["energy"] < 0
 
     def test_delta_jump_recorded(self, tmp_path):
         out = tmp_path / "gsd"

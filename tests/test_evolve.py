@@ -1184,20 +1184,12 @@ class TestPhaseLiveNodes:
             assert rel_err(a.values, b.values) <= 1e-13
 
 
-def attractive_inverse_power(gamma, mu):
-    """V = gamma |x|^-mu with gamma < 0, which `ModelSpec` rejects, set past
-    its check so that a run meets a V below zero."""
-    model = fn.ModelSpec.inverse_power(1.0, mu)
-    object.__setattr__(model, "gamma", gamma)
-    return model
-
-
 # every `run` case above, an attractive inverse-power V and a linear one
 QUIET_RUN_CASES = [
     *(pytest.param(*p.values, cayley_run_config, id=p.id) for p in CAYLEY_RUN_CASES),
     *(pytest.param(*p.values, split_run_config, id=p.id)
       for p in SPLIT_RATE_LIMITED + SPLIT_EQUAL_DT),
-    pytest.param(staggered(focusing_bump), attractive_inverse_power(-1.0, 0.5), {},
+    pytest.param(staggered(focusing_bump), fn.ModelSpec.inverse_power(-1.0, 0.5), {},
                  split_run_config, id="invpow-attractive"),
     pytest.param(staggered(focusing_bump), fn.ModelSpec.inverse_power(1.0, 0.5, False), {},
                  split_run_config, id="invpow-linear"),

@@ -72,8 +72,8 @@ GRAPH_JSON = '{"variant": "graph", "gamma": 0.0, "mu": 0.0, "nonlinearity_on": t
 
 class TestModelSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fn.ModelSpec("inverse_power", gamma=-1.0, mu=0.5)
+        # inverse power takes either sign of gamma, as delta does
+        assert fn.ModelSpec("inverse_power", gamma=-1.0, mu=0.5).gamma == -1.0
         with pytest.raises(ValueError):
             fn.ModelSpec("inverse_power", gamma=1.0, mu=1.5)
         with pytest.raises(ValueError):
@@ -93,6 +93,7 @@ class TestModelSpec:
          GRAPH_JSON + '{"kind": "delta_prime", "gamma": 2.0}}'),
         (fn.ModelSpec.graph(fn.VertexCondition("kirchhoff"), nonlinearity_on=False),
          GRAPH_JSON.replace("true", "false") + '{"kind": "kirchhoff", "gamma": 0.0}}'),
+        (fn.ModelSpec.inverse_power(-0.5, 0.5), INVPOW_JSON.replace("1.0", "-0.5")),
     ])
     def test_json_keys_in_field_order(self, model, text):
         # summary.json's "model": every field written, the vertex only on a graph
@@ -113,6 +114,12 @@ class TestModelSpec:
         # "false" would run the nonlinear equation, a misspelt gamma gamma = 0
         with pytest.raises(ValueError, match="must be a|unknown"):
             fn.ModelSpec.from_dict(d)
+
+    def test_zero_inverse_power_is_no_potential(self):
+        # as a delta of gamma = 0: a zero potential, on the staggered grid
+        f, model = gaussian(N=2**8, stagger=True), fn.ModelSpec.inverse_power(0.0, 0.5)
+        assert fn.smooth_potential(f, model) is None
+        assert fn.energy(f, model) == fn.energy(f, fn.ModelSpec.free())
 
     def test_from_dict_keeps_float_numbers(self):
         m = fn.ModelSpec.from_dict({"variant": "inverse_power", "gamma": 2, "mu": np.float64(0.5)})

@@ -122,16 +122,20 @@ class TestGroundStateFlow:
 
     def test_attractive_inverse_power(self):
         f = line_template(L=16.0, N=2**12, stagger=True)
-        gs = sol.attractive_inverse_power_profile(-0.5, 0.5, f, tol=1e-8)
+        model = fn.ModelSpec.inverse_power(-0.5, 0.5)
+        # gamma / |x|^mu with gamma < 0 is the negated repulsive potential, bit for bit
+        V = fn.potential_on_grid(model, f.x)
+        assert np.array_equal(V, -fn.potential_on_grid(fn.ModelSpec.inverse_power(0.5, 0.5), f.x))
+        gs = sol.ground_state_flow(model, f, tol=1e-8)
         assert gs.converged
         u = gs.field
-        V = -0.5 / np.abs(u.x) ** 0.5
         e = (
             fn.kinetic_energy(u, fn.ModelSpec.free())
             + 0.5 * np.sum(u.quad_weights * V * np.abs(u.values) ** 2)
             - lp_norm(u, 6) ** 6 / 6.0
         )
         assert e < 0
+        assert fn.energy(u, model) == pytest.approx(e, rel=1e-12)
         assert np.isfinite(fn.mass(u))
 
     def test_rejects_bad_args(self):
@@ -141,7 +145,7 @@ class TestGroundStateFlow:
         with pytest.raises(ValueError):
             sol.ground_state_flow(fn.ModelSpec.free(), f, tol=0.0)
         with pytest.raises(ValueError):
-            sol.attractive_inverse_power_profile(0.5, 0.5, f)
+            sol.ground_state_flow(fn.ModelSpec.inverse_power(-0.5, 0.5), f, omega=-1.0)
 
     @pytest.mark.parametrize("omega, tol", [(np.nan, 1e-8), (np.inf, 1e-8), (1.0, np.nan)])
     def test_rejects_nan_before_solving(self, omega, tol):
@@ -150,14 +154,15 @@ class TestGroundStateFlow:
         with pytest.raises(ValueError, match="omega > 0 and tol > 0"):
             sol.ground_state_flow(fn.ModelSpec.free(), f, omega=omega, tol=tol)
         with pytest.raises(ValueError, match="omega > 0 and tol > 0"):
-            sol.attractive_inverse_power_profile(-0.5, 0.5, f, omega=omega, tol=tol)
+            sol.ground_state_flow(fn.ModelSpec.inverse_power(-0.5, 0.5), f, omega=omega, tol=tol)
 
     def test_attractive_rejects_bad_potential(self):
         # the messages of ModelSpec and potential_on_grid
         with pytest.raises(ValueError, match="requires 0 < mu < 1"):
-            sol.attractive_inverse_power_profile(-0.5, 1.5, line_template(N=2**8, stagger=True))
+            sol.ground_state_flow(fn.ModelSpec.inverse_power(-0.5, 1.5),
+                                  line_template(N=2**8, stagger=True))
         with pytest.raises(ValueError, match="no node at x = 0"):
-            sol.attractive_inverse_power_profile(-0.5, 0.5, line_template(N=2**8))
+            sol.ground_state_flow(fn.ModelSpec.inverse_power(-0.5, 0.5), line_template(N=2**8))
 
     def test_scaled_data_rejects_nan(self):
         f = line_template(N=2**8)
@@ -243,11 +248,8 @@ def _flow_assembled(model, template, omega, tol, max_iter=20_000, tau=0.5):
     return H.from_vector(u.astype(complex)), res, it, ok
 
 
-def _reference(model, template, tol, attractive=None):
+def _reference(model, template, tol):
     """(field, residual, iterations, converged, started from the offset soliton)."""
-    if attractive is not None:
-        gamma, mu = attractive
-        return (*_flow_line_spectral(template, gamma / np.abs(template.x) ** mu, 1.0, tol), False)
     if model.uses_spectral():
         V = fn.potential_on_grid(model, template.x)
         return (*_flow_line_spectral(template, V, 1.0, tol), False)
@@ -257,14 +259,14 @@ def _reference(model, template, tol, attractive=None):
 
 def _line_cases():
     free, stag = fn.ModelSpec.free(), dict(stagger=True)
-    yield pytest.param(free, {}, 1e-8, None, id="free")
-    yield pytest.param(free, {}, 1e-10, None, id="free-tol1e-10")
-    yield pytest.param(free, dict(N=2**10), 1e-8, None, id="free-N1024")
-    yield pytest.param(fn.ModelSpec.inverse_power(1.0, 0.5), stag, 1e-8, None, id="inverse_power")
-    yield pytest.param(None, stag, 1e-8, (-0.5, 0.5), id="attractive")
+    yield pytest.param(free, {}, 1e-8, id="free")
+    yield pytest.param(free, {}, 1e-10, id="free-tol1e-10")
+    yield pytest.param(free, dict(N=2**10), 1e-8, id="free-N1024")
+    yield pytest.param(fn.ModelSpec.inverse_power(1.0, 0.5), stag, 1e-8, id="inverse_power")
+    yield pytest.param(fn.ModelSpec.inverse_power(-0.5, 0.5), stag, 1e-8, id="attractive")
     for g in (1.0, -0.5, 3.0, -3.0):
-        yield pytest.param(fn.ModelSpec.delta(g), {}, 1e-8, None, id=f"delta{g}")
-    yield pytest.param(fn.ModelSpec.delta(1.0), dict(L=12.0), 1e-8, None, id="delta1.0-L12")
+        yield pytest.param(fn.ModelSpec.delta(g), {}, 1e-8, id=f"delta{g}")
+    yield pytest.param(fn.ModelSpec.delta(1.0), dict(L=12.0), 1e-8, id="delta1.0-L12")
 
 
 _VERTICES = [("kirchhoff", 0.0), ("dirac_delta", 0.7), ("dirac_delta", -0.5),
@@ -290,15 +292,10 @@ class TestMergedSolverMatchesReference:
             scale = np.max(np.abs(field.values))
             assert np.max(np.abs(gs.field.values - field.values)) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("model, grid, tol, attractive", list(_line_cases()))
-    def test_line(self, model, grid, tol, attractive):
+    @pytest.mark.parametrize("model, grid, tol", list(_line_cases()))
+    def test_line(self, model, grid, tol):
         f = line_template(**grid)
-        ref = _reference(model, f, tol, attractive)
-        if attractive is None:
-            gs = sol.ground_state_flow(model, f, tol=tol)
-        else:
-            gs = sol.attractive_inverse_power_profile(*attractive, f, tol=tol)
-        self.check(gs, ref)
+        self.check(sol.ground_state_flow(model, f, tol=tol), _reference(model, f, tol))
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
     @pytest.mark.parametrize("kind, gamma", _VERTICES)

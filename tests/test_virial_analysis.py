@@ -103,6 +103,39 @@ class TestReport:
         assert va.report(smooth_free_run(1e-3, 10), 8.0, model).envelope_root is None
 
 
+class TestEnvelopeRootRule:
+    """`report` gives the envelope root only where the argument bounds the
+    blow-up time by it: I(0) > 0, both selection clauses and the sign clause."""
+
+    def test_not_where_clause_2_fails(self):
+        traj = short_bundled_run("invpow_blowup", 0.003)
+        assert va.selection_clauses(traj.snapshots[0], traj.model, 256.0)[:2] == (True, False)
+        rep = va.report(traj, 256.0, traj.model)
+        assert rep.eta_tilde > 0 and rep.envelope_root is None
+
+    def test_bundled_root_kept(self):
+        # the --R auto root of invpow_blowup, which reads snapshot 0 alone
+        traj = short_bundled_run("invpow_blowup", 0.003)
+        assert va.find_R(traj.snapshots[0], traj.model)[0] == 2048.0
+        assert fn.sign_condition_value(traj.snapshots[0], 2048.0, traj.model) < 0
+        root = va.report(traj, 2048.0, traj.model).envelope_root
+        assert root == pytest.approx(138.6178167874906, rel=1e-12)
+
+    @pytest.mark.parametrize("model, grid, R", [
+        (fn.ModelSpec.delta(-1.0), {"kind": "line", "L": 16.0, "N": 4096}, 128.0),
+        (fn.ModelSpec.inverse_power(-0.5, 0.5),
+         {"kind": "line", "L": 16.0, "N": 4096, "stagger": True}, 64.0),
+    ], ids=["delta", "inverse_power"])
+    def test_not_where_sign_clause_fails(self, model, grid, R):
+        # attractive standing waves, global solutions of negative energy: both
+        # selection clauses hold at the auto R, but the sign term is positive
+        u0 = sol.ground_state_flow(model, field_from_grid(grid)).field
+        traj = ev.run(u0, model, ev.SolverConfig(T_end=0.01, snapshot_stride=10))
+        assert va.find_R(u0, model)[0] == R
+        assert fn.sign_condition_value(u0, R, model) > 0
+        assert va.report(traj, R, model).envelope_root is None
+
+
 class TestSecondDifference:
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_on_quadratic_with_uneven_spacing(self, seed):
